@@ -282,12 +282,16 @@ def _spin_from_doc(data) -> float:
     return float(j)
 
 
-def _w_from_samples(data, grid, j):
-    dim = int(round(2 * j)) + 1
+def _w_from_samples(data, grid, j) -> np.ndarray:
+    """The sample array (m, theta, phi) of a ``samples`` list, which must
+    cover every node of the grid exactly once."""
     ms = m_values(j)
-    m_index = {m: i for i, m in enumerate(ms)}
-    values = np.full((dim, grid.n_theta, grid.n_phi), np.nan)
+    shape = (len(ms), grid.n_theta, grid.n_phi)
+    values = np.empty(shape)
+    seen = np.zeros(shape, dtype=bool)
     match_tol = 1e-9
+    if not isinstance(data["samples"], list):
+        raise CliError("'samples' must be a list of {m, theta, phi, w} records")
     for sample in data["samples"]:
         try:
             m1 = float(sample["m"])
@@ -296,31 +300,36 @@ def _w_from_samples(data, grid, j):
             w = float(sample["w"])
         except (TypeError, KeyError, ValueError) as exc:
             raise CliError(f"malformed sample {sample!r}: {exc}") from exc
-        if m1 not in m_index:
+        if m1 not in ms:
             raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
+        if not np.isfinite(w):
+            raise CliError(
+                f"sample at (m={m1!r}, theta={theta!r}, phi={phi!r}) has non-finite w={w!r}"
+            )
         it = int(np.argmin(np.abs(grid.theta_nodes - theta)))
         ip = int(np.argmin(np.abs(grid.phi_nodes - phi)))
-        if (
-            abs(grid.theta_nodes[it] - theta) > match_tol
-            or abs(grid.phi_nodes[ip] - phi) > match_tol
+        # Written so that a NaN angle fails the match too.
+        if not (
+            abs(grid.theta_nodes[it] - theta) <= match_tol
+            and abs(grid.phi_nodes[ip] - phi) <= match_tol
         ):
             raise CliError(
                 f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the "
                 "reconstruction grid"
             )
-        values[m_index[m1], it, ip] = w
-    if np.isnan(values).any():
+        cell = (ms.index(m1), it, ip)
+        if seen[cell]:
+            raise CliError(
+                f"duplicate sample at (m={m1!r}, theta={theta!r}, phi={phi!r})"
+            )
+        seen[cell] = True
+        values[cell] = w
+    if not seen.all():
         raise CliError(
             "samples do not cover the full reconstruction grid "
-            f"({int(np.isnan(values).sum())} of {values.size} cells missing)"
+            f"({np.count_nonzero(~seen)} of {seen.size} cells missing)"
         )
-    theta_index = {float(t): i for i, t in enumerate(grid.theta_nodes)}
-    phi_index = {float(p): i for i, p in enumerate(grid.phi_nodes)}
-
-    def family(m1, theta, phi):
-        return values[m_index[float(m1)], theta_index[float(theta)], phi_index[float(phi)]]
-
-    return family
+    return values
 
 
 def cmd_reconstruct(args):
@@ -369,7 +378,7 @@ def cmd_reconstruct(args):
     doc["j"] = j
     grid = build_quadrature(j, oversample=args.oversample)
     if "samples" in data:
-        family = _w_from_samples(data, grid, j)
+        w = _w_from_samples(data, grid, j)
     elif "rho" in data:
         source = require_density_j(_matrix_from_obj(data["rho"]), args.tol)
         if source.shape[0] != int(round(2 * j)) + 1:
@@ -377,18 +386,18 @@ def cmd_reconstruct(args):
                 f"'rho' has dimension {source.shape[0]} but spin {j} needs "
                 f"{int(round(2 * j)) + 1}"
             )
-        family = w_callable_from_density(source, args.tol)
+        w = w_callable_from_density(source, args.tol)
     elif "state" in data:
         if abs(j - 0.5) > 1e-12:
             raise CliError("'state' specifications are only defined for j = 1/2")
         _, source = parse_state(str(data["state"]), args.tol)
-        family = w_callable_from_density(source, args.tol)
+        w = w_callable_from_density(source, args.tol)
     else:
         raise CliError(
             "input document needs 'samples', 'rho', or 'state' for integral "
             "reconstruction"
         )
-    rho = reconstruct_density_j(family, j, grid=grid, tol=args.tol)
+    rho = reconstruct_density_j(w, j, grid=grid, tol=args.tol)
     report = validate_density_j(rho, args.tol)
     doc["rho"] = _matrix_obj(rho)
     doc["validation"] = _validation_obj(report)

@@ -255,7 +255,15 @@ def wigner_D(j, mp, m, u: EulerAngles) -> complex:
     return complex(d * np.exp(1j * phase))
 
 
-@lru_cache(maxsize=None)
+# Callers may pass any number of distinct angles, so the per-angle cache is
+# bounded.  It only has to hold one grid's theta nodes while a tomogram
+# family is evaluated node by node; whole grids live in the grid caches.
+_ANGLE_CACHE_SIZE = 256
+# Distinct (spin, grid) pairs whose sampling tables and kernels stay cached.
+_GRID_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def _small_d_matrix(tj: int, theta: float) -> np.ndarray:
     dim = tj + 1
     out = np.empty((dim, dim))
@@ -310,28 +318,83 @@ def w_value_j(rho, u: EulerAngles, tol: float = TOL) -> np.ndarray:
     return np.real(np.diag(d @ m @ d.conj().T)).copy()
 
 
-def w_callable_from_density(rho, tol: float = TOL):
+def w_callable_from_density(rho, tol: float = TOL) -> DensityTomogram:
     """Wrap a density matrix as a tomogram family w(m1, theta, phi).
 
-    The returned callable evaluates the probability of outcome ``m1`` along
-    the direction (theta, phi); rotated diagonals are cached per node so
-    repeated grid evaluations stay cheap.
+    The returned :class:`DensityTomogram` is callable and evaluates the
+    probability of outcome ``m1`` along the direction (theta, phi);
+    ``reconstruct_density_j`` samples it on the whole grid in one pass.
     """
     m = require_density_j(rho, tol)
-    dim = m.shape[0]
-    tj = dim - 1
-    index = {(tj - 2 * i) / 2.0: i for i in range(dim)}
+    return DensityTomogram(m)
 
-    @lru_cache(maxsize=None)
-    def diag(theta: float, phi: float):
-        u = EulerAngles(phi=phi, theta=theta, psi=0.0)
-        d = rotation_matrix_j(HalfInteger.from_twice(tj), u)
-        return tuple(np.real(np.diag(d @ m @ d.conj().T)))
 
-    def family(m1, theta, phi):
-        return diag(float(theta), float(phi))[index[float(m1)]]
+class DensityTomogram:
+    """Tomogram family of a fixed density matrix.
 
-    return family
+    Calling it as ``w(m1, theta, phi)`` evaluates one node; ``samples(grid)``
+    returns every node of a quadrature grid as the sample array that
+    ``reconstruct_density_j`` accepts.
+    """
+
+    __slots__ = ("rho", "tj", "_ms")
+
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+        self.tj = rho.shape[0] - 1
+        self._ms = np.array(m_values(HalfInteger.from_twice(self.tj)))
+
+    def __call__(self, m1, theta, phi) -> float:
+        tm1 = _twice(m1)
+        _check_projection(self.tj, tm1, "m1")
+        # The k-th diagonal entry of D rho D^dagger; the psi phase cancels.
+        row = _small_d_matrix(self.tj, float(theta))[(self.tj - tm1) // 2]
+        row = row * np.exp(1j * self._ms * float(phi))
+        return float(np.real(row @ self.rho @ row.conj()))
+
+    def samples(self, grid: QuadratureGrid) -> np.ndarray:
+        """w on every grid node, shape (2j+1, n_theta, n_phi): descending m1,
+        then the grid's theta nodes, then its phi nodes.
+
+        The rotated diagonal is w_k(theta, phi) = sum over Delta = a - b of
+        exp(-i Delta phi) c_k,Delta(theta), with c_k,Delta the sum of
+        d_ka d_kb rho_ab along the Delta-th diagonal.  rho is Hermitian and
+        d real, so c_k,-Delta = conj(c_k,Delta) and Delta >= 0 suffices.
+        Like a single-node call, this reads the Hermitian part of rho.
+        """
+        d_columns, phases = _sampling_tables(
+            self.tj, _node_bytes(grid.theta_nodes), _node_bytes(grid.phi_nodes)
+        )
+        dim, _, n_theta = d_columns.shape
+        rows, cols = np.tril_indices(dim)
+        pairs = (d_columns[rows] * d_columns[cols]).reshape(len(rows), dim * n_theta)
+        # Real and imaginary parts of rho_ab in the columns of their Delta.
+        entries = 0.5 * (self.rho[rows, cols] + self.rho[cols, rows].conj())
+        coeff = np.zeros((len(rows), 2 * dim))
+        coeff[np.arange(len(rows)), rows - cols] = entries.real
+        coeff[np.arange(len(rows)), dim + rows - cols] = entries.imag
+        return (pairs.T @ coeff @ phases).reshape(dim, n_theta, -1)
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _sampling_tables(tj: int, theta_nodes: bytes, phi_nodes: bytes):
+    """d^j at the theta nodes, as (a, k, t) -> d^j_{k, a}(theta_t), and the
+    phases (2 (2j+1), n_phi): real and minus imaginary parts of
+    f_Delta exp(-i Delta phi_p), with f_0 = 1 and f_Delta = 2 for each pair
+    of conjugate diagonals."""
+    d_nodes = np.array([_small_d_matrix(tj, t) for t in np.frombuffer(theta_nodes).tolist()])
+    phase = np.exp(-1j * np.outer(np.arange(tj + 1), np.frombuffer(phi_nodes)))
+    phase[1:] *= 2.0
+    return (
+        np.ascontiguousarray(d_nodes.transpose(2, 1, 0)),
+        np.vstack([phase.real, -phase.imag]),
+    )
+
+
+def _node_bytes(nodes: np.ndarray) -> bytes:
+    # Grid caches key on node and weight values, so equal grids share one
+    # entry whether or not they are the same object.
+    return np.ascontiguousarray(nodes, dtype=float).tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,11 +432,17 @@ def build_quadrature(j, oversample: int = 2) -> QuadratureGrid:
 
     Azimuthal node counts grow like 4j + 2 so all phases exp(i m3 phi) with
     |m3| <= 2j are integrated exactly; ``oversample`` scales every count and
-    is the knob used to confirm convergence by refinement.
+    is the knob used to confirm convergence by refinement.  Grids are
+    memoised; their arrays are read-only.
     """
     tj = _twice_spin(j)
     if oversample < 1:
         raise ValueError(f"oversample must be at least 1, got {oversample}")
+    return _quadrature(tj, oversample)
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _quadrature(tj: int, oversample: int) -> QuadratureGrid:
     n_theta = max(8, tj + 2) * oversample
     n_azimuth = max(8, 2 * tj + 2) * oversample
     x, a = np.polynomial.legendre.leggauss(n_theta)
@@ -393,12 +462,39 @@ def build_quadrature(j, oversample: int = 2) -> QuadratureGrid:
     )
 
 
-def _sample_w(w, ms, grid: QuadratureGrid, tol: float) -> np.ndarray:
-    values = np.empty((len(ms), grid.n_theta, grid.n_phi))
-    for i, m1 in enumerate(ms):
-        for it, theta in enumerate(grid.theta_nodes):
-            for ip, phi in enumerate(grid.phi_nodes):
-                values[i, it, ip] = w(m1, theta, phi)
+def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
+    dim = tj + 1
+    shape = (dim, grid.n_theta, grid.n_phi)
+    if isinstance(w, DensityTomogram):
+        if w.tj != tj:
+            raise ValueError(
+                f"tomogram family of spin {w.tj / 2.0} cannot be reconstructed "
+                f"as spin {tj / 2.0}"
+            )
+        return w.samples(grid)
+    if callable(w):
+        values = np.empty(shape)
+        for i in range(dim):
+            m1 = (tj - 2 * i) / 2.0
+            for it, theta in enumerate(grid.theta_nodes):
+                for ip, phi in enumerate(grid.phi_nodes):
+                    values[i, it, ip] = w(m1, theta, phi)
+        return values
+    values = np.asarray(w)
+    if values.shape != shape or values.dtype.kind not in "iuf":
+        raise ValueError(
+            f"sample array must be real with shape {shape} (m1, theta, phi), "
+            f"got a {values.dtype} array of shape {values.shape}"
+        )
+    return values.astype(float, copy=False)
+
+
+def _check_samples(values: np.ndarray, tol: float) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise NonPhysicalStateError(
+            f"tomogram samples contain {bad} non-finite value(s) out of {values.size}"
+        )
     low = float(values.min())
     high = float(values.max())
     norm_dev = float(np.abs(values.sum(axis=0) - 1.0).max())
@@ -408,7 +504,86 @@ def _sample_w(w, ms, grid: QuadratureGrid, tol: float) -> np.ndarray:
             f"grid (min={low:.3e}, max={high:.3e}, normalization deviation="
             f"{norm_dev:.3e}, tol={tol:.1e})"
         )
-    return values
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The inversion as a fixed linear map from samples to matrix elements.
+
+    The Euler-angle integral of w against D^(j3)_{0, m3} splits into a DFT
+    over the uniform phi nodes and a Gauss-Legendre sum over the theta
+    nodes; two 3j couplings then sum over m1 and map (j3, m3) onto the
+    entries rho_{m1', m2'}, where only m3 = m2' - m1' survives.
+    """
+
+    # (n_phi, 2 (4j+1)): real and imaginary parts of w_p exp(i m3 phi_p),
+    # m3 = -2j..2j, side by side
+    phi_dft: np.ndarray
+    theta: np.ndarray  # (2j+1, 4j+1, n_theta): w_t d^(j3)_{0, m3}(theta_t)
+    # (2j+1, 2j+1) over (j3, m1): sign * (j j j3; m1 -m1 0) * psi weight sum
+    m1_coupling: np.ndarray
+    # (2j+1, 2j+1, 2j+1) over (m1', m2', j3):
+    # (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
+    rho_coupling: np.ndarray
+    m3_column: np.ndarray  # (2j+1, 2j+1): column of m3 = m2' - m1'
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        dim, n_theta, n_phi = values.shape
+        n_m3 = self.theta.shape[1]
+        # The m1 sum first, while the samples are still real.
+        summed = self.m1_coupling @ values.reshape(dim, n_theta * n_phi)
+        g = summed.reshape(dim * n_theta, n_phi) @ self.phi_dft
+        g = (g[:, :n_m3] + 1j * g[:, n_m3:]).reshape(dim, n_theta, n_m3)
+        s = np.einsum("jkt,jtk->jk", self.theta, g)
+        return np.einsum("abj,jab->ab", self.rho_coupling, s[:, self.m3_column])
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _kernel(
+    tj: int,
+    phase_convention: str,
+    theta_nodes: bytes,
+    theta_weights: bytes,
+    phi_nodes: bytes,
+    phi_weights: bytes,
+    psi_weights: bytes,
+) -> _Kernel:
+    dim = tj + 1
+    tms = [tj - 2 * i for i in range(dim)]
+    m3 = np.arange(-tj, tj + 1)
+    phi = np.frombuffer(phi_nodes)
+    phi_dft = np.frombuffer(phi_weights)[:, None] * np.exp(1j * phi[:, None] * m3)
+    phi_dft = np.hstack([phi_dft.real, phi_dft.imag])
+    nodes = np.frombuffer(theta_nodes).tolist()
+    theta = np.zeros((dim, 2 * tj + 1, len(nodes)))
+    for j3 in range(dim):
+        for mm in range(-j3, j3 + 1):
+            theta[j3, mm + tj] = [_d_value(2 * j3, 0, 2 * mm, t) for t in nodes]
+    theta *= np.frombuffer(theta_weights)
+    # The psi integral of D^(j3)_{0, m3} is the constant 1; keep the weight
+    # sum explicit rather than assuming it.
+    psi_factor = float(np.sum(np.frombuffer(psi_weights)))
+    m1_coupling = np.empty((dim, dim))
+    for i1, tm1 in enumerate(tms):
+        exponent = (tj - tm1) // 2 if phase_convention == "combined" else (tj + tm1) // 2
+        sign = -1.0 if exponent % 2 else 1.0
+        for j3 in range(dim):
+            m1_coupling[j3, i1] = psi_factor * sign * _w3j_twice(tj, tj, 2 * j3, tm1, -tm1, 0)
+    rho_coupling = np.zeros((dim, dim, dim))
+    for i1, tmp1 in enumerate(tms):
+        for i2, tmp2 in enumerate(tms):
+            sign = -1.0 if ((tmp2 - tj) // 2) % 2 else 1.0
+            for j3 in range(abs(i1 - i2), dim):
+                coupling = _w3j_twice(tj, tj, 2 * j3, tmp1, -tmp2, tmp2 - tmp1)
+                rho_coupling[i1, i2, j3] = sign * (2 * j3 + 1.0) ** 2 * coupling
+    index = np.arange(dim)
+    return _Kernel(
+        phi_dft=phi_dft,
+        theta=theta,
+        m1_coupling=m1_coupling,
+        rho_coupling=rho_coupling,
+        m3_column=index[:, None] - index[None, :] + tj,
+    )
 
 
 def reconstruct_density_j(
@@ -421,14 +596,20 @@ def reconstruct_density_j(
     """Recover a spin-``j`` density matrix from a tomogram family.
 
     Args:
-        w: callable ``w(m1, theta, phi)`` returning the probability of
-            outcome ``m1`` (passed as a float) along direction
-            ``(theta, phi)``.
+        w: the tomogram, in one of two forms.  A callable
+            ``w(m1, theta, phi)`` returns the probability of outcome ``m1``
+            (passed as a float) along direction ``(theta, phi)``; it is
+            sampled node by node, except that families from
+            :func:`w_callable_from_density` fill the whole grid in one pass.
+            A real array of shape ``(2j+1, n_theta, n_phi)`` holds the
+            samples directly: descending m1, then the grid's theta nodes,
+            then its phi nodes.
         j: spin of the multiplet; the result is a (2j+1) x (2j+1) matrix
             with rows and columns in descending projection order.
         grid: quadrature grid; ``build_quadrature(j)`` when omitted.
         tol: bound on how far the sampled family may violate positivity or
-            normalization before reconstruction is refused.
+            normalization before reconstruction is refused; non-finite
+            samples are always refused.
         phase_convention: ``"combined"`` (default) evaluates the kernel sign
             as the integer power (-1)^(m2' - m1); ``"literal"`` evaluates
             the two printed factors independently as (-1)^(m2' + m1), which
@@ -438,61 +619,26 @@ def reconstruct_density_j(
         The reconstructed matrix, unvalidated: quadrature noise or
         inconsistent samples show up directly in the output, so callers
         decide which deviations to accept.
+
+    The inversion is linear in the samples.  Its kernel is built once per
+    spin, phase convention and grid node and weight values, and cached.
     """
     if phase_convention not in ("combined", "literal"):
         raise ValueError(
             f"phase_convention must be 'combined' or 'literal', got {phase_convention!r}"
         )
     tj = _twice_spin(j)
-    dim = tj + 1
     if grid is None:
         grid = build_quadrature(HalfInteger.from_twice(tj))
-    tms = [tj - 2 * i for i in range(dim)]
-    ms = [tm / 2.0 for tm in tms]
-    values = _sample_w(w, ms, grid, tol)
-    # The psi integral of D^(j3)_{0, m3} is the constant 1; keep the weight
-    # sum explicit rather than assuming it.
-    psi_factor = float(np.sum(grid.psi_weights))
-
-    def sign_m1(tm1: int) -> float:
-        exponent = (tj - tm1) // 2 if phase_convention == "combined" else (tj + tm1) // 2
-        return -1.0 if exponent % 2 else 1.0
-
-    def sign_mp2(tmp2: int) -> float:
-        return -1.0 if ((tmp2 - tj) // 2) % 2 else 1.0
-
-    # First pass: angular integrals of w against D^(j3)_{0, m3}, already
-    # summed over the outcome label m1 with its 3j weight and sign.
-    summed = {}
-    for tj3 in range(0, 2 * tj + 1, 2):
-        for tm3 in range(-tj3, tj3 + 1, 2):
-            d_nodes = np.array(
-                [_d_value(tj3, 0, tm3, t) for t in grid.theta_nodes]
-            )
-            kern_theta = grid.theta_weights * d_nodes
-            kern_phi = grid.phi_weights * np.exp(1j * (tm3 / 2.0) * grid.phi_nodes)
-            acc = 0.0 + 0.0j
-            for i1, tm1 in enumerate(tms):
-                coupling = _w3j_twice(tj, tj, tj3, tm1, -tm1, 0)
-                if coupling == 0.0:
-                    continue
-                integral = np.einsum("t,p,tp->", kern_theta, kern_phi, values[i1])
-                acc += sign_m1(tm1) * coupling * integral
-            summed[(tj3, tm3)] = acc * psi_factor
-
-    # Second pass: couple the integrals into matrix elements.  Only
-    # m3 = m2' - m1' survives the second 3j symbol.
-    rho = np.empty((dim, dim), dtype=complex)
-    for i1, tmp1 in enumerate(tms):
-        for i2, tmp2 in enumerate(tms):
-            tm3 = tmp2 - tmp1
-            entry = 0.0 + 0.0j
-            for tj3 in range(0, 2 * tj + 1, 2):
-                if abs(tm3) > tj3:
-                    continue
-                coupling = _w3j_twice(tj, tj, tj3, tmp1, -tmp2, tm3)
-                if coupling == 0.0:
-                    continue
-                entry += (tj3 + 1.0) ** 2 * coupling * summed[(tj3, tm3)]
-            rho[i1, i2] = sign_mp2(tmp2) * entry
-    return rho
+    values = _grid_samples(w, tj, grid)
+    _check_samples(values, tol)
+    kernel = _kernel(
+        tj,
+        phase_convention,
+        _node_bytes(grid.theta_nodes),
+        _node_bytes(grid.theta_weights),
+        _node_bytes(grid.phi_nodes),
+        _node_bytes(grid.phi_weights),
+        _node_bytes(grid.psi_weights),
+    )
+    return kernel.apply(values)

@@ -228,26 +228,54 @@ def test_reconstruct_integral_from_rho_matrix(capsys, validator, tmp_path):
     assert np.abs(matrix_from_doc(doc["rho"]) - rho).max() < 1e-12
 
 
-def test_reconstruct_integral_from_samples(capsys, validator, tmp_path):
-    from spintomo import build_quadrature, w_callable_from_density
+def _grid_samples(rho, j):
+    from spintomo import build_quadrature, m_values, w_callable_from_density
 
-    rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     family = w_callable_from_density(rho)
-    grid = build_quadrature(0.5, oversample=2)
-    samples = []
-    for m1 in (0.5, -0.5):
-        for theta in grid.theta_nodes:
-            for phi in grid.phi_nodes:
-                samples.append(
-                    {"m": m1, "theta": theta, "phi": phi, "w": family(m1, theta, phi)}
-                )
+    grid = build_quadrature(j, oversample=2)
+    return [
+        {"m": m1, "theta": theta, "phi": phi, "w": family(m1, theta, phi)}
+        for m1 in m_values(j)
+        for theta in grid.theta_nodes
+        for phi in grid.phi_nodes
+    ]
+
+
+def test_reconstruct_integral_from_samples(capsys, validator, tmp_path):
+    rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     payload = tmp_path / "samples.json"
-    payload.write_text(json.dumps({"j": 0.5, "samples": samples}))
+    payload.write_text(json.dumps({"j": 0.5, "samples": _grid_samples(rho, 0.5)}))
     code, doc, _ = run_doc(
         capsys, validator, "reconstruct", "--mode", "from-w-integral", "--input", str(payload)
     )
     assert code == 0
     assert np.abs(matrix_from_doc(doc["rho"]) - rho).max() < 1e-12
+
+
+def test_reconstruct_integral_non_finite_sample_exit_2(capsys, tmp_path):
+    samples = _grid_samples(np.eye(2) / 2, 0.5)
+    samples[5]["w"] = float("nan")
+    payload = tmp_path / "nan.json"
+    payload.write_text(json.dumps({"j": 0.5, "samples": samples}))
+    code, out, err = run_cli(
+        capsys, "reconstruct", "--mode", "from-w-integral", "--input", str(payload)
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-finite w" in err
+
+
+def test_reconstruct_integral_duplicate_sample_exit_2(capsys, tmp_path):
+    samples = _grid_samples(np.eye(2) / 2, 0.5)
+    samples.append(dict(samples[7], w=0.9))
+    payload = tmp_path / "duplicate.json"
+    payload.write_text(json.dumps({"j": 0.5, "samples": samples}))
+    code, out, err = run_cli(
+        capsys, "reconstruct", "--mode", "from-w-integral", "--input", str(payload)
+    )
+    assert code == 2
+    assert out == ""
+    assert "duplicate sample" in err
 
 
 def test_reconstruct_integral_missing_samples_exit_2(capsys, tmp_path):

@@ -8,6 +8,7 @@ from spintomo import (
     EulerAngles,
     HalfInteger,
     NonPhysicalStateError,
+    QuadratureGrid,
     build_quadrature,
     m_values,
     random_density_j,
@@ -408,3 +409,102 @@ def test_require_density_j_rejects_bad_input():
         require_density_j(np.eye(3, dtype=complex))  # trace 3
     with pytest.raises(ValueError):
         validate_density_j(np.zeros((2, 3)))
+
+
+def _looped_samples(family, j, grid):
+    # The node-by-node reference for the vectorised sampling.
+    return np.array(
+        [
+            [[family(m1, t, p) for p in grid.phi_nodes] for t in grid.theta_nodes]
+            for m1 in m_values(j)
+        ]
+    )
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 3])
+def test_array_and_callable_inputs_agree(j):
+    dim = int(round(2 * j)) + 1
+    rho = random_density_j(dim, 1, seed=200 + dim)[0]
+    family = w_callable_from_density(rho)
+    grid = build_quadrature(j)
+    looped = _looped_samples(family, j, grid)
+    assert looped.shape == (dim, grid.n_theta, grid.n_phi)
+    assert np.abs(family.samples(grid) - looped).max() < 1e-15
+    from_array = reconstruct_density_j(looped, j)
+    from_callable = reconstruct_density_j(lambda m1, t, p: family(m1, t, p), j)
+    assert np.array_equal(from_array, from_callable)
+    assert np.abs(reconstruct_density_j(family, j) - from_array).max() < 1e-15
+    assert np.abs(from_array - rho).max() < 1e-12
+
+
+def test_reconstruct_rejects_malformed_sample_arrays():
+    grid = build_quadrature(0.5)
+    good = w_callable_from_density(np.eye(2) / 2).samples(grid)
+    with pytest.raises(ValueError, match="shape"):
+        reconstruct_density_j(good[:, :-1], 0.5)
+    with pytest.raises(ValueError, match="real"):
+        reconstruct_density_j(good.astype(complex), 0.5)
+    with pytest.raises(ValueError, match="spin"):
+        reconstruct_density_j(w_callable_from_density(np.eye(3) / 3), 0.5)
+
+
+def test_reconstruct_refuses_non_finite_samples():
+    with pytest.raises(NonPhysicalStateError, match="non-finite"):
+        reconstruct_density_j(lambda m1, t, p: float("nan"), 0.5)
+    values = w_callable_from_density(np.eye(2) / 2).samples(build_quadrature(0.5))
+    for bad in (np.nan, np.inf):
+        broken = values.copy()
+        broken[1, 3, 4] = bad
+        with pytest.raises(NonPhysicalStateError, match="non-finite"):
+            reconstruct_density_j(broken, 0.5)
+
+
+def test_family_rejects_out_of_multiplet_projection():
+    family = w_callable_from_density(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="m1=1.5"):
+        family(1.5, 0.3, 0.2)
+    with pytest.raises(ValueError, match="m1=0.0"):
+        family(0, 0.3, 0.2)
+
+
+def test_kernel_keys_on_node_values_not_shapes():
+    j = 1
+    rho = random_density_j(3, 1, seed=61)[0]
+    family = w_callable_from_density(rho)
+    default = build_quadrature(j)
+    assert np.abs(reconstruct_density_j(family, j, grid=default) - rho).max() < 1e-13
+    shifted_phi = default.phi_nodes + 0.37
+    shifted = QuadratureGrid(
+        theta_nodes=default.theta_nodes,
+        theta_weights=default.theta_weights,
+        phi_nodes=shifted_phi,
+        phi_weights=default.phi_weights,
+        psi_nodes=shifted_phi,
+        psi_weights=default.psi_weights,
+    )
+    assert np.abs(reconstruct_density_j(family, j, grid=shifted) - rho).max() < 1e-13
+
+
+def test_literal_kernel_cached_separately(named_states):
+    rho = named_states["up_y"]
+    family = w_callable_from_density(rho)
+    grid = build_quadrature(0.5, oversample=3)
+    for convention, sign in [("combined", 1), ("literal", -1), ("combined", 1), ("literal", -1)]:
+        rec = reconstruct_density_j(family, 0.5, grid=grid, phase_convention=convention)
+        assert np.abs(rec - sign * rho).max() < 1e-13, convention
+
+
+def test_build_quadrature_is_memoised():
+    assert build_quadrature(2) is build_quadrature(2.0)
+    assert build_quadrature(2, oversample=3) is not build_quadrature(2)
+
+
+def test_angle_cache_is_bounded():
+    from spintomo.general_inversion import _small_d_matrix
+
+    bound = _small_d_matrix.cache_info().maxsize
+    assert bound is not None
+    rng = np.random.default_rng(67)
+    for angles in rng.uniform(0, 2 * np.pi, (2 * bound, 3)):
+        rotation_matrix_j(1, EulerAngles(*angles))
+    assert _small_d_matrix.cache_info().currsize <= bound
