@@ -8,16 +8,18 @@ Verbs:
 * ``verify``      round-trip and consistency checks for one state
 * ``sweep``       the same checks over seeded random states
 
-Exit codes: 0 success, 2 unusable input (bad flags, unparsable state or
-file), 3 physically inadmissible input or failed checks.  Documents are
-serialized with sorted keys and fixed indentation, so a given invocation
-always produces identical bytes.
+Exit codes: 0 success, 2 unusable input (bad flags, non-finite numbers,
+unparsable state or file), 3 physically inadmissible input or failed
+checks.  Documents are strict JSON (no NaN or Infinity), serialized with
+sorted keys and fixed indentation, so a given invocation always produces
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, NonPhysicalStateError
 from .general_inversion import (
+    HalfInteger,
     build_quadrature,
     m_values,
     reconstruct_density_j,
@@ -122,12 +125,19 @@ def _matrix_obj(m) -> list:
 
 def _matrix_from_obj(rows) -> np.ndarray:
     try:
-        return np.array(
+        m = np.array(
             [[complex(cell["re"], cell["im"]) for cell in row] for row in rows],
             dtype=complex,
         )
-    except (TypeError, KeyError) as exc:
-        raise CliError(f"matrix entries must be objects with 're' and 'im': {exc}") from exc
+    except (TypeError, KeyError, OverflowError) as exc:
+        raise CliError(f"'rho' entries must be objects with 're' and 'im': {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"'rho' must be a square matrix: {exc}") from exc
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise CliError(f"'rho' must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise CliError("'rho' has non-finite entries")
+    return m
 
 
 def _validation_obj(report) -> dict:
@@ -166,11 +176,27 @@ def _table_from_obj(entries) -> QuasiProbTable:
             value = complex(float(item["re"]), float(item["im"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise CliError(f"malformed table entry {item!r}: {exc}") from exc
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise CliError(f"table entry {item!r} is not finite")
         mapping[vertex] = value
     try:
         return QuasiProbTable(mapping)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _triple_from_obj(obj) -> AxisTriple:
+    try:
+        triple = AxisTriple(
+            wx_plus=float(obj["wx_plus"]),
+            wy_plus=float(obj["wy_plus"]),
+            wz_plus=float(obj["wz_plus"]),
+        )
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CliError(f"malformed 'w_axes' object: {exc}") from exc
+    if not all(map(math.isfinite, (triple.wx_plus, triple.wy_plus, triple.wz_plus))):
+        raise CliError(f"'w_axes' values must be finite, got {obj!r}")
+    return triple
 
 
 def _admissibility_obj(report) -> dict:
@@ -230,6 +256,10 @@ def _tomogram_obj(t) -> dict:
 
 def cmd_w(args):
     kind, rho = parse_state(args.state, args.tol)
+    for flag in ("theta", "phi", "psi"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"--{flag} must be finite, got {value!r}")
     single = args.theta is not None or args.phi is not None
     if single and args.grid is not None:
         raise CliError("give either --theta/--phi or --grid, not both")
@@ -279,7 +309,14 @@ def _spin_from_doc(data) -> float:
     j = data["j"]
     if not isinstance(j, (int, float)):
         raise CliError(f"'j' must be a number, got {j!r}")
-    return float(j)
+    try:
+        spin = float(j)
+        twice = HalfInteger(spin).twice if math.isfinite(spin) else -1
+    except (OverflowError, ValueError):
+        twice = -1
+    if twice < 0:
+        raise CliError(f"'j' must be a non-negative multiple of 1/2, got {j!r}")
+    return spin
 
 
 def _w_from_samples(data, grid, j) -> np.ndarray:
@@ -355,14 +392,7 @@ def cmd_reconstruct(args):
     if args.mode == "from-w-axes":
         if "w_axes" not in data:
             raise CliError("input document needs a 'w_axes' field")
-        try:
-            triple = AxisTriple(
-                wx_plus=float(data["w_axes"]["wx_plus"]),
-                wy_plus=float(data["w_axes"]["wy_plus"]),
-                wz_plus=float(data["w_axes"]["wz_plus"]),
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise CliError(f"malformed 'w_axes' object: {exc}") from exc
+        triple = _triple_from_obj(data["w_axes"])
         try:
             rho = density_from_w_axes(triple, args.tol)
         except AdmissibilityError as exc:
@@ -374,6 +404,8 @@ def cmd_reconstruct(args):
         doc["validation"] = _validation_obj(validate_density(rho, args.tol))
         return doc, 0, None
     # from-w-integral
+    if args.oversample < 1:
+        raise CliError(f"--oversample must be at least 1, got {args.oversample}")
     j = _spin_from_doc(data)
     doc["j"] = j
     grid = build_quadrature(j, oversample=args.oversample)
@@ -485,14 +517,7 @@ def cmd_verify(args):
             _check_obj("table-redundancy", report.redundancy_deviation, args.tol)
         )
     if "w_axes" in data:
-        try:
-            triple = AxisTriple(
-                wx_plus=float(data["w_axes"]["wx_plus"]),
-                wy_plus=float(data["w_axes"]["wy_plus"]),
-                wz_plus=float(data["w_axes"]["wz_plus"]),
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise CliError(f"malformed 'w_axes' object: {exc}") from exc
+        triple = _triple_from_obj(data["w_axes"])
         doc["w_axes"] = {
             "wx_plus": triple.wx_plus,
             "wy_plus": triple.wy_plus,
@@ -631,11 +656,16 @@ _COMMANDS = {
 }
 
 
-def _emit(doc, csv_text, args) -> None:
-    if csv_text is not None:
-        payload = csv_text
-    else:
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _json_payload(doc) -> str:
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CliError(
+            "the result has non-finite numbers; an input value is too large to process"
+        ) from exc
+
+
+def _emit(payload: str, args) -> None:
     if args.output:
         Path(args.output).write_text(payload)
     else:
@@ -651,15 +681,19 @@ def main(argv=None) -> int:
     if args.format == "csv" and args.command != "w":
         print("error: csv output is only available for the w command", file=sys.stderr)
         return 2
+    if not math.isfinite(args.tol):
+        print(f"error: --tol must be finite, got {args.tol!r}", file=sys.stderr)
+        return 2
     try:
         doc, code, csv_text = _COMMANDS[args.command](args)
+        payload = csv_text if csv_text is not None else _json_payload(doc)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonPhysicalStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(doc, csv_text, args)
+    _emit(payload, args)
     return code
 
 

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Tuple
 import numpy as np
 
 from .errors import AdmissibilityError
-from .spin_core import TOL, ValidationReport, eigenket, overlap, require_density, validate_density
+from .spin_core import TOL, ValidationReport, _nanmax, _report, _require, eigenket, overlap
 
 Vertex = Tuple[int, int, int]
 
@@ -35,6 +35,13 @@ VERTEX_ORDER: Tuple[Vertex, ...] = (
 
 _AXIS_SLOT = {"x": 0, "y": 1, "z": 2}
 
+# The four vertices summed by each one-axis marginal, in VERTEX_ORDER.
+_MARGINAL_VERTICES = {
+    (axis, sign): tuple(v for v in VERTEX_ORDER if v[slot] == sign)
+    for axis, slot in _AXIS_SLOT.items()
+    for sign in (1, -1)
+}
+
 
 class QuasiProbTable:
     """Immutable container for the eight complex entries p(c, b, a)."""
@@ -52,6 +59,13 @@ class QuasiProbTable:
         object.__setattr__(
             self, "_entries", {v: complex(entries[v]) for v in VERTEX_ORDER}
         )
+
+    @classmethod
+    def _trusted(cls, values) -> "QuasiProbTable":
+        """Table of eight Python complex ``values`` in ``VERTEX_ORDER``, unchecked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "_entries", dict(zip(VERTEX_ORDER, values)))
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("QuasiProbTable is immutable")
@@ -85,22 +99,24 @@ class QuasiProbTable:
         return f"QuasiProbTable({rows})"
 
 
-def _table_from_matrix(m: np.ndarray) -> QuasiProbTable:
-    rho_pp, rho_pm = m[0, 0], m[0, 1]
-    rho_mp, rho_mm = m[1, 0], m[1, 1]
-    plus = 0.25 * (1.0 + 1.0j)
-    minus = 0.25 * (1.0 - 1.0j)
-    return QuasiProbTable(
-        {
-            (1, 1, 1): plus * (rho_pp + rho_pm),
-            (-1, 1, 1): minus * (rho_pp - rho_pm),
-            (1, -1, 1): minus * (rho_pp + rho_pm),
-            (-1, -1, 1): plus * (rho_pp - rho_pm),
-            (1, 1, -1): minus * (rho_mm + rho_mp),
-            (-1, 1, -1): plus * (rho_mm - rho_mp),
-            (1, -1, -1): plus * (rho_mm + rho_mp),
-            (-1, -1, -1): minus * (rho_mm - rho_mp),
-        }
+_PLUS = 0.25 * (1.0 + 1.0j)
+_MINUS = 0.25 * (1.0 - 1.0j)
+
+
+def _table_from_entries(rho_pp, rho_pm, rho_mp, rho_mm) -> QuasiProbTable:
+    # Python complex arithmetic: a scalar product has the bits of numpy's
+    # scalar product, which a 2x2 array product would not.
+    return QuasiProbTable._trusted(
+        (
+            _PLUS * (rho_pp + rho_pm),
+            _MINUS * (rho_pp - rho_pm),
+            _MINUS * (rho_pp + rho_pm),
+            _PLUS * (rho_pp - rho_pm),
+            _MINUS * (rho_mm + rho_mp),
+            _PLUS * (rho_mm - rho_mp),
+            _PLUS * (rho_mm + rho_mp),
+            _MINUS * (rho_mm - rho_mp),
+        )
     )
 
 
@@ -111,7 +127,15 @@ def p_from_density(rho, tol: float = TOL) -> QuasiProbTable:
     density-matrix elements; see :func:`p_oracle` for the equivalent
     eigenket-overlap construction.
     """
-    return _table_from_matrix(require_density(rho, tol))
+    return _table_from_entries(*_require(rho, tol)[1])
+
+
+# Per vertex (c, b, a) in VERTEX_ORDER: <c;x|b;y><b;y|a;z>, the ket |a;z>, and c.
+_ORACLE_TERMS = tuple(
+    (overlap("x", c, "y", b) * overlap("y", b, "z", a), eigenket("z", a), c)
+    for c, b, a in VERTEX_ORDER
+)
+_X_KETS = {c: eigenket("x", c) for c in (1, -1)}
 
 
 def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
@@ -120,29 +144,21 @@ def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
     p(c, b, a) = <c;x|b;y><b;y|a;z><a;z|rho|c;x>.  Numerically equivalent to
     :func:`p_from_density`; kept as an independent construction.
     """
-    m = require_density(rho, tol)
-    entries = {}
-    for c, b, a in VERTEX_ORDER:
-        ket_c = eigenket("x", c)
-        ket_a = eigenket("z", a)
-        entries[(c, b, a)] = (
-            overlap("x", c, "y", b)
-            * overlap("y", b, "z", a)
-            * complex(np.vdot(ket_a, m @ ket_c))
-        )
-    return QuasiProbTable(entries)
+    m = _require(rho, tol)[0]
+    images = {c: m @ ket_c for c, ket_c in _X_KETS.items()}
+    return QuasiProbTable._trusted(
+        [weight * complex(np.vdot(ket_a, images[c])) for weight, ket_a, c in _ORACLE_TERMS]
+    )
 
 
-def _matrix_from_table(table: QuasiProbTable) -> np.ndarray:
+def _matrix_entries(table: QuasiProbTable):
     # Only the two entries with (b, a) = (+1, +1) are needed; hermiticity and
     # unit trace fix the rest of the matrix.
     p_ppp = table[1, 1, 1]
     p_mpp = table[-1, 1, 1]
     rho_pp = (1.0 - 1.0j) * p_ppp + (1.0 + 1.0j) * p_mpp
     rho_pm = (1.0 - 1.0j) * p_ppp - (1.0 + 1.0j) * p_mpp
-    return np.array(
-        [[rho_pp, rho_pm], [np.conj(rho_pm), 1.0 - rho_pp]], dtype=complex
-    )
+    return rho_pp, rho_pm, rho_pm.conjugate(), 1.0 - rho_pp
 
 
 def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
@@ -152,14 +168,14 @@ def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
     is validated and an :class:`AdmissibilityError` carrying the report is
     raised when the table does not come from a physical state.
     """
-    m = _matrix_from_table(table)
-    report = validate_density(m, tol)
+    rho_pp, rho_pm, rho_mp, rho_mm = _matrix_entries(table)
+    report = _report(rho_pp, rho_pm, rho_mp, rho_mm, tol)
     if not report.passed:
         raise AdmissibilityError(
             f"table does not describe a physical state ({report.summary()})",
             report=report,
         )
-    return m
+    return np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex)
 
 
 def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
@@ -172,8 +188,7 @@ def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
         raise ValueError(f"axis must be one of ('x', 'y', 'z'), got {axis!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    slot = _AXIS_SLOT[axis]
-    return complex(sum(table[v] for v in VERTEX_ORDER if v[slot] == sign))
+    return complex(sum(map(table.__getitem__, _MARGINAL_VERTICES[axis, sign])))
 
 
 @dataclass(frozen=True)
@@ -223,20 +238,15 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
     """Report every physicality condition on a table without raising."""
     total = table.total()
     checks = []
-    for axis in ("x", "y", "z"):
-        for sign in (1, -1):
-            value = marginal(table, axis, sign)
-            real = value.real
-            violation = max(0.0, -real, real - 1.0)
-            checks.append(
-                MarginalCheck(axis, sign, value, abs(value.imag), violation)
-            )
-    m = _matrix_from_table(table)
-    density_report = validate_density(m, tol)
-    regenerated = _table_from_matrix(m)
-    redundancy = float(
-        max(abs(table[v] - regenerated[v]) for v in VERTEX_ORDER)
-    )
+    for (axis, sign), vertices in _MARGINAL_VERTICES.items():
+        value = complex(sum(map(table.__getitem__, vertices)))
+        real = value.real
+        violation = _nanmax((0.0, -real, real - 1.0))
+        checks.append(MarginalCheck(axis, sign, value, abs(value.imag), violation))
+    entries = _matrix_entries(table)
+    density_report = _report(*entries, tol)
+    regenerated = _table_from_entries(*entries)
+    redundancy = _nanmax([abs(table[v] - regenerated[v]) for v in VERTEX_ORDER])
     return AdmissibilityReport(
         total=total,
         total_deviation=float(abs(total - 1.0)),

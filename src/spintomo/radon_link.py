@@ -10,14 +10,15 @@ additive constants cancel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPhysicalStateError
-from .quasiprob import VERTEX_ORDER, QuasiProbTable, p_from_density
-from .spin_core import TOL
-from .tomography import AxisTriple, w_axes
+from .quasiprob import QuasiProbTable, _table_from_entries
+from .spin_core import TOL, _require
+from .tomography import AxisTriple, _w_axes_of
 
 _PLUS = 0.25 * (1.0 + 1.0j)
 _MINUS = 0.25 * (1.0 - 1.0j)
@@ -27,12 +28,18 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
     """Quasiprobability table from three-axis up-probabilities.
 
     With ``validate`` (the default) the triple must correspond to a physical
-    state: its mean values have to lie inside the unit ball.  Passing
-    ``validate=False`` evaluates the affine map as-is, which is useful for
-    checking its structural identities on arbitrary triples.
+    state: its probabilities have to be finite and its mean values have to
+    lie inside the unit ball.  Passing ``validate=False`` evaluates the
+    affine map as-is, which is useful for checking its structural identities
+    on arbitrary triples.
     """
-    wx, wy, wz = triple.wx_plus, triple.wy_plus, triple.wz_plus
+    # Python floats, so that the entries are Python complex numbers.
+    wx, wy, wz = float(triple.wx_plus), float(triple.wy_plus), float(triple.wz_plus)
     if validate:
+        if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
+            raise NonPhysicalStateError(
+                f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
+            )
         mx, my, mz = triple.mean_values()
         if mx * mx + my * my + mz * mz > 1.0 + tol:
             raise NonPhysicalStateError(
@@ -46,17 +53,17 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
     up_flip = -wx + 1.0j * wy + wz
     down = wx + 1.0j * wy + wz_minus
     down_flip = -wx - 1.0j * wy + wz_minus
-    return QuasiProbTable(
-        {
-            (1, 1, 1): _PLUS * up - 0.25,
-            (-1, 1, 1): _MINUS * up_flip - 0.25j,
-            (1, -1, 1): _MINUS * up + 0.25j,
-            (-1, -1, 1): _PLUS * up_flip + 0.25,
-            (1, 1, -1): _MINUS * down - 0.25,
-            (-1, 1, -1): _PLUS * down_flip + 0.25j,
-            (1, -1, -1): _PLUS * down - 0.25j,
-            (-1, -1, -1): _MINUS * down_flip + 0.25,
-        }
+    return QuasiProbTable._trusted(
+        (
+            _PLUS * up - 0.25,
+            _MINUS * up_flip - 0.25j,
+            _MINUS * up + 0.25j,
+            _PLUS * up_flip + 0.25,
+            _MINUS * down - 0.25,
+            _PLUS * down_flip + 0.25j,
+            _PLUS * down - 0.25j,
+            _MINUS * down_flip + 0.25,
+        )
     )
 
 
@@ -75,9 +82,10 @@ class ConsistencyReport:
 
 def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
-    triple = w_axes(rho, tol)
+    m, entries = _require(rho, tol)
+    triple = _w_axes_of(m)
     direct = p_from_w(triple, tol)
-    composed = p_from_density(rho, tol)
+    composed = _table_from_entries(*entries)
     delta = float(
         np.max(np.abs(direct.to_array() - composed.to_array()))
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spin_core import density_from_bloch
+from .spin_core import _densities_from_bloch
 
 
 def random_bloch_vectors(n: int, seed: int, radius: float = 0.5) -> np.ndarray:
@@ -29,11 +29,7 @@ def random_bloch_vectors(n: int, seed: int, radius: float = 0.5) -> np.ndarray:
 
 def random_density_matrices(n: int, seed: int) -> np.ndarray:
     """``n`` random 2x2 density matrices with Bloch vectors uniform in the ball."""
-    vectors = random_bloch_vectors(n, seed)
-    out = np.empty((n, 2, 2), dtype=complex)
-    for i, b in enumerate(vectors):
-        out[i] = density_from_bloch(b)
-    return out
+    return _densities_from_bloch(random_bloch_vectors(n, seed))
 
 
 def random_density_j(dim: int, n: int, seed: int) -> np.ndarray:

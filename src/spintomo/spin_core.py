@@ -7,6 +7,7 @@ the density-matrix axioms (hermiticity, unit trace, positivity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,49 @@ class ValidationReport:
         )
 
 
+def _nanmax(values) -> float:
+    """The largest value, or NaN if any is NaN (as numpy's max; ``max`` may drop it)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _array_abs(z: complex) -> float:
+    # numpy's vectorised |z| and libm hypot (Python's abs) disagree in the last
+    # bit on about a third of inputs; this is the vectorised one.  With a zero
+    # part, as for any Hermitian input, both give the other part's magnitude.
+    if z.real == 0.0 or z.imag == 0.0:
+        return abs(z)
+    return float(np.abs(np.array(z)))
+
+
+def _report(a: complex, b: complex, c: complex, d: complex, tol: float) -> ValidationReport:
+    """Validation report of the matrix [[a, b], [c, d]] of Python complex entries.
+
+    Each step is the scalar form of the array expression it replaces
+    (m - m^dagger, m + m^dagger, ...), in the same order, so the report is
+    bit for bit the one numpy gives: the hermiticity deviation keeps numpy's
+    vectorised |z| and the eigenvalue radius libm hypot.
+    """
+    herm_dev = _nanmax(
+        (_array_abs(b - c.conjugate()), abs(a - a.conjugate()), abs(d - d.conjugate()))
+    )
+    trace_dev = abs(a + d - 1.0)
+    h00 = (0.5 * (a + a.conjugate())).real
+    h11 = (0.5 * (d + d.conjugate())).real
+    h01 = 0.5 * (b + c.conjugate())
+    mean = 0.5 * (h00 + h11)
+    radius = abs(complex(0.5 * (h00 - h11), abs(h01)))
+    return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
+
+
+def _entries(matrix):
+    """``matrix`` as a complex array, and its four entries as Python complex."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
+    return m, (a, b, c, d)
+
+
 def validate_density(matrix, tol: float = TOL) -> ValidationReport:
     """Measure how far ``matrix`` is from being a 2x2 density matrix.
 
@@ -116,15 +160,18 @@ def validate_density(matrix, tol: float = TOL) -> ValidationReport:
     hermiticity, the deviation of the trace from 1, and the smallest
     eigenvalue of the Hermitian part (closed form for 2x2, no eigensolver).
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    trace_dev = float(abs(m[0, 0] + m[1, 1] - 1.0))
-    h = 0.5 * (m + m.conj().T)
-    mean = 0.5 * float(h[0, 0].real + h[1, 1].real)
-    radius = float(np.hypot(0.5 * (h[0, 0].real - h[1, 1].real), abs(h[0, 1])))
-    return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
+    return _report(*_entries(matrix)[1], tol)
+
+
+def _require(matrix, tol: float):
+    """Validate ``matrix`` once; return the complex array and its entries."""
+    m, entries = _entries(matrix)
+    report = _report(*entries, tol)
+    if not report.passed:
+        raise NonPhysicalStateError(
+            f"not a physical density matrix ({report.summary()})", report=report
+        )
+    return m, entries
 
 
 def require_density(matrix, tol: float = TOL) -> np.ndarray:
@@ -132,26 +179,54 @@ def require_density(matrix, tol: float = TOL) -> np.ndarray:
 
     Raises :class:`NonPhysicalStateError` carrying the failing report.
     """
-    m = np.asarray(matrix, dtype=complex)
-    report = validate_density(m, tol)
-    if not report.passed:
-        raise NonPhysicalStateError(
-            f"not a physical density matrix ({report.summary()})", report=report
-        )
-    return m
+    return _require(matrix, tol)[0]
 
 
-def density_from_bloch(b, tol: float = TOL) -> np.ndarray:
-    """Density matrix (1/2)(I + 2 b . sigma) for a Bloch vector with |b| <= 1/2."""
+def _bloch_vector(b, tol: float) -> np.ndarray:
+    """``b`` as a float array, checked to be a finite vector with |b| <= 1/2."""
     v = np.asarray(b, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a length-3 Bloch vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
+    if not np.isfinite(v).all():
+        raise NonPhysicalStateError(f"Bloch vector {v.tolist()} is not finite")
+    # What np.linalg.norm computes for a vector, without its dispatch.
+    norm = math.sqrt(v.dot(v))
     if norm > 0.5 + tol:
         raise NonPhysicalStateError(
             f"Bloch vector norm {norm:.6g} exceeds 1/2; state would not be positive"
         )
-    return 0.5 * np.eye(2, dtype=complex) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    return v
+
+
+# Row-major entries of I, sigma_x, sigma_y, sigma_z as Python complex numbers.
+_BLOCH_BASIS = tuple(
+    zip(*(m.ravel().tolist() for m in (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)))
+)
+
+
+def density_from_bloch(b, tol: float = TOL) -> np.ndarray:
+    """Density matrix (1/2)(I + 2 b . sigma) for a Bloch vector with |b| <= 1/2.
+
+    Raises :class:`NonPhysicalStateError` for a longer or a non-finite vector.
+    """
+    x, y, z = _bloch_vector(b, tol).tolist()
+    # 0.5 I + x sigma_x + y sigma_y + z sigma_z entry by entry, with the same
+    # products and sums in the same order, so even the signed zeros match
+    # _densities_from_bloch.
+    return np.array(
+        [0.5 * e + x * sx + y * sy + z * sz for e, sx, sy, sz in _BLOCH_BASIS]
+    ).reshape(2, 2)
+
+
+def _densities_from_bloch(vectors: np.ndarray) -> np.ndarray:
+    """Density matrices of an ``(n, 3)`` array of Bloch vectors, unchecked."""
+    v = vectors[:, :, None, None]
+    return (
+        0.5 * np.eye(2, dtype=complex)
+        + v[:, 0] * SIGMA_X
+        + v[:, 1] * SIGMA_Y
+        + v[:, 2] * SIGMA_Z
+    )
 
 
 def bloch_from_density(rho, tol: float = TOL) -> np.ndarray:

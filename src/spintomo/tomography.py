@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, NonPhysicalStateError
-from .spin_core import TOL, require_density, validate_density
+from .errors import AdmissibilityError
+from .spin_core import AXES, TOL, _bloch_vector, require_density, validate_density
 
 _TWO_PI = 2.0 * math.pi
 
@@ -114,6 +114,28 @@ class AxisTriple:
         )
 
 
+def _half_phase(angle: float) -> complex:
+    """exp(i angle / 2), with the bits of np.exp(0.5j * angle)."""
+    # Adding 0.0 turns -0.0 into 0.0, as forming 0.5j * angle does.
+    half = 0.5 * angle + 0.0
+    return complex(math.cos(half), math.sin(half))
+
+
+def _rotation(phi: float, theta: float, psi: float) -> np.ndarray:
+    half = 0.5 * theta
+    c = math.cos(half)
+    s = math.sin(half)
+    e_sum = _half_phase(phi + psi)
+    e_diff = _half_phase(phi - psi)
+    return np.array(
+        [
+            [c * e_sum, s * e_diff.conjugate()],
+            [-s * e_diff, c * e_sum.conjugate()],
+        ],
+        dtype=complex,
+    )
+
+
 def rotation_matrix(u: EulerAngles) -> np.ndarray:
     """2x2 unitary for the Euler rotation (phi, theta, psi).
 
@@ -121,18 +143,7 @@ def rotation_matrix(u: EulerAngles) -> np.ndarray:
     gives the amplitude of outcome +1/2 along the direction (theta, phi),
     and psi only contributes opposite phases to the two rows.
     """
-    half = 0.5 * u.theta
-    c = math.cos(half)
-    s = math.sin(half)
-    e_sum = np.exp(0.5j * (u.phi + u.psi))
-    e_diff = np.exp(0.5j * (u.phi - u.psi))
-    return np.array(
-        [
-            [c * e_sum, s * np.conj(e_diff)],
-            [-s * e_diff, c * np.conj(e_sum)],
-        ],
-        dtype=complex,
-    )
+    return _rotation(u.phi, u.theta, u.psi)
 
 
 def rotate_density(rho, u: EulerAngles, tol: float = TOL) -> np.ndarray:
@@ -142,6 +153,24 @@ def rotate_density(rho, u: EulerAngles, tol: float = TOL) -> np.ndarray:
     return d @ m @ d.conj().T
 
 
+def _w_of(m: np.ndarray, u) -> Tomogram:
+    """Tomogram of an already validated matrix ``m`` along ``u``."""
+    if isinstance(u, Direction):
+        # A Direction is canonical: it is also the direction that its Euler
+        # angles (phi, theta, 0) give back.
+        direction, d = u, _rotation(u.phi, u.theta, 0.0)
+    else:
+        direction, d = Direction(theta=u.theta, phi=u.phi), _rotation(u.phi, u.theta, u.psi)
+    # The matrix product, not a scalar formula for the diagonal: the two
+    # differ in the last bit on most inputs.
+    rotated = d @ m @ d.conj().T
+    return Tomogram(
+        w_plus=float(rotated[0, 0].real),
+        w_minus=float(rotated[1, 1].real),
+        direction=direction,
+    )
+
+
 def w_value(rho, u, tol: float = TOL) -> Tomogram:
     """Tomographic probabilities of ``rho`` along ``u``.
 
@@ -149,25 +178,12 @@ def w_value(rho, u, tol: float = TOL) -> Tomogram:
     the pair of diagonal elements of the rotated density matrix, which is
     independent of psi.
     """
-    angles = u.euler() if isinstance(u, Direction) else u
-    rotated = rotate_density(rho, angles, tol)
-    return Tomogram(
-        w_plus=float(rotated[0, 0].real),
-        w_minus=float(rotated[1, 1].real),
-        direction=Direction(theta=angles.theta, phi=angles.phi),
-    )
+    return _w_of(require_density(rho, tol), u)
 
 
 def w_from_bloch(b, direction: Direction, tol: float = TOL) -> Tomogram:
     """Tomogram from a Bloch vector: w_+- = 1/2 +- b . n(theta, phi)."""
-    v = np.asarray(b, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a length-3 Bloch vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm > 0.5 + tol:
-        raise NonPhysicalStateError(
-            f"Bloch vector norm {norm:.6g} exceeds 1/2; state would not be positive"
-        )
+    v = _bloch_vector(b, tol)
     dot = float(v @ direction.unit_vector)
     return Tomogram(w_plus=0.5 + dot, w_minus=0.5 - dot, direction=direction)
 
@@ -177,13 +193,14 @@ def mean_from_w(tomogram: Tomogram) -> float:
     return 2.0 * tomogram.w_plus - 1.0
 
 
+def _w_axes_of(m: np.ndarray) -> AxisTriple:
+    wx, wy, wz = (_w_of(m, AXIS_DIRECTIONS[axis]).w_plus for axis in AXES)
+    return AxisTriple(wx_plus=wx, wy_plus=wy, wz_plus=wz)
+
+
 def w_axes(rho, tol: float = TOL) -> AxisTriple:
     """Up-probabilities of ``rho`` along the three fixed axes."""
-    return AxisTriple(
-        wx_plus=w_value(rho, AXIS_DIRECTIONS["x"], tol).w_plus,
-        wy_plus=w_value(rho, AXIS_DIRECTIONS["y"], tol).w_plus,
-        wz_plus=w_value(rho, AXIS_DIRECTIONS["z"], tol).w_plus,
-    )
+    return _w_axes_of(require_density(rho, tol))
 
 
 def density_from_w_axes(triple: AxisTriple, tol: float = TOL) -> np.ndarray:

@@ -1,6 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import spintomo
+
+# Tests that start `python -m spintomo` run the package the tests import.
+_SRC = str(Path(spintomo.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    path for path in (_SRC, os.environ.get("PYTHONPATH")) if path
+)
 
 settings.register_profile(
     "ci",

@@ -8,6 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from spintomo import VERTEX_ORDER
 from spintomo.cli import main
 
 
@@ -28,9 +29,18 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity tokens are refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_doc(capsys, validator, *args):
     code, out, err = run_cli(capsys, *args)
-    doc = json.loads(out)
+    doc = strict_json(out)
     validator.validate(doc)
     return code, doc, err
 
@@ -388,3 +398,87 @@ def test_byte_stability_across_processes():
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith(b"\n")
+
+
+def _integral_input(tmp_path, obj):
+    payload = tmp_path / "integral.json"
+    payload.write_text(json.dumps(obj))
+    return ("reconstruct", "--mode", "from-w-integral", "--input", str(payload))
+
+
+def test_reconstruct_integral_bad_spin_exit_2(capsys, tmp_path):
+    for j in (0.3, -1, float("inf")):
+        code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": j, "state": "up_z"}))
+        assert code == 2
+        assert out == ""
+        assert "'j' must be a non-negative multiple of 1/2" in err
+
+
+def test_reconstruct_integral_ragged_rho_exit_2(capsys, tmp_path):
+    cell = {"re": 0.5, "im": 0.0}
+    nan_cell = {"re": float("nan"), "im": 0.0}
+    for rows in ([[cell, cell], [cell]], [[cell, cell]], [1, 2], [[cell, nan_cell], [cell, cell]]):
+        code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": 0.5, "rho": rows}))
+        assert code == 2
+        assert out == ""
+        assert "'rho'" in err
+
+
+def test_reconstruct_integral_oversample_zero_exit_2(capsys, tmp_path):
+    args = _integral_input(tmp_path, {"j": 0.5, "state": "up_z"})
+    code, out, err = run_cli(capsys, *args, "--oversample", "0")
+    assert code == 2
+    assert out == ""
+    assert "--oversample" in err
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--phi", "--psi"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["doc", "csv"])
+def test_w_non_finite_angle_exit_2(capsys, flag, value, fmt):
+    angles = {"--theta": "1.0", "--phi": "0.5", "--psi": "0.0", flag: value}
+    args = [f"{name}={angle}" for name, angle in angles.items()]
+    code, out, err = run_cli(capsys, "w", "--state", "up_z", *args, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite" in err
+
+
+def test_non_finite_tol_exit_2(capsys):
+    for value in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "p-table", "--state", "up_z", "--tol", value)
+        assert code == 2
+        assert out == ""
+        assert "--tol must be finite" in err
+
+
+def test_non_finite_input_documents_exit_2(capsys, validator, tmp_path):
+    # Python's json module reads NaN and Infinity tokens; they must not get through.
+    _, doc, _ = run_doc(capsys, validator, "p-table", "--state", "up_x")
+    table = doc["p_table"]
+    table[1]["im"] = float("nan")
+    triple = {"wx_plus": 0.5, "wy_plus": float("inf"), "wz_plus": 0.5}
+    cases = [
+        ("verify", {"p_table": table}, "not finite"),
+        ("from-p", {"p_table": table}, "not finite"),
+        ("verify", {"w_axes": triple}, "'w_axes' values must be finite"),
+        ("from-w-axes", {"w_axes": triple}, "'w_axes' values must be finite"),
+    ]
+    for verb, obj, message in cases:
+        payload = tmp_path / "non_finite.json"
+        payload.write_text(json.dumps(obj))
+        args = ("verify",) if verb == "verify" else ("reconstruct", "--mode", verb)
+        code, out, err = run_cli(capsys, *args, "--input", str(payload))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+def test_overflowing_input_exit_2(capsys, tmp_path):
+    huge = [{"c": c, "b": b, "a": a, "re": 1e308, "im": 0.0} for c, b, a in VERTEX_ORDER]
+    payload = tmp_path / "huge.json"
+    payload.write_text(json.dumps({"p_table": huge}))
+    code, out, err = run_cli(capsys, "verify", "--input", str(payload))
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err

@@ -177,3 +177,13 @@ def test_marginal_rejects_bad_labels():
         marginal(table, "q", 1)
     with pytest.raises(ValueError):
         marginal(table, "x", 2)
+
+
+@pytest.mark.parametrize("vertex", [(1, 1, 1), (-1, 1, -1)])
+def test_admissibility_fails_on_non_finite_entry(vertex):
+    entries = dict(p_from_density(np.eye(2) / 2).items())
+    entries[vertex] = complex(np.nan, 0.0)
+    report = check_admissibility(QuasiProbTable(entries))
+    assert not report.passed
+    assert np.isnan(report.redundancy_deviation)
+    assert any(np.isnan(m.range_violation) for m in report.marginals)

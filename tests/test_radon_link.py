@@ -81,3 +81,11 @@ def test_nonphysical_triple_rejected_by_default():
         p_from_w(AxisTriple(1.0, 1.0, 1.0))
     # but the raw map stays evaluable on request
     p_from_w(AxisTriple(1.0, 1.0, 1.0), validate=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_triple_rejected_by_default(bad):
+    with pytest.raises(NonPhysicalStateError, match="not finite"):
+        p_from_w(AxisTriple(bad, 0.5, 0.5))
+    table = p_from_w(AxisTriple(bad, 0.5, 0.5), validate=False)
+    assert not np.isfinite(table.to_array()).all()

@@ -190,3 +190,16 @@ def test_require_density_carries_report():
 def test_wrong_shape_rejected():
     with pytest.raises(ValueError):
         validate_density(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_bloch_vector_rejected(bad):
+    with pytest.raises(NonPhysicalStateError, match="not finite"):
+        density_from_bloch(np.array([bad, 0.0, 0.0]))
+
+
+def test_non_finite_entry_fails_validation():
+    report = validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert not report.passed
+    assert np.isnan(report.hermiticity_deviation)
+    assert not validate_density(np.array([[0.5, np.inf], [0.0, 0.5]])).passed

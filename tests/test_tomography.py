@@ -196,3 +196,10 @@ def test_direction_canonicalizes_theta():
         ]
     )
     assert np.allclose(d.unit_vector, raw, atol=1e-14)
+
+
+def test_w_from_bloch_rejects_non_finite_vector():
+    from spintomo import NonPhysicalStateError
+
+    with pytest.raises(NonPhysicalStateError, match="not finite"):
+        w_from_bloch(np.array([0.1, np.nan, 0.0]), AXIS_DIRECTIONS["x"])
