@@ -9,10 +9,10 @@ Verbs:
 * ``sweep``       the same checks over seeded random states
 
 Exit codes: 0 success, 2 unusable input (bad flags, non-finite numbers,
-unparsable state or file), 3 physically inadmissible input or failed
-checks.  Documents are strict JSON (no NaN or Infinity), serialized with
-sorted keys and fixed indentation, so a given invocation always produces
-identical bytes.
+requests above the size bounds, unparsable state or file), 3 physically
+inadmissible input or failed checks.  Documents are strict JSON (no NaN or
+Infinity), serialized with sorted keys and fixed indentation, so a given
+invocation always produces identical bytes.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ from .tomography import (
 
 DEFAULT_TOL = 1e-10
 SCHEMA_VERSION = "1"
+# Request size bounds, checked before anything is allocated.  ``w --grid
+# 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
+# Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
+# from a ``rho`` peaks at about 260 MB, the largest part of it the
+# transient (2j+1)^3 / 2 x n_theta pair tensor of the sampling.
+MAX_GRID = 256
+MAX_OVERSAMPLE = 4
+MAX_SPIN = 25
 
 NAMED_STATES = {
     "up_z": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
@@ -274,6 +282,8 @@ def cmd_w(args):
     else:
         if args.grid < 1:
             raise CliError(f"--grid must be at least 1, got {args.grid}")
+        if args.grid > MAX_GRID:
+            raise CliError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
         x, _ = np.polynomial.legendre.leggauss(args.grid)
         thetas = np.arccos(x)[::-1]
         phis = np.arange(args.grid) * (2.0 * np.pi / args.grid)
@@ -307,7 +317,7 @@ def _spin_from_doc(data) -> float:
     if "j" not in data:
         raise CliError("input document needs a 'j' field for integral reconstruction")
     j = data["j"]
-    if not isinstance(j, (int, float)):
+    if isinstance(j, bool) or not isinstance(j, (int, float)):
         raise CliError(f"'j' must be a number, got {j!r}")
     try:
         spin = float(j)
@@ -316,6 +326,8 @@ def _spin_from_doc(data) -> float:
         twice = -1
     if twice < 0:
         raise CliError(f"'j' must be a non-negative multiple of 1/2, got {j!r}")
+    if spin > MAX_SPIN:
+        raise CliError(f"'j' must be at most {MAX_SPIN}, got {j!r}")
     return spin
 
 
@@ -406,6 +418,10 @@ def cmd_reconstruct(args):
     # from-w-integral
     if args.oversample < 1:
         raise CliError(f"--oversample must be at least 1, got {args.oversample}")
+    if args.oversample > MAX_OVERSAMPLE:
+        raise CliError(
+            f"--oversample must be at most {MAX_OVERSAMPLE}, got {args.oversample}"
+        )
     j = _spin_from_doc(data)
     doc["j"] = j
     grid = build_quadrature(j, oversample=args.oversample)
@@ -604,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         metavar="N",
-        help="evaluate on an N x N direction grid instead of one direction",
+        help="evaluate on an N x N direction grid instead of one direction "
+        f"(N at most {MAX_GRID})",
     )
     w.add_argument(
         "--axes",
@@ -626,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oversample",
         type=int,
         default=2,
-        help="quadrature refinement factor for integral reconstruction",
+        help="quadrature refinement factor for integral reconstruction "
+        f"(1 to {MAX_OVERSAMPLE}, default %(default)s)",
     )
 
     v = sub.add_parser(
@@ -683,6 +701,9 @@ def main(argv=None) -> int:
         return 2
     if not math.isfinite(args.tol):
         print(f"error: --tol must be finite, got {args.tol!r}", file=sys.stderr)
+        return 2
+    if args.tol < 0:
+        print(f"error: --tol must be non-negative, got {args.tol!r}", file=sys.stderr)
         return 2
     try:
         doc, code, csv_text = _COMMANDS[args.command](args)

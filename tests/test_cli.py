@@ -482,3 +482,59 @@ def test_overflowing_input_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def test_negative_tol_exit_2(capsys):
+    code, out, err = run_cli(capsys, "p-table", "--state", "up_z", "--tol", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--tol must be non-negative" in err
+    code, _, _ = run_cli(capsys, "p-table", "--state", "up_z", "--tol", "0")
+    assert code == 0
+
+
+def test_reconstruct_integral_boolean_spin_exit_2(capsys, tmp_path):
+    # JSON true is a Python int; it must not pass for spin 1.
+    rho = [[{"re": 1 / 3 if r == c else 0.0, "im": 0.0} for c in range(3)] for r in range(3)]
+    code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": True, "rho": rho}))
+    assert code == 2
+    assert out == ""
+    assert "'j' must be a number, got True" in err
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("a grid was built for a request above its size bound")
+
+
+def test_size_bounds_exit_2_before_allocating(capsys, tmp_path, monkeypatch):
+    from spintomo import cli
+
+    assert (cli.MAX_GRID, cli.MAX_OVERSAMPLE, cli.MAX_SPIN) == (256, 4, 25)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _refuse_allocation)
+    monkeypatch.setattr(cli, "build_quadrature", _refuse_allocation)
+    cases = [
+        (("w", "--state", "up_z", "--grid", "257"), "--grid must be at most 256"),
+        (
+            (*_integral_input(tmp_path, {"j": 0.5, "state": "up_z"}), "--oversample", "5"),
+            "--oversample must be at most 4",
+        ),
+        (_integral_input(tmp_path, {"j": 25.5, "state": "up_z"}), "'j' must be at most 25"),
+    ]
+    for args, message in cases:
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+def test_size_bounds_accept_their_limits(capsys, validator, tmp_path):
+    args = _integral_input(tmp_path, {"j": 0.5, "state": "up_x"})
+    code, doc, _ = run_doc(capsys, validator, *args, "--oversample", "4")
+    assert code == 0
+    rho = np.diag(np.linspace(1.0, 2.0, 51)).astype(complex)
+    rho /= np.trace(rho)
+    cells = [[{"re": z.real, "im": z.imag} for z in row] for row in rho]
+    args = _integral_input(tmp_path, {"j": 25, "rho": cells})
+    code, out, _ = run_cli(capsys, *args, "--oversample", "1")
+    assert code == 0
+    assert np.abs(matrix_from_doc(strict_json(out)["rho"]) - rho).max() < 1e-10

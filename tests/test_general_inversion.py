@@ -175,6 +175,25 @@ def test_wigner_3j_against_sympy_sweep():
     assert checked > 100
 
 
+def test_kernel_coupling_families_match_exact_symbols():
+    # Both 3j families of the kernel, from the recursion, against the
+    # exact-rational symbols: (j j j3; m1 -m2 m2-m1) and its diagonal
+    # (j j j3; m -m 0), for every m1, m2 and j3 = 0..2j.
+    from spintomo.general_inversion import _coupling_families, _w3j_twice
+
+    for tj in range(25):
+        families = _coupling_families(tj)
+        assert families.shape == (tj + 1,) * 3
+        tms = [tj - 2 * i for i in range(tj + 1)]
+        exact = np.array(
+            [
+                [[_w3j_twice(tj, tj, 2 * j3, a, -b, b - a) for b in tms] for a in tms]
+                for j3 in range(tj + 1)
+            ]
+        )
+        assert np.abs(families - exact).max() <= 1e-14, tj
+
+
 def test_small_d_half_matrix():
     theta = 0.7
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -208,18 +227,31 @@ def test_small_d_one_matrix():
 
 def test_small_d_transposition_against_sympy():
     spin = pytest.importorskip("sympy.physics.quantum.spin")
-    from sympy import Rational
+    from sympy import Rational, Symbol, lambdify, pi
+    from sympy.physics.wigner import wigner_d_small
 
-    theta = 1.234
-    for tj in (1, 2, 3):
-        j = Rational(tj, 2)
-        for tmp in range(-tj, tj + 1, 2):
-            for tm in range(-tj, tj + 1, 2):
-                theirs = complex(
-                    spin.Rotation.d(j, Rational(tm, 2), Rational(tmp, 2), theta).doit()
-                ).real
-                mine = wigner_small_d(tj / 2, tmp / 2, tm / 2, theta)
-                assert mine == pytest.approx(theirs, abs=1e-13)
+    # At a general angle Rotation.d simplifies symbolically, about 0.1 s per
+    # entry at 2j = 8; at pi/2 it has a closed form.
+    for theta, max_tj in ((1.234, 4), (pi / 2, 8)):
+        for tj in range(max_tj + 1):
+            j = Rational(tj, 2)
+            for tmp in range(-tj, tj + 1, 2):
+                for tm in range(-tj, tj + 1, 2):
+                    theirs = complex(
+                        spin.Rotation.d(j, Rational(tm, 2), Rational(tmp, 2), theta).doit()
+                    ).real
+                    mine = wigner_small_d(tj / 2, tmp / 2, tm / 2, float(theta))
+                    assert mine == pytest.approx(theirs, abs=1e-13)
+    # Whole matrices at a general angle; wigner_d_small uses this module's
+    # convention, rows mp and columns m in descending order.
+    beta = Symbol("beta", real=True)
+    for tj in range(9):
+        theirs = np.array(
+            lambdify(beta, wigner_d_small(Rational(tj, 2), beta))(1.234), dtype=complex
+        )
+        ms = m_values(tj / 2)
+        mine = np.array([[wigner_small_d(tj / 2, mp, m, 1.234) for m in ms] for mp in ms])
+        assert np.abs(mine - theirs).max() < 1e-13
 
 
 def test_small_d_rejects_out_of_range_projections():
@@ -231,7 +263,7 @@ def test_small_d_rejects_out_of_range_projections():
 
 def test_rotation_matrix_j_unitary():
     rng = np.random.default_rng(31)
-    for j in (0.5, 1, 1.5, 2):
+    for j in (0.5, 1, 1.5, 2, 10, 20.5, 30, 50):
         dim = int(round(2 * j)) + 1
         for _ in range(10):
             u = EulerAngles(*rng.uniform(0, 2 * np.pi, 3))
@@ -350,7 +382,17 @@ def test_reconstruct_trivial_spin_zero():
     assert rec[0, 0] == pytest.approx(1.0, abs=1e-13)
 
 
-@pytest.mark.parametrize("dim,j,bound", [(2, 0.5, 1e-12), (3, 1.0, 1e-12), (4, 1.5, 1e-11)])
+@pytest.mark.parametrize(
+    "dim,j,bound",
+    [
+        (2, 0.5, 1e-12),
+        (3, 1.0, 1e-12),
+        (4, 1.5, 1e-11),
+        (21, 10.0, 1e-10),
+        (41, 20.0, 1e-10),
+        (51, 25.0, 1e-10),
+    ],
+)
 def test_reconstruct_random_states(dim, j, bound):
     for rho in random_density_j(dim, 10, seed=100 + dim):
         rec = reconstruct_density_j(w_callable_from_density(rho), j)
