@@ -61,8 +61,9 @@ SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
-# from a ``rho`` peaks at about 260 MB, the largest part of it the
-# transient (2j+1)^3 / 2 x n_theta pair tensor of the sampling.
+# from a ``rho`` peaks at about 155 MB, most of it the (2j+1) x n_theta x
+# n_phi sample array and the two intermediates of the same size that the
+# kernel makes from it.
 MAX_GRID = 256
 MAX_OVERSAMPLE = 4
 MAX_SPIN = 25

@@ -380,19 +380,27 @@ class DensityTomogram:
         d_ka d_kb rho_ab along the Delta-th diagonal.  rho is Hermitian and
         d real, so c_k,-Delta = conj(c_k,Delta) and Delta >= 0 suffices.
         Like a single-node call, this reads the Hermitian part of rho.
+
+        The sum runs one diagonal at a time, so that no temporary is larger
+        than the result.  Temporaries many times its size, allocated and
+        freed on every call, make the allocator hand their pages back to the
+        system and fault them in again on the next call.
         """
         d_columns, phases = _sampling_tables(
             self.tj, _node_bytes(grid.theta_nodes), _node_bytes(grid.phi_nodes)
         )
         dim, _, n_theta = d_columns.shape
-        rows, cols = np.tril_indices(dim)
-        pairs = (d_columns[rows] * d_columns[cols]).reshape(len(rows), dim * n_theta)
-        # Real and imaginary parts of rho_ab in the columns of their Delta.
-        entries = 0.5 * (self.rho[rows, cols] + self.rho[cols, rows].conj())
-        coeff = np.zeros((len(rows), 2 * dim))
-        coeff[np.arange(len(rows)), rows - cols] = entries.real
-        coeff[np.arange(len(rows)), dim + rows - cols] = entries.imag
-        return (pairs.T @ coeff @ phases).reshape(dim, n_theta, -1)
+        d_flat = d_columns.reshape(dim, dim * n_theta)
+        hermitian = 0.5 * (self.rho + self.rho.conj().T)
+        # Real parts of c_k,Delta in row Delta, imaginary parts in row
+        # dim + Delta, matching the rows of the phase table.
+        c = np.empty((2 * dim, dim * n_theta))
+        for delta in range(dim):
+            entries = np.diagonal(hermitian, -delta)  # rho_{b + Delta, b}
+            pairs = d_flat[delta:] * d_flat[: dim - delta]
+            c[delta] = entries.real @ pairs
+            c[dim + delta] = entries.imag @ pairs
+        return (c.T @ phases).reshape(dim, n_theta, -1)
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -552,8 +560,11 @@ class _Kernel:
         # The m1 sum first, while the samples are still real.
         summed = self.m1_coupling @ values.reshape(dim, n_theta * n_phi)
         g = summed.reshape(dim * n_theta, n_phi) @ self.phi_dft
-        g = (g[:, :n_m3] + 1j * g[:, n_m3:]).reshape(dim, n_theta, n_m3)
-        s = np.einsum("jkt,jtk->jk", self.theta, g)
+        g = g.reshape(dim, n_theta, 2 * n_m3)
+        # The theta sums of the real and imaginary halves, without a complex
+        # copy of g.
+        s = np.einsum("jkt,jtk->jk", self.theta, g[..., :n_m3])
+        s = s + 1j * np.einsum("jkt,jtk->jk", self.theta, g[..., n_m3:])
         return np.einsum("abj,jab->ab", self.rho_coupling, s[:, self.m3_column])
 
 

@@ -550,3 +550,29 @@ def test_angle_cache_is_bounded():
     for angles in rng.uniform(0, 2 * np.pi, (2 * bound, 3)):
         rotation_matrix_j(1, EulerAngles(*angles))
     assert _small_d_matrix.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("j", [6, 10])
+def test_warm_reconstruction_temporaries_stay_small(j):
+    # A warm reconstruction needs about three sample arrays at its peak.
+    # Larger transients are handed back to the operating system after each
+    # call and faulted in again on the next, which makes repeated
+    # reconstructions slow and uneven.
+    import tracemalloc
+
+    dim = 2 * j + 1
+    family = w_callable_from_density(random_density_j(dim, 1, seed=300 + dim)[0])
+    grid = build_quadrature(j)
+    reconstruct_density_j(family, j, grid)  # fills the caches
+    size = family.samples(grid).nbytes
+    tracemalloc.start()
+    try:
+        family.samples(grid)
+        sampling_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        reconstruct_density_j(family, j, grid)
+        reconstruction_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampling_peak < 2.5 * size
+    assert reconstruction_peak < 4.5 * size
