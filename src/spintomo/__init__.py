@@ -10,17 +10,14 @@ tomograms.
 
 from .errors import AdmissibilityError, NonPhysicalStateError
 from .general_inversion import (
-    HalfInteger,
     QuadratureGrid,
     build_quadrature,
     m_values,
     reconstruct_density_j,
     require_density_j,
     rotation_matrix_j,
-    spin_of_dimension,
     validate_density_j,
     w_callable_from_density,
-    w_value_j,
     wigner_3j,
     wigner_D,
     wigner_small_d,
@@ -82,7 +79,6 @@ __all__ = [
     "ConsistencyReport",
     "Direction",
     "EulerAngles",
-    "HalfInteger",
     "MarginalCheck",
     "NonPhysicalStateError",
     "QuadratureGrid",
@@ -121,7 +117,6 @@ __all__ = [
     "rotate_density",
     "rotation_matrix",
     "rotation_matrix_j",
-    "spin_of_dimension",
     "validate_density",
     "validate_density_j",
     "verify_radon_consistency",
@@ -129,7 +124,6 @@ __all__ = [
     "w_callable_from_density",
     "w_from_bloch",
     "w_value",
-    "w_value_j",
     "wigner_3j",
     "wigner_D",
     "wigner_small_d",

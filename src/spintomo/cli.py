@@ -9,10 +9,10 @@ Verbs:
 * ``sweep``       the same checks over seeded random states
 
 Exit codes: 0 success, 2 unusable input (bad flags, non-finite numbers,
-requests above the size bounds, unparsable state or file), 3 physically
-inadmissible input or failed checks.  Documents are strict JSON (no NaN or
-Infinity), serialized with sorted keys and fixed indentation, so a given
-invocation always produces identical bytes.
+requests above the size bounds, unparsable state or file, unwritable output
+file), 3 physically inadmissible input or failed checks.  Documents are
+strict JSON (no NaN or Infinity), serialized with sorted keys and fixed
+indentation, so a given invocation always produces identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, NonPhysicalStateError
 from .general_inversion import (
-    HalfInteger,
+    _twice,
     build_quadrature,
     m_values,
     reconstruct_density_j,
@@ -183,7 +183,7 @@ def _table_from_obj(entries) -> QuasiProbTable:
         try:
             vertex = (int(item["c"]), int(item["b"]), int(item["a"]))
             value = complex(float(item["re"]), float(item["im"]))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise CliError(f"malformed table entry {item!r}: {exc}") from exc
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise CliError(f"table entry {item!r} is not finite")
@@ -201,23 +201,47 @@ def _triple_from_obj(obj) -> AxisTriple:
             wy_plus=float(obj["wy_plus"]),
             wz_plus=float(obj["wz_plus"]),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed 'w_axes' object: {exc}") from exc
     if not all(map(math.isfinite, (triple.wx_plus, triple.wy_plus, triple.wz_plus))):
         raise CliError(f"'w_axes' values must be finite, got {obj!r}")
     return triple
 
 
+def _admissibility_maxima(report) -> dict:
+    """The largest deviation of each kind in an admissibility report, keyed
+    by the suffix of its ``verify`` check name."""
+    density = report.density_report
+    return {
+        "total": report.total_deviation,
+        "marginal-imag": max(m.imag_magnitude for m in report.marginals),
+        "marginal-range": max(m.range_violation for m in report.marginals),
+        "density": max(
+            density.hermiticity_deviation,
+            density.trace_deviation,
+            max(0.0, -density.min_eigenvalue),
+        ),
+        "redundancy": report.redundancy_deviation,
+    }
+
+
 def _admissibility_obj(report) -> dict:
+    maxima = _admissibility_maxima(report)
     return {
         "passed": report.passed,
         "total_deviation": float(report.total_deviation),
         "redundancy_deviation": float(report.redundancy_deviation),
-        "marginal_max_imag": float(max(m.imag_magnitude for m in report.marginals)),
-        "marginal_max_range_violation": float(
-            max(m.range_violation for m in report.marginals)
-        ),
+        "marginal_max_imag": float(maxima["marginal-imag"]),
+        "marginal_max_range_violation": float(maxima["marginal-range"]),
         "density": _validation_obj(report.density_report),
+    }
+
+
+def _w_axes_obj(triple: AxisTriple) -> dict:
+    return {
+        "wx_plus": float(triple.wx_plus),
+        "wy_plus": float(triple.wy_plus),
+        "wz_plus": float(triple.wz_plus),
     }
 
 
@@ -227,12 +251,17 @@ def _envelope(command: str, tol: float) -> dict:
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path!r} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise CliError(f"{path!r} is nested too deeply to parse") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal above Python's digit limit
         raise CliError(f"{path!r} is not valid JSON: {exc}") from exc
 
 
@@ -296,12 +325,7 @@ def cmd_w(args):
     doc["state"] = _state_obj(kind, args.state, rho)
     doc["tomograms"] = [_tomogram_obj(t) for t in tomograms]
     if args.axes:
-        triple = w_axes(rho, args.tol)
-        doc["w_axes"] = {
-            "wx_plus": float(triple.wx_plus),
-            "wy_plus": float(triple.wy_plus),
-            "wz_plus": float(triple.wz_plus),
-        }
+        doc["w_axes"] = _w_axes_obj(w_axes(rho, args.tol))
     csv_text = None
     if args.format == "csv":
         lines = ["theta,phi,w_plus,w_minus"]
@@ -322,7 +346,7 @@ def _spin_from_doc(data) -> float:
         raise CliError(f"'j' must be a number, got {j!r}")
     try:
         spin = float(j)
-        twice = HalfInteger(spin).twice if math.isfinite(spin) else -1
+        twice = _twice(spin) if math.isfinite(spin) else -1
     except (OverflowError, ValueError):
         twice = -1
     if twice < 0:
@@ -348,7 +372,7 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
             theta = float(sample["theta"])
             phi = float(sample["phi"])
             w = float(sample["w"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise CliError(f"malformed sample {sample!r}: {exc}") from exc
         if m1 not in ms:
             raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
@@ -382,32 +406,27 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     return values
 
 
+# Modes that invert a spin-1/2 representation in closed form: the input
+# field, its parser, and the inversion.
+_DIRECT_MODES = {
+    "from-p": ("p_table", _table_from_obj, density_from_p),
+    "from-w-axes": ("w_axes", _triple_from_obj, density_from_w_axes),
+}
+
+
 def cmd_reconstruct(args):
     data = _load_json(args.input)
     if not isinstance(data, dict):
         raise CliError("input document must be a JSON object")
     doc = _envelope("reconstruct", args.tol)
     doc["mode"] = args.mode
-    if args.mode == "from-p":
-        if "p_table" not in data:
-            raise CliError("input document needs a 'p_table' field")
-        table = _table_from_obj(data["p_table"])
+    if args.mode in _DIRECT_MODES:
+        field, parse, invert = _DIRECT_MODES[args.mode]
+        if field not in data:
+            raise CliError(f"input document needs a '{field}' field")
+        source = parse(data[field])
         try:
-            rho = density_from_p(table, args.tol)
-        except AdmissibilityError as exc:
-            doc["error"] = {"type": "AdmissibilityError", "message": str(exc)}
-            if exc.report is not None:
-                doc["validation"] = _validation_obj(exc.report)
-            return doc, 3, None
-        doc["rho"] = _matrix_obj(rho)
-        doc["validation"] = _validation_obj(validate_density(rho, args.tol))
-        return doc, 0, None
-    if args.mode == "from-w-axes":
-        if "w_axes" not in data:
-            raise CliError("input document needs a 'w_axes' field")
-        triple = _triple_from_obj(data["w_axes"])
-        try:
-            rho = density_from_w_axes(triple, args.tol)
+            rho = invert(source, args.tol)
         except AdmissibilityError as exc:
             doc["error"] = {"type": "AdmissibilityError", "message": str(exc)}
             if exc.report is not None:
@@ -475,15 +494,13 @@ def _state_deviations(rho, tol: float) -> dict:
             np.abs(p_oracle(rho, tol).to_array() - table.to_array()).max()
         ),
     }
-    report = check_admissibility(table, tol)
+    maxima = _admissibility_maxima(check_admissibility(table, tol))
     deviations["admissibility"] = max(
-        report.total_deviation,
-        report.redundancy_deviation,
-        max(m.imag_magnitude for m in report.marginals),
-        max(m.range_violation for m in report.marginals),
-        report.density_report.hermiticity_deviation,
-        report.density_report.trace_deviation,
-        max(0.0, -report.density_report.min_eigenvalue),
+        maxima["total"],
+        maxima["redundancy"],
+        maxima["marginal-imag"],
+        maxima["marginal-range"],
+        maxima["density"],
     )
     return deviations
 
@@ -503,43 +520,11 @@ def cmd_verify(args):
         report = check_admissibility(table, args.tol)
         doc["p_table"] = _table_obj(table)
         doc["admissibility"] = _admissibility_obj(report)
-        density = report.density_report
-        checks.append(_check_obj("table-total", report.total_deviation, args.tol))
-        checks.append(
-            _check_obj(
-                "table-marginal-imag",
-                max(m.imag_magnitude for m in report.marginals),
-                args.tol,
-            )
-        )
-        checks.append(
-            _check_obj(
-                "table-marginal-range",
-                max(m.range_violation for m in report.marginals),
-                args.tol,
-            )
-        )
-        checks.append(
-            _check_obj(
-                "table-density",
-                max(
-                    density.hermiticity_deviation,
-                    density.trace_deviation,
-                    max(0.0, -density.min_eigenvalue),
-                ),
-                args.tol,
-            )
-        )
-        checks.append(
-            _check_obj("table-redundancy", report.redundancy_deviation, args.tol)
-        )
+        for name, deviation in _admissibility_maxima(report).items():
+            checks.append(_check_obj(f"table-{name}", deviation, args.tol))
     if "w_axes" in data:
         triple = _triple_from_obj(data["w_axes"])
-        doc["w_axes"] = {
-            "wx_plus": triple.wx_plus,
-            "wy_plus": triple.wy_plus,
-            "wz_plus": triple.wz_plus,
-        }
+        doc["w_axes"] = _w_axes_obj(triple)
         ws = (triple.wx_plus, triple.wy_plus, triple.wz_plus)
         deviation = max(0.0, float(np.linalg.norm(triple.mean_values())) - 1.0)
         deviation = max(deviation, *(max(0.0, w - 1.0, -w) for w in ws))
@@ -557,6 +542,8 @@ def cmd_verify(args):
 def cmd_sweep(args):
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     states = random_density_matrices(args.trials, args.seed)
     maxima: dict = {}
     for rho in states:
@@ -686,7 +673,10 @@ def _json_payload(doc) -> str:
 
 def _emit(payload: str, args) -> None:
     if args.output:
-        Path(args.output).write_text(payload)
+        try:
+            Path(args.output).write_text(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -709,13 +699,13 @@ def main(argv=None) -> int:
     try:
         doc, code, csv_text = _COMMANDS[args.command](args)
         payload = csv_text if csv_text is not None else _json_payload(doc)
+        _emit(payload, args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonPhysicalStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, args)
     return code
 
 

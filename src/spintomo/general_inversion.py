@@ -37,9 +37,9 @@ Conventions, fixed once and verified by round trips at machine precision:
   d^j_{m', m}(theta) here equals the common d^j_{m, m'}(theta).
 
 * Because D^(j3)_{0, m3} carries exp(i * 0 * psi) = 1, the integral over
-  the third Euler angle contributes exactly the constant 1.  The
-  quadrature grid still exposes psi nodes so the normalized Haar measure
-  d(phi) sin(theta) d(theta) d(psi) / (8 pi^2) stays explicit.
+  the third Euler angle of the normalized Haar measure
+  d(phi) sin(theta) d(theta) d(psi) / (8 pi^2) is the constant 1.  Grids
+  therefore carry theta and phi nodes only.
 
 * The reconstruction kernel contains two sign factors raised to the
   projection quantum numbers.  They must be combined into the single
@@ -68,62 +68,8 @@ from .tomography import EulerAngles
 _TWO_PI = 2.0 * math.pi
 
 
-class HalfInteger:
-    """Exact half-integer, stored as twice its value in an int."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value):
-        if isinstance(value, HalfInteger):
-            self.twice = value.twice
-            return
-        doubled = 2 * value
-        nearest = round(doubled)
-        if abs(doubled - nearest) > 1e-9:
-            raise ValueError(f"{value!r} is not a multiple of 1/2")
-        self.twice = int(nearest)
-
-    @classmethod
-    def from_twice(cls, twice: int) -> "HalfInteger":
-        obj = cls.__new__(cls)
-        obj.twice = int(twice)
-        return obj
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger.from_twice(-self.twice)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HalfInteger):
-            return self.twice == other.twice
-        try:
-            return self.twice / 2.0 == float(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.twice / 2.0)
-
-    def __repr__(self) -> str:
-        if self.twice % 2 == 0:
-            return f"HalfInteger({self.twice // 2})"
-        return f"HalfInteger({self.twice}/2)"
-
-
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
-    if isinstance(x, HalfInteger):
-        return x.twice
     doubled = 2 * x
     nearest = round(doubled)
     if abs(doubled - nearest) > 1e-9:
@@ -142,13 +88,6 @@ def m_values(j):
     """Projection quantum numbers of spin ``j`` in descending order, as floats."""
     tj = _twice_spin(j)
     return tuple((tj - 2 * i) / 2.0 for i in range(tj + 1))
-
-
-def spin_of_dimension(dim: int) -> HalfInteger:
-    """Spin whose multiplet has ``dim`` states: j = (dim - 1)/2."""
-    if dim < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
-    return HalfInteger.from_twice(dim - 1)
 
 
 def _half_factorial(t: int) -> int:
@@ -205,8 +144,8 @@ def _w3j_twice(tj1, tj2, tj3, tm1, tm2, tm3) -> float:
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3j symbol (j1 j2 j3; m1 m2 m3).
 
-    Arguments may be ints, floats or :class:`HalfInteger`; non-half-integer
-    values raise ``ValueError``.  Selection-rule violations return 0.0.
+    Arguments are ints or floats; values that are not multiples of 1/2
+    raise ``ValueError``.  Selection-rule violations return 0.0.
     Evaluated with exact rational arithmetic and one final square root.
     """
     return _w3j_twice(
@@ -299,7 +238,7 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     at j = 1/2."""
     tj = _twice_spin(j)
     d = _small_d_matrix(tj, float(u.theta))
-    ms = np.array(m_values(HalfInteger.from_twice(tj)))
+    ms = np.array(m_values(tj / 2))
     return np.exp(1j * ms * u.psi)[:, None] * d * np.exp(1j * ms * u.phi)[None, :]
 
 
@@ -323,18 +262,6 @@ def require_density_j(matrix, tol: float = TOL) -> np.ndarray:
             f"not a physical density matrix ({report.summary()})", report=report
         )
     return m
-
-
-def w_value_j(rho, u: EulerAngles, tol: float = TOL) -> np.ndarray:
-    """Outcome probabilities along the rotated axis, in descending m order.
-
-    The k-th entry is the probability of projection m = j - k, given by the
-    corresponding diagonal element of D rho D^dagger.
-    """
-    m = require_density_j(rho, tol)
-    j = spin_of_dimension(m.shape[0])
-    d = rotation_matrix_j(j, u)
-    return np.real(np.diag(d @ m @ d.conj().T)).copy()
 
 
 def w_callable_from_density(rho, tol: float = TOL) -> DensityTomogram:
@@ -361,7 +288,7 @@ class DensityTomogram:
     def __init__(self, rho: np.ndarray):
         self.rho = rho
         self.tj = rho.shape[0] - 1
-        self._ms = np.array(m_values(HalfInteger.from_twice(self.tj)))
+        self._ms = np.array(m_values(self.tj / 2))
 
     def __call__(self, m1, theta, phi) -> float:
         tm1 = _twice(m1)
@@ -429,8 +356,8 @@ class QuadratureGrid:
     """Nodes and weights for the normalized Euler-angle measure.
 
     ``theta`` uses Gauss-Legendre nodes in cos(theta) with weights summing
-    to 1 (the sin(theta)/2 measure); ``phi`` and ``psi`` use uniform nodes
-    on [0, 2pi) with equal weights.  Both rules integrate the band-limited
+    to 1 (the sin(theta)/2 measure); ``phi`` uses uniform nodes on [0, 2pi)
+    with equal weights.  Both rules integrate the band-limited
     reconstruction integrands exactly up to the spin the grid was built for.
     """
 
@@ -438,8 +365,6 @@ class QuadratureGrid:
     theta_weights: np.ndarray
     phi_nodes: np.ndarray
     phi_weights: np.ndarray
-    psi_nodes: np.ndarray
-    psi_weights: np.ndarray
 
     @property
     def n_theta(self) -> int:
@@ -448,10 +373,6 @@ class QuadratureGrid:
     @property
     def n_phi(self) -> int:
         return len(self.phi_nodes)
-
-    @property
-    def n_psi(self) -> int:
-        return len(self.psi_nodes)
 
 
 def build_quadrature(j, oversample: int = 2) -> QuadratureGrid:
@@ -484,8 +405,6 @@ def _quadrature(tj: int, oversample: int) -> QuadratureGrid:
         theta_weights=theta_weights,
         phi_nodes=phi_nodes,
         phi_weights=phi_weights,
-        psi_nodes=phi_nodes,
-        psi_weights=phi_weights,
     )
 
 
@@ -547,7 +466,7 @@ class _Kernel:
     # m3 = -2j..2j, side by side
     phi_dft: np.ndarray
     theta: np.ndarray  # (2j+1, 4j+1, n_theta): w_t d^(j3)_{0, m3}(theta_t)
-    # (2j+1, 2j+1) over (j3, m1): sign * (j j j3; m1 -m1 0) * psi weight sum
+    # (2j+1, 2j+1) over (j3, m1): sign * (j j j3; m1 -m1 0)
     m1_coupling: np.ndarray
     # (2j+1, 2j+1, 2j+1) over (m1', m2', j3):
     # (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
@@ -613,7 +532,6 @@ def _kernel(
     theta_weights: bytes,
     phi_nodes: bytes,
     phi_weights: bytes,
-    psi_weights: bytes,
 ) -> _Kernel:
     dim = tj + 1
     index = np.arange(dim)
@@ -627,14 +545,11 @@ def _kernel(
         # Row mp = 0 of d^(j3), its columns turned into ascending m3.
         theta[j3, tj - j3 : tj + j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, ::-1].T
     theta *= np.frombuffer(theta_weights)
-    # The psi integral of D^(j3)_{0, m3} is the constant 1; keep the weight
-    # sum explicit rather than assuming it.
-    psi_factor = float(np.sum(np.frombuffer(psi_weights)))
     families = _coupling_families(tj)
     # (-1)^(j - m1) in the combined reading, (-1)^(j + m1) in the literal one
     m1_power = index if phase_convention == "combined" else tj - index
     m1_sign = np.where(m1_power % 2, -1.0, 1.0)
-    m1_coupling = psi_factor * m1_sign * families.diagonal(axis1=1, axis2=2)
+    m1_coupling = m1_sign * families.diagonal(axis1=1, axis2=2)
     m2_sign = np.where(index % 2, -1.0, 1.0)[:, None]
     rho_coupling = m2_sign * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
     return _Kernel(
@@ -689,7 +604,7 @@ def reconstruct_density_j(
         )
     tj = _twice_spin(j)
     if grid is None:
-        grid = build_quadrature(HalfInteger.from_twice(tj))
+        grid = build_quadrature(tj / 2)
     values = _grid_samples(w, tj, grid)
     _check_samples(values, tol)
     kernel = _kernel(
@@ -699,6 +614,5 @@ def reconstruct_density_j(
         _node_bytes(grid.theta_weights),
         _node_bytes(grid.phi_nodes),
         _node_bytes(grid.phi_weights),
-        _node_bytes(grid.psi_weights),
     )
     return kernel.apply(values)

@@ -16,7 +16,17 @@ from typing import Iterator, Mapping, Tuple
 import numpy as np
 
 from .errors import AdmissibilityError
-from .spin_core import TOL, ValidationReport, _nanmax, _report, _require, eigenket, overlap
+from .spin_core import (
+    TOL,
+    ValidationReport,
+    _check_axis,
+    _check_sign,
+    _nanmax,
+    _report,
+    _require,
+    eigenket,
+    overlap,
+)
 
 Vertex = Tuple[int, int, int]
 
@@ -184,11 +194,8 @@ def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
     For a physical table this is the (real) probability of outcome ``sign``
     when measuring the spin projection along ``axis``.
     """
-    if axis not in _AXIS_SLOT:
-        raise ValueError(f"axis must be one of ('x', 'y', 'z'), got {axis!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return complex(sum(map(table.__getitem__, _MARGINAL_VERTICES[axis, sign])))
+    vertices = _MARGINAL_VERTICES[_check_axis(axis), _check_sign(sign)]
+    return complex(sum(map(table.__getitem__, vertices)))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalStateError
-from .quasiprob import QuasiProbTable, _table_from_entries
+from .quasiprob import _MINUS, _PLUS, QuasiProbTable, _table_from_entries
 from .spin_core import TOL, _require
 from .tomography import AxisTriple, _w_axes_of
-
-_PLUS = 0.25 * (1.0 + 1.0j)
-_MINUS = 0.25 * (1.0 - 1.0j)
 
 
 def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> QuasiProbTable:

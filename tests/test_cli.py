@@ -196,19 +196,44 @@ def test_reconstruct_from_w_axes(capsys, validator, tmp_path):
     assert np.abs(rec - np.array([[1.0, 0.0], [0.0, 0.0]])).max() < 1e-14
 
 
-def test_reconstruct_inadmissible_table_exits_3(capsys, validator, tmp_path):
-    entries = []
-    for c in (1, -1):
-        for b in (1, -1):
-            for a in (1, -1):
-                entries.append({"c": c, "b": b, "a": a, "re": 0.5, "im": 0.0})
+_INADMISSIBLE = {
+    "from-p": (
+        {"p_table": [{"c": c, "b": b, "a": a, "re": 0.5, "im": 0.0} for c, b, a in VERTEX_ORDER]},
+        "table does not describe a physical state",
+        "-6.180e-01",
+        (1 - 5**0.5) / 2,
+    ),
+    "from-w-axes": (
+        {"w_axes": {"wx_plus": 1, "wy_plus": 1, "wz_plus": 1}},
+        "axis probabilities do not describe a physical state",
+        "-3.660e-01",
+        (1 - 3**0.5) / 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_INADMISSIBLE))
+def test_reconstruct_inadmissible_table_exits_3(capsys, validator, tmp_path, mode):
+    obj, verdict, printed, min_eigenvalue = _INADMISSIBLE[mode]
     payload = tmp_path / "bad.json"
-    payload.write_text(json.dumps({"p_table": entries}))
+    payload.write_text(json.dumps(obj))
     code, doc, _ = run_doc(
-        capsys, validator, "reconstruct", "--mode", "from-p", "--input", str(payload)
+        capsys, validator, "reconstruct", "--mode", mode, "--input", str(payload)
     )
     assert code == 3
-    assert doc["error"]["type"] == "AdmissibilityError"
+    assert doc["error"] == {
+        "type": "AdmissibilityError",
+        "message": f"{verdict} (FAILED: hermiticity_deviation=0.000e+00 "
+        f"trace_deviation=0.000e+00 min_eigenvalue={printed} (tol=1.0e-10))",
+    }
+    validation = doc["validation"]
+    assert validation["min_eigenvalue"] == pytest.approx(min_eigenvalue, abs=1e-15)
+    assert validation == dict(
+        passed=False,
+        hermiticity_deviation=0.0,
+        trace_deviation=0.0,
+        min_eigenvalue=validation["min_eigenvalue"],
+    )
     assert "rho" not in doc
 
 
@@ -538,3 +563,65 @@ def test_size_bounds_accept_their_limits(capsys, validator, tmp_path):
     code, out, _ = run_cli(capsys, *args, "--oversample", "1")
     assert code == 0
     assert np.abs(matrix_from_doc(strict_json(out)["rho"]) - rho).max() < 1e-10
+
+
+def _p_table_entries(**first):
+    # The unpolarized table, with fields of its first entry replaced.
+    entries = [{"c": c, "b": b, "a": a, "re": 0.125, "im": 0.0} for c, b, a in VERTEX_ORDER]
+    entries[0].update(first)
+    return entries
+
+
+# Each input used to escape the exit-code contract with a traceback.  The
+# message names the flag, the file (<path>) or the field.
+_REFUSED_INPUTS = {
+    "negative-seed": (
+        None,
+        ("sweep", "--trials", "1", "--seed", "-1"),
+        "--seed must be non-negative, got -1",
+    ),
+    "not-utf8": (b'{"p_table": "\xff"}', ("verify",), "<path> is not UTF-8 text"),
+    "deep-nesting": (b"[" * 100_000, ("verify",), "<path> is nested too deeply"),
+    "digit-limit": (b"[1" + b"0" * 5000 + b"]", ("verify",), "<path> is not valid JSON"),
+    "infinite-vertex": (
+        json.dumps({"p_table": _p_table_entries(c=1e400)}).encode().replace(b"Infinity", b"1e400"),
+        ("verify",),
+        "malformed table entry {'c': inf",
+    ),
+    "huge-integer-triple": (
+        b'{"w_axes": {"wx_plus": 1' + b"0" * 400 + b', "wy_plus": 0.5, "wz_plus": 0.5}}',
+        ("reconstruct", "--mode", "from-w-axes"),
+        "malformed 'w_axes' object",
+    ),
+    "huge-integer-sample": (
+        b'{"j": 0.5, "samples": [{"m": 0.5, "theta": 0.1, "phi": 0.0, "w": 1'
+        + b"0" * 400
+        + b"}]}",
+        ("reconstruct", "--mode", "from-w-integral"),
+        "malformed sample",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_INPUTS))
+def test_unusable_input_exits_2_naming_it(capsys, tmp_path, case):
+    content, args, message = _REFUSED_INPUTS[case]
+    if content is not None:
+        payload = tmp_path / "input.json"
+        payload.write_bytes(content)
+        args = (*args, "--input", str(payload))
+        message = message.replace("<path>", repr(str(payload)))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "doc.json"
+    code, out, err = run_cli(capsys, "p-table", "--state", "up_z", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}")
+    assert not target.parent.exists()

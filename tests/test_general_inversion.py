@@ -6,7 +6,6 @@ import pytest
 
 from spintomo import (
     EulerAngles,
-    HalfInteger,
     NonPhysicalStateError,
     QuadratureGrid,
     build_quadrature,
@@ -16,11 +15,9 @@ from spintomo import (
     require_density_j,
     rotation_matrix,
     rotation_matrix_j,
-    spin_of_dimension,
     validate_density_j,
     w_callable_from_density,
     w_value,
-    w_value_j,
     wigner_3j,
     wigner_D,
     wigner_small_d,
@@ -29,30 +26,10 @@ from spintomo import (
 SQ = math.sqrt
 
 
-def test_half_integer_basics():
-    assert HalfInteger(1.5).twice == 3
-    assert HalfInteger(2).twice == 4
-    assert HalfInteger(HalfInteger(0.5)).twice == 1
-    assert HalfInteger.from_twice(-3).value == -1.5
-    assert float(HalfInteger(0.5)) == 0.5
-    assert -HalfInteger(0.5) == HalfInteger(-0.5)
-    assert HalfInteger(1.0) == 1 and HalfInteger(1.0) == 1.0
-    assert hash(HalfInteger(0.5)) == hash(0.5)
-    assert HalfInteger(2).is_integer and not HalfInteger(0.5).is_integer
-    with pytest.raises(ValueError):
-        HalfInteger(0.3)
-    assert repr(HalfInteger(1.5)) == "HalfInteger(3/2)"
-    assert repr(HalfInteger(2.0)) == "HalfInteger(2)"
-
-
-def test_m_values_and_spin_of_dimension():
+def test_m_values():
     assert m_values(0.5) == (0.5, -0.5)
     assert m_values(1) == (1.0, 0.0, -1.0)
-    assert m_values(HalfInteger(1.5)) == (1.5, 0.5, -0.5, -1.5)
-    assert spin_of_dimension(2) == HalfInteger(0.5)
-    assert spin_of_dimension(4).value == 1.5
-    with pytest.raises(ValueError):
-        spin_of_dimension(0)
+    assert m_values(1.5) == (1.5, 0.5, -0.5, -1.5)
     with pytest.raises(ValueError):
         m_values(-1)
 
@@ -303,8 +280,7 @@ def test_quadrature_weights_normalized():
         grid = build_quadrature(j)
         assert np.sum(grid.theta_weights) == pytest.approx(1.0, abs=1e-13)
         assert np.sum(grid.phi_weights) == pytest.approx(1.0, abs=1e-14)
-        assert np.sum(grid.psi_weights) == pytest.approx(1.0, abs=1e-14)
-        assert grid.n_theta >= 8 and grid.n_phi >= 8 and grid.n_psi >= 8
+        assert grid.n_theta >= 8 and grid.n_phi >= 8
     with pytest.raises(ValueError):
         build_quadrature(1, oversample=0)
 
@@ -350,22 +326,28 @@ def test_validate_density_j_matches_small_case():
     assert a.passed == b.passed
 
 
-def test_w_value_j_matches_spin_half(random_states):
+def _family_probabilities(rho, u):
+    # The tomogram family at one direction, in descending m1 order.
+    family = w_callable_from_density(rho)
+    return np.array([family(m1, u.theta, u.phi) for m1 in m_values((len(rho) - 1) / 2)])
+
+
+def test_density_family_matches_spin_half(random_states):
     rng = np.random.default_rng(41)
     for rho in random_states[:20]:
         u = EulerAngles(*rng.uniform(0, 2 * np.pi, 3))
-        probs = w_value_j(rho, u)
+        probs = _family_probabilities(rho, u)
         t = w_value(rho, u)
         assert probs[0] == pytest.approx(t.w_plus, abs=1e-14)
         assert probs[1] == pytest.approx(t.w_minus, abs=1e-14)
 
 
-def test_w_value_j_is_probability_vector():
+def test_density_family_is_probability_vector():
     rng = np.random.default_rng(43)
     for dim in (2, 3, 4):
         for rho in random_density_j(dim, 5, seed=dim):
             u = EulerAngles(*rng.uniform(0, 2 * np.pi, 3))
-            probs = w_value_j(rho, u)
+            probs = _family_probabilities(rho, u)
             assert probs.min() > -1e-14
             assert np.sum(probs) == pytest.approx(1.0, abs=1e-13)
 
@@ -515,14 +497,11 @@ def test_kernel_keys_on_node_values_not_shapes():
     family = w_callable_from_density(rho)
     default = build_quadrature(j)
     assert np.abs(reconstruct_density_j(family, j, grid=default) - rho).max() < 1e-13
-    shifted_phi = default.phi_nodes + 0.37
     shifted = QuadratureGrid(
         theta_nodes=default.theta_nodes,
         theta_weights=default.theta_weights,
-        phi_nodes=shifted_phi,
+        phi_nodes=default.phi_nodes + 0.37,
         phi_weights=default.phi_weights,
-        psi_nodes=shifted_phi,
-        psi_weights=default.psi_weights,
     )
     assert np.abs(reconstruct_density_j(family, j, grid=shifted) - rho).max() < 1e-13
 
