@@ -36,6 +36,11 @@ from .general_inversion import (
     w_callable_from_density,
 )
 from .quasiprob import (
+    _MARGINAL_VERTICES,
+    _MINUS,
+    _ORACLE_TERMS,
+    _PLUS,
+    _X_KETS,
     VERTEX_ORDER,
     QuasiProbTable,
     check_admissibility,
@@ -48,9 +53,11 @@ from .radon_link import p_from_w, verify_radon_consistency
 from .sampling import random_density_matrices
 from .spin_core import density_from_bloch, require_density, validate_density
 from .tomography import (
+    AXIS_DIRECTIONS,
     AxisTriple,
-    Direction,
     EulerAngles,
+    _rotation,
+    _w_grid,
     density_from_w_axes,
     w_axes,
     w_value,
@@ -60,13 +67,18 @@ DEFAULT_TOL = 1e-10
 SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
+# ``sweep --trials 100000`` takes about 1.3 s and peaks at about 175 MB.
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
 # from a ``rho`` peaks at about 155 MB, most of it the (2j+1) x n_theta x
 # n_phi sample array and the two intermediates of the same size that the
-# kernel makes from it.
+# kernel makes from it.  Input files are read whole and parsed by ``json``;
+# at 16 MiB the most memory-hungry documents found (millions of small
+# objects) peak at about 580 MB.
 MAX_GRID = 256
+MAX_TRIALS = 100_000
 MAX_OVERSAMPLE = 4
 MAX_SPIN = 25
+MAX_INPUT_BYTES = 16 * 1024 * 1024
 
 NAMED_STATES = {
     "up_z": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
@@ -251,6 +263,12 @@ def _envelope(command: str, tol: float) -> dict:
 
 def _load_json(path: str):
     try:
+        size = Path(path).stat().st_size
+        if size > MAX_INPUT_BYTES:
+            raise CliError(
+                f"{path!r} has {size} bytes, more than the {MAX_INPUT_BYTES} "
+                "accepted for an input file"
+            )
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from exc
@@ -283,13 +301,7 @@ def cmd_p_table(args):
     return doc, 0, None
 
 
-def _tomogram_obj(t) -> dict:
-    return {
-        "theta": float(t.direction.theta),
-        "phi": float(t.direction.phi),
-        "w_plus": float(t.w_plus),
-        "w_minus": float(t.w_minus),
-    }
+_TOMOGRAM_FIELDS = ("theta", "phi", "w_plus", "w_minus")
 
 
 def cmd_w(args):
@@ -303,37 +315,39 @@ def cmd_w(args):
         raise CliError("give either --theta/--phi or --grid, not both")
     if not single and args.grid is None:
         raise CliError("one of --theta/--phi or --grid is required")
-    tomograms = []
     if single:
         if args.theta is None or args.phi is None:
             raise CliError("--theta and --phi must be given together")
         u = EulerAngles(phi=args.phi, theta=args.theta, psi=args.psi)
-        tomograms.append(w_value(rho, u, args.tol))
+        t = w_value(rho, u, args.tol)
+        rows = [(t.direction.theta, t.direction.phi, t.w_plus, t.w_minus)]
     else:
         if args.grid < 1:
             raise CliError(f"--grid must be at least 1, got {args.grid}")
         if args.grid > MAX_GRID:
             raise CliError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
         x, _ = np.polynomial.legendre.leggauss(args.grid)
-        thetas = np.arccos(x)[::-1]
-        phis = np.arange(args.grid) * (2.0 * np.pi / args.grid)
-        for theta in thetas:
-            for phi in phis:
-                d = Direction(theta=float(theta), phi=float(phi))
-                tomograms.append(w_value(rho, d, args.tol))
+        # Already canonical, so these are the directions' own angles.
+        thetas = np.arccos(x)[::-1].tolist()
+        phis = (np.arange(args.grid) * (2.0 * np.pi / args.grid)).tolist()
+        w_plus, w_minus = _w_grid(require_density(rho, args.tol), thetas, phis)
+        rows = list(
+            zip(
+                np.repeat(thetas, args.grid).tolist(),
+                phis * args.grid,
+                w_plus.ravel().tolist(),
+                w_minus.ravel().tolist(),
+            )
+        )
     doc = _envelope("w", args.tol)
     doc["state"] = _state_obj(kind, args.state, rho)
-    doc["tomograms"] = [_tomogram_obj(t) for t in tomograms]
+    doc["tomograms"] = [dict(zip(_TOMOGRAM_FIELDS, row)) for row in rows]
     if args.axes:
         doc["w_axes"] = _w_axes_obj(w_axes(rho, args.tol))
     csv_text = None
     if args.format == "csv":
         lines = ["theta,phi,w_plus,w_minus"]
-        lines.extend(
-            "%.17g,%.17g,%.17g,%.17g"
-            % (t.direction.theta, t.direction.phi, t.w_plus, t.w_minus)
-            for t in tomograms
-        )
+        lines.extend("%.17g,%.17g,%.17g,%.17g" % row for row in rows)
         csv_text = "\n".join(lines) + "\n"
     return doc, 0, csv_text
 
@@ -356,54 +370,100 @@ def _spin_from_doc(data) -> float:
     return spin
 
 
+_SAMPLE_FIELDS = ("m", "theta", "phi", "w")
+_SAMPLE_ERRORS = (TypeError, KeyError, ValueError, OverflowError)
+# How far a sample's angles may lie from their grid node.
+_MATCH_TOL = 1e-9
+
+
+def _nearest(nodes: np.ndarray, values: np.ndarray):
+    """Index of the node of the ascending ``nodes`` nearest to each value (the
+    lower one on a tie, as ``argmin``), and the distance to it (NaN for NaN)."""
+    above = np.searchsorted(nodes, values)
+    lower = np.clip(above - 1, 0, len(nodes) - 1)
+    upper = np.minimum(above, len(nodes) - 1)
+    to_lower = np.abs(nodes[lower] - values)
+    to_upper = np.abs(nodes[upper] - values)
+    take_upper = to_upper < to_lower
+    return np.where(take_upper, upper, lower), np.where(take_upper, to_upper, to_lower)
+
+
 def _w_from_samples(data, grid, j) -> np.ndarray:
     """The sample array (m, theta, phi) of a ``samples`` list, which must
-    cover every node of the grid exactly once."""
-    ms = m_values(j)
-    shape = (len(ms), grid.n_theta, grid.n_phi)
-    values = np.empty(shape)
-    seen = np.zeros(shape, dtype=bool)
-    match_tol = 1e-9
-    if not isinstance(data["samples"], list):
+    cover every node of the grid exactly once.
+
+    A bad list is refused for its first bad record in document order, and
+    for the first check that record fails: malformed, then ``m``, then a
+    non-finite ``w``, then off the grid, then a duplicate.  Missing cells
+    are reported after that.
+    """
+    records = data["samples"]
+    if not isinstance(records, list):
         raise CliError("'samples' must be a list of {m, theta, phi, w} records")
-    for sample in data["samples"]:
-        try:
-            m1 = float(sample["m"])
-            theta = float(sample["theta"])
-            phi = float(sample["phi"])
-            w = float(sample["w"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise CliError(f"malformed sample {sample!r}: {exc}") from exc
-        if m1 not in ms:
+    malformed = None
+    try:
+        values = np.fromiter(
+            (float(record[field]) for record in records for field in _SAMPLE_FIELDS),
+            dtype=float,
+            count=4 * len(records),
+        )
+    except _SAMPLE_ERRORS:
+        # Parse again, record by record, up to the first malformed one.
+        parsed = []
+        for record in records:
+            try:
+                parsed.extend([float(record[field]) for field in _SAMPLE_FIELDS])
+            except _SAMPLE_ERRORS as exc:
+                malformed = CliError(f"malformed sample {record!r}: {exc}")
+                break
+        values = np.array(parsed, dtype=float)
+    rows = values.reshape(-1, 4)
+    m1, theta, phi, w = rows.T
+
+    ms = np.array(m_values(j)[::-1])
+    im = np.minimum(np.searchsorted(ms, m1), len(ms) - 1)
+    m_ok = ms[im] == m1
+    w_ok = np.isfinite(w)
+    it, theta_off = _nearest(grid.theta_nodes, theta)
+    ip, phi_off = _nearest(grid.phi_nodes, phi)
+    # Written so that a NaN angle fails the match too.
+    on_grid = (theta_off <= _MATCH_TOL) & (phi_off <= _MATCH_TOL)
+    bad = ~(m_ok & w_ok & on_grid)
+    first_bad = int(bad.argmax()) if bad.any() else len(rows)
+
+    shape = (len(ms), grid.n_theta, grid.n_phi)
+    cells = np.ravel_multi_index(
+        (len(ms) - 1 - im[:first_bad], it[:first_bad], ip[:first_bad]), shape
+    )
+    counts = np.bincount(cells, minlength=math.prod(shape))
+    if counts.max() > 1:
+        order = np.argsort(cells, kind="stable")
+        repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+        m1, theta, phi, _ = rows[repeats.min()].tolist()
+        raise CliError(f"duplicate sample at (m={m1!r}, theta={theta!r}, phi={phi!r})")
+    if first_bad < len(rows):
+        m1, theta, phi, w = rows[first_bad].tolist()
+        if not m_ok[first_bad]:
             raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
-        if not np.isfinite(w):
+        if not w_ok[first_bad]:
             raise CliError(
                 f"sample at (m={m1!r}, theta={theta!r}, phi={phi!r}) has non-finite w={w!r}"
             )
-        it = int(np.argmin(np.abs(grid.theta_nodes - theta)))
-        ip = int(np.argmin(np.abs(grid.phi_nodes - phi)))
-        # Written so that a NaN angle fails the match too.
-        if not (
-            abs(grid.theta_nodes[it] - theta) <= match_tol
-            and abs(grid.phi_nodes[ip] - phi) <= match_tol
-        ):
-            raise CliError(
-                f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the "
-                "reconstruction grid"
-            )
-        cell = (ms.index(m1), it, ip)
-        if seen[cell]:
-            raise CliError(
-                f"duplicate sample at (m={m1!r}, theta={theta!r}, phi={phi!r})"
-            )
-        seen[cell] = True
-        values[cell] = w
-    if not seen.all():
+        raise CliError(
+            f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the "
+            "reconstruction grid"
+        )
+    if malformed is not None:
+        raise malformed
+    missing = np.count_nonzero(counts == 0)
+    if missing:
         raise CliError(
             "samples do not cover the full reconstruction grid "
-            f"({np.count_nonzero(~seen)} of {seen.size} cells missing)"
+            f"({missing} of {counts.size} cells missing)"
         )
-    return values
+    out = np.empty(shape)
+    out.reshape(-1)[cells] = w
+    return out
 
 
 # Modes that invert a spin-1/2 representation in closed form: the input
@@ -456,7 +516,7 @@ def cmd_reconstruct(args):
             )
         w = w_callable_from_density(source, args.tol)
     elif "state" in data:
-        if abs(j - 0.5) > 1e-12:
+        if _twice(j) != 1:
             raise CliError("'state' specifications are only defined for j = 1/2")
         _, source = parse_state(str(data["state"]), args.tol)
         w = w_callable_from_density(source, args.tol)
@@ -482,27 +542,136 @@ def _check_obj(name: str, deviation: float, tol: float) -> dict:
     }
 
 
-def _state_deviations(rho, tol: float) -> dict:
-    table = p_from_density(rho, tol)
-    deviations = {
-        "p_round_trip": float(np.abs(density_from_p(table, tol) - rho).max()),
-        "w_axes_round_trip": float(
-            np.abs(density_from_w_axes(w_axes(rho, tol), tol) - rho).max()
-        ),
-        "radon_consistency": verify_radon_consistency(rho, tol).max_abs_delta,
-        "oracle_equivalence": float(
-            np.abs(p_oracle(rho, tol).to_array() - table.to_array()).max()
-        ),
-    }
-    maxima = _admissibility_maxima(check_admissibility(table, tol))
-    deviations["admissibility"] = max(
-        maxima["total"],
-        maxima["redundancy"],
-        maxima["marginal-imag"],
-        maxima["marginal-range"],
-        maxima["density"],
+def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
+    """The five ``sweep`` deviations of each of the ``(N, 2, 2)`` states, as
+    arrays of shape ``(N,)``.
+
+    Each array has the bits that the scalar route gives state by state:
+    ``p_from_density`` -> ``density_from_p``, ``w_axes`` ->
+    ``density_from_w_axes``, ``verify_radon_consistency``, ``p_oracle`` and
+    ``check_admissibility``.  Every step is its scalar formula applied
+    elementwise, in the same order.  Python's ``abs`` of a complex is
+    ``np.hypot``, numpy's vectorised ``abs`` stays ``np.abs``, sums run left
+    to right, the products by (1 +- i)/4 and 1 +- i are exact before rounding,
+    and the oracle's general products are written out part by part, as
+    Python forms them.  The first state that fails a check of the scalar
+    route goes through the scalar functions, which raise its error.
+    """
+
+    def hypot(z):
+        return np.hypot(z.real, z.imag)
+
+    def larger(a, b):
+        # Python's max(a, b), which keeps a unless b is larger: a zero stays
+        # +0.0 against -0.0, where np.maximum may return either.
+        return np.where(b > a, b, a)
+
+    def validation(a, b, c, d):
+        # spin_core._report: hermiticity, trace, min eigenvalue, passed
+        herm = np.maximum(
+            np.maximum(np.abs(b - c.conj()), hypot(a - a.conj())), hypot(d - d.conj())
+        )
+        trace = hypot(a + d - 1.0)
+        h00 = (0.5 * (a + a.conj())).real
+        h11 = (0.5 * (d + d.conj())).real
+        radius = np.hypot(0.5 * (h00 - h11), hypot(0.5 * (b + c.conj())))
+        min_eig = 0.5 * (h00 + h11) - radius
+        return herm, trace, min_eig, (herm <= tol) & (trace <= tol) & (min_eig >= -tol)
+
+    def table_of(pp, pm, mp, mm):
+        # quasiprob._table_from_entries, as an (N, 8) array in VERTEX_ORDER
+        s_top, d_top, s_bottom, d_bottom = pp + pm, pp - pm, mm + mp, mm - mp
+        return np.stack(
+            [
+                _PLUS * s_top, _MINUS * d_top, _MINUS * s_top, _PLUS * d_top,
+                _MINUS * s_bottom, _PLUS * d_bottom, _PLUS * s_bottom, _MINUS * d_bottom,
+            ],
+            axis=1,
+        )
+
+    n = len(states)
+    flat = states.reshape(n, 4)
+    *_, rho_ok = validation(*flat.T)
+    table = table_of(*flat.T)
+
+    # density_from_p
+    pp = (1.0 - 1.0j) * table[:, 0] + (1.0 + 1.0j) * table[:, 1]
+    pm = (1.0 - 1.0j) * table[:, 0] - (1.0 + 1.0j) * table[:, 1]
+    entries = (pp, pm, pm.conj(), 1.0 - pp)
+    herm, trace, min_eig, table_ok = validation(*entries)
+    p_round_trip = np.abs(np.stack(entries, axis=1) - flat).max(axis=1)
+
+    # w_axes and density_from_w_axes
+    axes = np.array([_rotation(u.phi, u.theta, 0.0) for u in AXIS_DIRECTIONS.values()])
+    rotated = axes @ states[:, None] @ axes.conj().swapaxes(-1, -2)
+    wx, wy, wz = rotated[:, :, 0, 0].real.T
+    off = (wx - 0.5) - 1.0j * (wy - 0.5)
+    axes_entries = (wz.astype(complex), off, off.conj(), (1.0 - wz).astype(complex))
+    *_, axes_ok = validation(*axes_entries)
+    w_axes_round_trip = np.abs(np.stack(axes_entries, axis=1) - flat).max(axis=1)
+
+    # verify_radon_consistency: p_from_w's check and entries
+    mx, my, mz = 2.0 * wx - 1.0, 2.0 * wy - 1.0, 2.0 * wz - 1.0
+    radon_ok = ~(mx * mx + my * my + mz * mz > 1.0 + tol)
+    wz_minus = 1.0 - wz
+    up = wx - 1.0j * wy + wz
+    up_flip = -wx + 1.0j * wy + wz
+    down = wx + 1.0j * wy + wz_minus
+    down_flip = -wx - 1.0j * wy + wz_minus
+    direct = np.stack(
+        [
+            _PLUS * up - 0.25, _MINUS * up_flip - 0.25j,
+            _MINUS * up + 0.25j, _PLUS * up_flip + 0.25,
+            _MINUS * down - 0.25, _PLUS * down_flip + 0.25j,
+            _PLUS * down - 0.25j, _MINUS * down_flip + 0.25,
+        ],
+        axis=1,
     )
-    return deviations
+    radon_consistency = np.abs(direct - table).max(axis=1)
+
+    # p_oracle: weight * <a;z| rho |c;x>, the ket selecting one image entry
+    images = {c: states @ ket for c, ket in _X_KETS.items()}
+    delta = np.empty_like(table)
+    for k, (weight, ket_a, c) in enumerate(_ORACLE_TERMS):
+        x = images[c] @ ket_a.conj()
+        delta[:, k].real = weight.real * x.real - weight.imag * x.imag - table[:, k].real
+        delta[:, k].imag = weight.real * x.imag + weight.imag * x.real - table[:, k].imag
+    oracle_equivalence = np.abs(delta).max(axis=1)
+
+    # check_admissibility, reduced as _admissibility_maxima and cmd_sweep did
+    total = table[:, 0]
+    for k in range(1, 8):
+        total = total + table[:, k]
+    marginal_imag = marginal_range = 0.0
+    for vertices in _MARGINAL_VERTICES.values():
+        first, *rest = (VERTEX_ORDER.index(v) for v in vertices)
+        value = table[:, first]
+        for k in rest:
+            value = value + table[:, k]
+        real = value.real
+        violation = larger(larger(0.0, -real), real - 1.0)
+        marginal_imag = larger(marginal_imag, np.abs(value.imag))
+        marginal_range = larger(marginal_range, violation)
+    redundancy = hypot(table - table_of(*entries)).max(axis=1)
+    density = larger(larger(herm, trace), larger(0.0, -min_eig))
+    admissibility = larger(
+        larger(larger(larger(hypot(total - 1.0), redundancy), marginal_imag), marginal_range),
+        density,
+    )
+
+    failed = ~(rho_ok & table_ok & axes_ok & radon_ok)
+    if failed.any():
+        rho = states[int(failed.argmax())]
+        density_from_p(p_from_density(rho, tol), tol)
+        density_from_w_axes(w_axes(rho, tol), tol)
+        verify_radon_consistency(rho, tol)
+    return {
+        "p_round_trip": p_round_trip,
+        "w_axes_round_trip": w_axes_round_trip,
+        "radon_consistency": radon_consistency,
+        "oracle_equivalence": oracle_equivalence,
+        "admissibility": admissibility,
+    }
 
 
 def cmd_verify(args):
@@ -542,13 +711,15 @@ def cmd_verify(args):
 def cmd_sweep(args):
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise CliError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     states = random_density_matrices(args.trials, args.seed)
-    maxima: dict = {}
-    for rho in states:
-        for name, deviation in _state_deviations(rho, args.tol).items():
-            maxima[name] = max(maxima.get(name, 0.0), float(deviation))
+    maxima = {
+        name: max(0.0, float(deviations.max()))
+        for name, deviations in _sweep_deviations(states, args.tol).items()
+    }
     passed = all(value <= args.tol for value in maxima.values())
     doc = _envelope("sweep", args.tol)
     doc["trials"] = args.trials
@@ -648,7 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "sweep", parents=[common], help="consistency checks over random states"
     )
-    s.add_argument("--trials", type=int, default=100, help="number of random states")
+    s.add_argument(
+        "--trials",
+        type=int,
+        default=100,
+        help=f"number of random states (at most {MAX_TRIALS})",
+    )
     s.add_argument("--seed", type=int, default=0, help="random generator seed")
     return parser
 

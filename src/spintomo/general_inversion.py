@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -97,6 +96,10 @@ def _half_factorial(t: int) -> int:
 
 @lru_cache(maxsize=None)
 def _w3j_twice(tj1, tj2, tj3, tm1, tm2, tm3) -> float:
+    # Imported here: only this exact reference needs it, and importing it
+    # (with decimal) costs every process that imports the package.
+    from fractions import Fraction
+
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if abs(tm) > tj or (tj + tm) % 2 != 0:
             return 0.0

@@ -187,10 +187,17 @@ def _bloch_vector(b, tol: float) -> np.ndarray:
     v = np.asarray(b, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a length-3 Bloch vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonPhysicalStateError(f"Bloch vector {v.tolist()} is not finite")
-    # What np.linalg.norm computes for a vector, without its dispatch.
-    norm = math.sqrt(v.dot(v))
+    values = v.tolist()
+    if not all(map(math.isfinite, values)):
+        raise NonPhysicalStateError(f"Bloch vector {values} is not finite")
+    # What np.linalg.norm computes for a vector, without its dispatch.  Below
+    # 1e150 a component cannot overflow the sum of squares; above, numpy
+    # would print an overflow warning, and the norm is inf if it overflows.
+    if max(map(abs, values)) < 1e150:
+        norm = math.sqrt(v.dot(v))
+    else:
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(v.dot(v))
     if norm > 0.5 + tol:
         raise NonPhysicalStateError(
             f"Bloch vector norm {norm:.6g} exceeds 1/2; state would not be positive"

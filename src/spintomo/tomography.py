@@ -171,6 +171,30 @@ def _w_of(m: np.ndarray, u) -> Tomogram:
     )
 
 
+def _w_grid(m: np.ndarray, thetas, phis):
+    """``(w_plus, w_minus)`` of an already validated ``m`` at every direction
+    of a product grid, as arrays of shape ``(len(thetas), len(phis))``.
+
+    The angles must lie in the canonical ranges (theta in [0, pi], phi in
+    [0, 2pi)).  Each value then has the bits of ``_w_of`` along
+    ``Direction(theta, phi)``: the half-angle cos/sin come from ``math``, once
+    per node; the rotation entries are the products ``_rotation`` forms (a
+    real array times a complex one is the Python float-complex product); and
+    the stacked ``d @ m @ d^dagger`` runs the same 2x2 matrix products.
+    """
+    half = [0.5 * theta for theta in thetas]
+    c = np.array([math.cos(h) for h in half])[:, None]
+    s = np.array([math.sin(h) for h in half])[:, None]
+    e = np.array([_half_phase(phi) for phi in phis])
+    d = np.empty((len(half), len(e), 2, 2), dtype=complex)
+    d[..., 0, 0] = c * e
+    d[..., 0, 1] = s * e.conj()
+    d[..., 1, 0] = -s * e
+    d[..., 1, 1] = c * e.conj()
+    rotated = d @ m @ d.conj().swapaxes(-1, -2)
+    return rotated[..., 0, 0].real, rotated[..., 1, 1].real
+
+
 def w_value(rho, u, tol: float = TOL) -> Tomogram:
     """Tomographic probabilities of ``rho`` along ``u``.
 

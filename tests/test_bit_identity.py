@@ -3,6 +3,9 @@
 The scalar core computes on Python complex numbers.  The references below
 keep the array formulas it replaced, and every comparison is on the bytes of
 the float64 values, so a last-bit difference or a flipped zero sign fails.
+The other way round, the CLI's array paths for ``sweep`` and ``w --grid``
+give bit for bit what the scalar functions give state by state and
+direction by direction.
 """
 
 import math
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from spintomo import (
+    NonPhysicalStateError,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -24,6 +28,7 @@ from spintomo import (
     check_admissibility,
     density_from_bloch,
     density_from_p,
+    density_from_w_axes,
     eigenket,
     overlap,
     p_from_density,
@@ -37,7 +42,9 @@ from spintomo import (
     w_axes,
     w_value,
 )
+from spintomo.cli import _admissibility_maxima, _sweep_deviations
 from spintomo.quasiprob import _table_from_entries
+from spintomo.tomography import _w_grid
 
 from conftest import NAMED_STATES
 
@@ -302,3 +309,101 @@ def test_random_density_matrices_match_per_vector_loop(n):
         loop[i] = density_from_bloch(b)
     assert batch.shape == (n, 2, 2) and batch.dtype == complex
     assert batch.tobytes() == loop.tobytes()
+
+
+def ref_state_deviations(rho, tol):
+    """The ``sweep`` deviations of one state, through the scalar functions."""
+    table = p_from_density(rho, tol)
+    deviations = {
+        "p_round_trip": float(np.abs(density_from_p(table, tol) - rho).max()),
+        "w_axes_round_trip": float(
+            np.abs(density_from_w_axes(w_axes(rho, tol), tol) - rho).max()
+        ),
+        "radon_consistency": verify_radon_consistency(rho, tol).max_abs_delta,
+        "oracle_equivalence": float(
+            np.abs(p_oracle(rho, tol).to_array() - table.to_array()).max()
+        ),
+    }
+    maxima = _admissibility_maxima(check_admissibility(table, tol))
+    deviations["admissibility"] = max(
+        maxima["total"],
+        maxima["redundancy"],
+        maxima["marginal-imag"],
+        maxima["marginal-range"],
+        maxima["density"],
+    )
+    return deviations
+
+
+def _signed_zero_bloch_states():
+    signed = [0.0, -0.0, 0.25, -0.25]
+    return [density_from_bloch(np.array([x, y, z])) for x in signed for y in signed for z in signed]
+
+
+def test_sweep_deviations_match_scalar_route():
+    states = np.array(STATES + _signed_zero_bloch_states())
+    got = _sweep_deviations(states, 1e-10)
+    assert sorted(got) == sorted(ref_state_deviations(states[0], 1e-10))
+    for i, rho in enumerate(states):
+        ref = ref_state_deviations(rho, 1e-10)
+        assert bits(*(got[name][i] for name in ref)) == bits(*ref.values())
+
+
+def _scalar_refusal(states, tol):
+    try:
+        for rho in states:
+            ref_state_deviations(rho, tol)
+    except NonPhysicalStateError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _pure_states(n, seed):
+    v = np.random.default_rng(seed).normal(size=(n, 3))
+    return np.array([density_from_bloch(0.5 * b / np.linalg.norm(b)) for b in v])
+
+
+def test_sweep_refuses_as_scalar_route():
+    # At these tolerances some states fail some check, pure states all four
+    # kinds: the array path must raise the error of the first failing state,
+    # for its first failing check.
+    kinds = set()
+    for tol in (0.0, 1e-17, 6e-17, 1e-16, 2e-16, 4e-16):
+        batches = [random_density_matrices(10, seed=seed) for seed in range(15)]
+        batches += [_pure_states(10, seed) for seed in range(15)]
+        for states in batches:
+            try:
+                _sweep_deviations(states, tol)
+                got = None
+            except NonPhysicalStateError as exc:
+                got = type(exc), str(exc)
+                kinds.add(str(exc)[:20])
+            assert got == _scalar_refusal(states, tol)
+    assert kinds == {
+        "not a physical densi",
+        "table does not descr",
+        "axis probabilities d",
+        "axis probabilities (",
+    }
+
+
+def _grid_nodes(n):
+    # The nodes of ``w --grid n``.
+    x, _ = np.polynomial.legendre.leggauss(n)
+    return np.arccos(x)[::-1].tolist(), (np.arange(n) * (2.0 * np.pi / n)).tolist()
+
+
+@pytest.mark.parametrize(
+    "n, states",
+    [(n, ("up_x", "up_y", "bloch")) for n in range(1, 34)] + [(256, ("bloch",))],
+)
+def test_grid_tomograms_match_w_value(n, states):
+    named = dict(NAMED_STATES, bloch=density_from_bloch(np.array([0.1, -0.3, 0.2])))
+    thetas, phis = _grid_nodes(n)
+    for name in states:
+        w_plus, w_minus = _w_grid(named[name], thetas, phis)
+        for it, theta in enumerate(thetas):
+            for ip, phi in enumerate(phis):
+                t = w_value(named[name], Direction(theta=theta, phi=phi))
+                assert bits(t.direction.theta, t.direction.phi) == bits(theta, phi)
+                assert bits(t.w_plus, t.w_minus) == bits(w_plus[it, ip], w_minus[it, ip])

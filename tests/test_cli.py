@@ -1,7 +1,10 @@
+import itertools
 import json
 import subprocess
 import sys
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,11 +266,11 @@ def test_reconstruct_integral_from_rho_matrix(capsys, validator, tmp_path):
     assert np.abs(matrix_from_doc(doc["rho"]) - rho).max() < 1e-12
 
 
-def _grid_samples(rho, j):
+def _grid_samples(rho, j, oversample=2):
     from spintomo import build_quadrature, m_values, w_callable_from_density
 
     family = w_callable_from_density(rho)
-    grid = build_quadrature(j, oversample=2)
+    grid = build_quadrature(j, oversample=oversample)
     return [
         {"m": m1, "theta": theta, "phi": phi, "w": family(m1, theta, phi)}
         for m1 in m_values(j)
@@ -323,6 +326,157 @@ def test_reconstruct_integral_missing_samples_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert "grid" in err
+
+
+def _spoil(kind, samples, index):
+    """Make record ``index`` fail ``kind``; return the message for it."""
+    record = samples[index]
+    if kind == "malformed":
+        del record["w"]
+        return f"malformed sample {record!r}: 'w'"
+    if kind == "projection":
+        record["m"] = 0.25
+        return "sample projection 0.25 is not in the spin-0.5 multiplet"
+    if kind == "non-finite":
+        record["w"] = float("inf")
+        m, theta, phi = record["m"], record["theta"], record["phi"]
+        return f"sample at (m={m!r}, theta={theta!r}, phi={phi!r}) has non-finite w=inf"
+    if kind == "off-grid":
+        record["theta"] += 1e-6
+        theta, phi = record["theta"], record["phi"]
+        return f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the reconstruction grid"
+    # A duplicate of the first record's cell.
+    record.update(m=samples[0]["m"], theta=samples[0]["theta"], phi=samples[0]["phi"])
+    m, theta, phi = record["m"], record["theta"], record["phi"]
+    return f"duplicate sample at (m={m!r}, theta={theta!r}, phi={phi!r})"
+
+
+_SAMPLE_FAULTS = ("malformed", "projection", "non-finite", "off-grid", "duplicate")
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(_SAMPLE_FAULTS, 2))
+def test_reconstruct_integral_reports_first_bad_sample(capsys, tmp_path, first, second):
+    samples = json.loads(json.dumps(_grid_samples(np.eye(2) / 2, 0.5)))
+    message = _spoil(first, samples, 100)
+    _spoil(second, samples, 300)
+    code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": 0.5, "samples": samples}))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_reconstruct_integral_sample_checks_run_in_order(capsys, tmp_path):
+    # One record that fails every check after parsing: its m is reported.
+    samples = json.loads(json.dumps(_grid_samples(np.eye(2) / 2, 0.5)))
+    message = _spoil("projection", samples, 40)
+    for kind in ("non-finite", "off-grid"):
+        _spoil(kind, samples, 40)
+    code, _, err = run_cli(capsys, *_integral_input(tmp_path, {"j": 0.5, "samples": samples}))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    # Missing cells come last.
+    del samples[40]
+    code, _, err = run_cli(capsys, *_integral_input(tmp_path, {"j": 0.5, "samples": samples}))
+    assert code == 2
+    assert err == (
+        "error: samples do not cover the full reconstruction grid (1 of 512 cells missing)\n"
+    )
+
+
+def ref_w_from_samples(records, grid, j):
+    """The record-by-record loop the array ingestion replaced."""
+    from spintomo import m_values
+    from spintomo.cli import CliError
+
+    ms = m_values(j)
+    shape = (len(ms), grid.n_theta, grid.n_phi)
+    values = np.empty(shape)
+    seen = np.zeros(shape, dtype=bool)
+    for sample in records:
+        try:
+            m1 = float(sample["m"])
+            theta = float(sample["theta"])
+            phi = float(sample["phi"])
+            w = float(sample["w"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise CliError(f"malformed sample {sample!r}: {exc}") from exc
+        if m1 not in ms:
+            raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
+        if not np.isfinite(w):
+            raise CliError(
+                f"sample at (m={m1!r}, theta={theta!r}, phi={phi!r}) has non-finite w={w!r}"
+            )
+        it = int(np.argmin(np.abs(grid.theta_nodes - theta)))
+        ip = int(np.argmin(np.abs(grid.phi_nodes - phi)))
+        if not (
+            abs(grid.theta_nodes[it] - theta) <= 1e-9 and abs(grid.phi_nodes[ip] - phi) <= 1e-9
+        ):
+            raise CliError(
+                f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the "
+                "reconstruction grid"
+            )
+        cell = (ms.index(m1), it, ip)
+        if seen[cell]:
+            raise CliError(f"duplicate sample at (m={m1!r}, theta={theta!r}, phi={phi!r})")
+        seen[cell] = True
+        values[cell] = w
+    if not seen.all():
+        raise CliError(
+            "samples do not cover the full reconstruction grid "
+            f"({np.count_nonzero(~seen)} of {seen.size} cells missing)"
+        )
+    return values
+
+
+_RECORD_FAULTS = [
+    lambda r: r.update(m=r["m"] + 0.5),
+    lambda r: r.update(m=-0.0 if r["m"] == 0 else 3.0),
+    lambda r: r.update(m=float("nan")),
+    lambda r: r.update(w=float("-inf")),
+    lambda r: r.update(theta=r["theta"] + 5e-10),
+    lambda r: r.update(theta=r["theta"] - 3e-9),
+    lambda r: r.update(theta=float("nan")),
+    lambda r: r.update(phi=-1e-10),
+    lambda r: r.update(phi=7.0),
+    lambda r: r.update(phi=str(r["phi"])),
+    lambda r: r.update(phi="abc"),
+    lambda r: r.update(w=None),
+    lambda r: r.pop("theta"),
+    lambda r: r.update(m=True),
+]
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+def test_sample_ingestion_matches_record_loop(j):
+    from spintomo import build_quadrature, random_density_j
+    from spintomo.cli import CliError, _w_from_samples
+
+    rng = np.random.default_rng(int(2 * j))
+    grid = build_quadrature(j, oversample=1)
+    clean = json.loads(json.dumps(_grid_samples(random_density_j(int(2 * j) + 1, 1, 3)[0], j, 1)))
+    documents = [clean, clean[::-1], [clean[i] for i in rng.permutation(len(clean))], []]
+    for _ in range(150):
+        records = [dict(r) for r in clean]
+        for _ in range(rng.integers(1, 4)):
+            k = int(rng.integers(len(records)))
+            action = rng.integers(len(_RECORD_FAULTS) + 4)
+            if action < len(_RECORD_FAULTS):
+                _RECORD_FAULTS[action](records[k])
+            elif action == len(_RECORD_FAULTS):
+                records.insert(int(rng.integers(len(records))), dict(records[k]))
+            elif action == len(_RECORD_FAULTS) + 1:
+                del records[k]
+            else:
+                records[k] = [None, 5, "x"][action - len(_RECORD_FAULTS) - 2]
+        documents.append(records)
+    for records in documents:
+        outcomes = []
+        for ingest in (ref_w_from_samples, lambda r, g, j: _w_from_samples({"samples": r}, g, j)):
+            try:
+                outcomes.append(ingest(records, grid, j).tobytes())
+            except CliError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_reconstruct_bad_file_exit_2(capsys, tmp_path):
@@ -387,6 +541,17 @@ def test_sweep(capsys, validator):
     assert code == 0
     assert doc["passed"] is True
     assert all(v < 1e-12 for v in doc["max_deviations"].values())
+
+
+def test_sweep_zero_tol_refuses_first_failing_state(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--trials", "3", "--seed", "3", "--tol", "0")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: table does not describe a physical state (FAILED: "
+        "hermiticity_deviation=5.551e-17 trace_deviation=0.000e+00 "
+        "min_eigenvalue=9.830e-02 (tol=0.0e+00))\n"
+    )
 
 
 def test_output_flag_writes_file(capsys, validator, tmp_path):
@@ -563,6 +728,60 @@ def test_size_bounds_accept_their_limits(capsys, validator, tmp_path):
     code, out, _ = run_cli(capsys, *args, "--oversample", "1")
     assert code == 0
     assert np.abs(matrix_from_doc(strict_json(out)["rho"]) - rho).max() < 1e-10
+
+
+def test_sweep_trials_bound_exit_2_before_sampling(capsys, monkeypatch):
+    from spintomo import cli
+
+    assert cli.MAX_TRIALS == 100_000
+    monkeypatch.setattr(cli, "random_density_matrices", _refuse_allocation)
+    code, out, err = run_cli(capsys, "sweep", "--trials", "100001")
+    assert (code, out) == (2, "")
+    assert err == "error: --trials must be at most 100000, got 100001\n"
+
+
+def _refuse_read(*args, **kwargs):
+    raise AssertionError("an input file above the size bound was read")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("verify",), ("reconstruct", "--mode", "from-p"), ("reconstruct", "--mode", "from-w-integral")],
+)
+def test_oversized_input_exit_2_unread(capsys, tmp_path, monkeypatch, args):
+    from spintomo import cli
+
+    assert cli.MAX_INPUT_BYTES == 16 * 1024 * 1024
+    payload = tmp_path / "big.json"
+    with open(payload, "wb") as handle:
+        handle.truncate(cli.MAX_INPUT_BYTES + 1)  # sparse: no blocks written
+    monkeypatch.setattr(Path, "read_text", _refuse_read)
+    code, out, err = run_cli(capsys, *args, "--input", str(payload))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {str(payload)!r} has 16777217 bytes, more than the 16777216 "
+        "accepted for an input file\n"
+    )
+
+
+def test_overflowing_bloch_norm_prints_only_the_error(capsys):
+    # numpy reports an overflow through the warnings machinery, which would
+    # print it, with a source path, on stderr before the error line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "p-table", "--state", "bloch=1e308,1e308,0")
+    assert (code, out) == (3, "")
+    assert err == "error: Bloch vector norm inf exceeds 1/2; state would not be positive\n"
+
+
+def test_reconstruct_integral_state_at_spin_within_tolerance(capsys, validator, tmp_path):
+    # A j within the 1e-9 tolerance of 1/2 is spin 1/2 for a state as for a rho.
+    code, doc, _ = run_doc(
+        capsys, validator, *_integral_input(tmp_path, {"j": 0.5000000001, "state": "up_z"})
+    )
+    assert code == 0
+    assert doc["j"] == 0.5000000001
+    assert np.abs(matrix_from_doc(doc["rho"]) - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def _p_table_entries(**first):

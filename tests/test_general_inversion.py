@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -555,3 +557,12 @@ def test_warm_reconstruction_temporaries_stay_small(j):
         tracemalloc.stop()
     assert sampling_peak < 2.5 * size
     assert reconstruction_peak < 4.5 * size
+
+
+def test_import_leaves_out_fractions():
+    # Only the exact reference wigner_3j needs fractions; importing it (and
+    # decimal with it) would cost every process that imports the package.
+    code = "import sys, spintomo; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]

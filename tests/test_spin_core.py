@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -136,6 +139,21 @@ def test_bloch_round_trip_random(b):
 def test_bloch_vector_too_long_rejected():
     with pytest.raises(NonPhysicalStateError):
         density_from_bloch(np.array([0.6, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "b", [[1e149, -3e149, 2e149], [5e153, 0.0, -4e153], [1e154, 1e154, 1e154], [1e308, 1e308, 0.0]]
+)
+def test_long_bloch_vector_norm_without_warning(b):
+    # The reported norm is sqrt(b . b) as numpy forms it, inf once the sum of
+    # squares overflows, and numpy's overflow warning is never raised.
+    v = np.array(b)
+    with np.errstate(over="ignore"):
+        expected = np.sqrt(v.dot(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPhysicalStateError, match=re.escape(f"norm {expected:.6g} exceeds")):
+            density_from_bloch(v)
 
 
 def test_mean_values_are_twice_bloch():
