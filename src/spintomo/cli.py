@@ -71,9 +71,9 @@ SCHEMA_VERSION = "1"
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
 # from a ``rho`` peaks at about 155 MB, most of it the (2j+1) x n_theta x
 # n_phi sample array and the two intermediates of the same size that the
-# kernel makes from it.  Input files are read whole and parsed by ``json``;
-# at 16 MiB the most memory-hungry documents found (millions of small
-# objects) peak at about 580 MB.
+# kernel makes from it.  Input files, pipes included, are read whole up to
+# 16 MiB and parsed by ``json``; at 16 MiB the most memory-hungry documents
+# found (millions of small objects) peak at about 580 MB.
 MAX_GRID = 256
 MAX_TRIALS = 100_000
 MAX_OVERSAMPLE = 4
@@ -269,7 +269,16 @@ def _load_json(path: str):
                 f"{path!r} has {size} bytes, more than the {MAX_INPUT_BYTES} "
                 "accepted for an input file"
             )
-        text = Path(path).read_text(encoding="utf-8")
+        # A pipe reports size 0, so the read is bounded as well.
+        with Path(path).open("rb") as handle:
+            raw = handle.read(MAX_INPUT_BYTES + 1)
+        if len(raw) > MAX_INPUT_BYTES:
+            raise CliError(
+                f"{path!r} has more than the {MAX_INPUT_BYTES} bytes accepted "
+                "for an input file"
+            )
+        # Universal newlines, as a text-mode read gives them.
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -400,24 +409,17 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     records = data["samples"]
     if not isinstance(records, list):
         raise CliError("'samples' must be a list of {m, theta, phi, w} records")
+    # Parsed up to the first malformed record; the records before it are
+    # still checked first.
     malformed = None
-    try:
-        values = np.fromiter(
-            (float(record[field]) for record in records for field in _SAMPLE_FIELDS),
-            dtype=float,
-            count=4 * len(records),
-        )
-    except _SAMPLE_ERRORS:
-        # Parse again, record by record, up to the first malformed one.
-        parsed = []
-        for record in records:
-            try:
-                parsed.extend([float(record[field]) for field in _SAMPLE_FIELDS])
-            except _SAMPLE_ERRORS as exc:
-                malformed = CliError(f"malformed sample {record!r}: {exc}")
-                break
-        values = np.array(parsed, dtype=float)
-    rows = values.reshape(-1, 4)
+    parsed = []
+    for record in records:
+        try:
+            parsed.extend([float(record[field]) for field in _SAMPLE_FIELDS])
+        except _SAMPLE_ERRORS as exc:
+            malformed = CliError(f"malformed sample {record!r}: {exc}")
+            break
+    rows = np.array(parsed, dtype=float).reshape(-1, 4)
     m1, theta, phi, w = rows.T
 
     ms = np.array(m_values(j)[::-1])
@@ -665,6 +667,10 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
         density_from_p(p_from_density(rho, tol), tol)
         density_from_w_axes(w_axes(rho, tol), tol)
         verify_radon_consistency(rho, tol)
+        raise AssertionError(
+            f"sweep state {int(failed.argmax())} fails an array check that its "
+            "scalar route passes"
+        )
     return {
         "p_round_trip": p_round_trip,
         "w_axes_round_trip": w_axes_round_trip,

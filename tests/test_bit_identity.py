@@ -387,6 +387,17 @@ def test_sweep_refuses_as_scalar_route():
     }
 
 
+def test_sweep_disagreement_raises(monkeypatch):
+    # A state that an array check refuses and the scalar route accepts must
+    # fail the sweep loudly, not let it report on the batch.
+    from spintomo import cli
+
+    for name in ("density_from_p", "density_from_w_axes", "verify_radon_consistency"):
+        monkeypatch.setattr(cli, name, lambda *args: None)
+    with pytest.raises(AssertionError, match=r"sweep state \d+ fails an array check"):
+        _sweep_deviations(random_density_matrices(3, seed=3), 0.0)
+
+
 def _grid_nodes(n):
     # The nodes of ``w --grid n``.
     x, _ = np.polynomial.legendre.leggauss(n)

@@ -1,7 +1,9 @@
 import itertools
 import json
+import os
 import subprocess
 import sys
+import threading
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -756,11 +758,51 @@ def test_oversized_input_exit_2_unread(capsys, tmp_path, monkeypatch, args):
     with open(payload, "wb") as handle:
         handle.truncate(cli.MAX_INPUT_BYTES + 1)  # sparse: no blocks written
     monkeypatch.setattr(Path, "read_text", _refuse_read)
+    monkeypatch.setattr(Path, "open", _refuse_read)
     code, out, err = run_cli(capsys, *args, "--input", str(payload))
     assert (code, out) == (2, "")
     assert err == (
         f"error: {str(payload)!r} has 16777217 bytes, more than the 16777216 "
         "accepted for an input file\n"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_piped_input_over_the_bound_exit_2(capsys, tmp_path):
+    # A pipe reports size 0 to stat, so only a bounded read can refuse it.
+    from spintomo import cli
+
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+
+    def feed():
+        try:
+            with open(pipe, "wb") as handle:
+                handle.write(b" " * (cli.MAX_INPUT_BYTES + 1))
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    code, out, err = run_cli(capsys, "verify", "--input", str(pipe))
+    writer.join(timeout=30)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {str(pipe)!r} has more than the 16777216 bytes accepted for an "
+        "input file\n"
+    )
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_input_newlines_read_as_text(capsys, tmp_path, newline):
+    # Positions in a JSON error count a CRLF or lone CR as one newline.
+    payload = tmp_path / "input.json"
+    payload.write_bytes(b"{" + newline + b'"p_table": }')
+    code, out, err = run_cli(capsys, "verify", "--input", str(payload))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {str(payload)!r} is not valid JSON: Expecting value: line 2 "
+        "column 12 (char 13)\n"
     )
 
 
