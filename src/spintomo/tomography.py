@@ -40,9 +40,20 @@ def _canonical_angles(phi: float, theta: float, psi: float):
     return phi % _TWO_PI, theta, psi % _TWO_PI
 
 
+def _finite_angle(name: str, value) -> float:
+    """``value`` as a float, refused with a ``ValueError`` unless finite."""
+    angle = float(value)
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle!r}")
+    return angle
+
+
 @dataclass(frozen=True)
 class EulerAngles:
-    """Frame rotation angles (phi, theta, psi), stored in canonical ranges."""
+    """Frame rotation angles (phi, theta, psi), stored in canonical ranges.
+
+    A non-finite angle raises ``ValueError``.
+    """
 
     phi: float
     theta: float
@@ -50,7 +61,9 @@ class EulerAngles:
 
     def __post_init__(self):
         phi, theta, psi = _canonical_angles(
-            float(self.phi), float(self.theta), float(self.psi)
+            _finite_angle("phi", self.phi),
+            _finite_angle("theta", self.theta),
+            _finite_angle("psi", self.psi),
         )
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", theta)
@@ -59,13 +72,17 @@ class EulerAngles:
 
 @dataclass(frozen=True)
 class Direction:
-    """Measurement direction on the sphere: polar ``theta``, azimuth ``phi``."""
+    """Measurement direction on the sphere: polar ``theta``, azimuth ``phi``.
+
+    A non-finite angle raises ``ValueError``.
+    """
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        phi, theta, _ = _canonical_angles(float(self.phi), float(self.theta), 0.0)
+        theta = _finite_angle("theta", self.theta)
+        phi, theta, _ = _canonical_angles(_finite_angle("phi", self.phi), theta, 0.0)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -126,7 +143,9 @@ def _rotation(phi: float, theta: float, psi: float) -> np.ndarray:
     c = math.cos(half)
     s = math.sin(half)
     e_sum = _half_phase(phi + psi)
-    e_diff = _half_phase(phi - psi)
+    # With psi = 0, phi + psi and phi - psi differ at most in the sign of a
+    # zero, which _half_phase drops.
+    e_diff = e_sum if psi == 0.0 else _half_phase(phi - psi)
     return np.array(
         [
             [c * e_sum, s * e_diff.conjugate()],
@@ -134,6 +153,18 @@ def _rotation(phi: float, theta: float, psi: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+# The rotations onto the x, y and z axes, stacked in the order of ``AXES``,
+# and their adjoints, built once and read-only.  Each adjoint is the
+# transposed view of the conjugate, as ``d.conj().T`` is, so that the stacked
+# ``R @ m @ R^dagger`` runs the 2x2 matrix products of one axis at a time.
+_AXIS_ROTATIONS = np.array(
+    [_rotation(AXIS_DIRECTIONS[a].phi, AXIS_DIRECTIONS[a].theta, 0.0) for a in AXES]
+)
+_AXIS_ROTATIONS.flags.writeable = False
+_AXIS_ADJOINTS = _AXIS_ROTATIONS.conj().swapaxes(-1, -2)
+_AXIS_ADJOINTS.flags.writeable = False
 
 
 def rotation_matrix(u: EulerAngles) -> np.ndarray:
@@ -163,12 +194,8 @@ def _w_of(m: np.ndarray, u) -> Tomogram:
         direction, d = Direction(theta=u.theta, phi=u.phi), _rotation(u.phi, u.theta, u.psi)
     # The matrix product, not a scalar formula for the diagonal: the two
     # differ in the last bit on most inputs.
-    rotated = d @ m @ d.conj().T
-    return Tomogram(
-        w_plus=float(rotated[0, 0].real),
-        w_minus=float(rotated[1, 1].real),
-        direction=direction,
-    )
+    (w_plus, _), (_, w_minus) = (d @ m @ d.conj().T).real.tolist()
+    return Tomogram(w_plus=w_plus, w_minus=w_minus, direction=direction)
 
 
 def _w_grid(m: np.ndarray, thetas, phis):
@@ -218,7 +245,9 @@ def mean_from_w(tomogram: Tomogram) -> float:
 
 
 def _w_axes_of(m: np.ndarray) -> AxisTriple:
-    wx, wy, wz = (_w_of(m, AXIS_DIRECTIONS[axis]).w_plus for axis in AXES)
+    """Axis triple of an already validated ``m``, with the bits of ``_w_of``
+    along each of ``AXIS_DIRECTIONS``."""
+    wx, wy, wz = (_AXIS_ROTATIONS @ m @ _AXIS_ADJOINTS)[:, 0, 0].real.tolist()
     return AxisTriple(wx_plus=wx, wy_plus=wy, wz_plus=wz)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from spintomo import (
+    AXIS_DIRECTIONS,
     NonPhysicalStateError,
     SIGMA_X,
     SIGMA_Y,
@@ -44,7 +45,8 @@ from spintomo import (
 )
 from spintomo.cli import _admissibility_maxima, _sweep_deviations
 from spintomo.quasiprob import _table_from_entries
-from spintomo.tomography import _w_grid
+from spintomo.spin_core import AXES
+from spintomo.tomography import _AXIS_ADJOINTS, _AXIS_ROTATIONS, _w_grid
 
 from conftest import NAMED_STATES
 
@@ -267,6 +269,8 @@ def test_p_oracle_matches_array_form():
 def test_rotation_matrix_matches_array_form():
     angles = list(zip(*_directions(N_STATES)))
     angles += [(0.0, 0.0, 0.0), (math.pi, math.pi, math.pi), (1.0, 2.0, 2.0)]
+    signed = [0.0, -0.0, 1.0, -1.0, 2 * math.pi]
+    angles += [(theta, phi, psi) for theta in (0.0, 1.0) for phi in signed for psi in signed]
     for theta, phi, psi in angles:
         u = EulerAngles(phi=phi, theta=theta, psi=psi)
         assert rotation_matrix(u).tobytes() == ref_rotation(u).tobytes()
@@ -282,8 +286,16 @@ def test_w_value_matches_array_form():
             )
 
 
+def _axis_states():
+    # Random and named states; Bloch states with signed zero components, the
+    # unpolarized state among them; pure states on the sphere; and
+    # transposed views, which are density matrices in a strided layout.
+    states = STATES + _signed_zero_bloch_states() + list(_pure_states(200, 11))
+    return states + [rho.T for rho in STATES[:100]]
+
+
 def test_w_axes_and_radon_link_match_array_form():
-    for rho in STATES:
+    for rho in _axis_states():
         triple, ref = w_axes(rho), ref_w_axes(rho)
         assert bits(triple.wx_plus, triple.wy_plus, triple.wz_plus) == bits(
             ref.wx_plus, ref.wy_plus, ref.wz_plus
@@ -291,6 +303,39 @@ def test_w_axes_and_radon_link_match_array_form():
         assert table_bits(p_from_w(triple)) == table_bits(ref_p_from_w(ref))
         delta = np.abs(ref_p_from_w(ref).to_array() - ref_table_from_matrix(rho).to_array())
         assert bits(verify_radon_consistency(rho).max_abs_delta) == bits(float(np.max(delta)))
+
+
+def test_axis_rotation_stack_is_the_per_axis_rotations():
+    assert _AXIS_ROTATIONS.shape == _AXIS_ADJOINTS.shape == (3, 2, 2)
+    for k, axis in enumerate(AXES):
+        u = AXIS_DIRECTIONS[axis]
+        d = rotation_matrix(u.euler())
+        assert _AXIS_ROTATIONS[k].tobytes() == d.tobytes()
+        assert _AXIS_ADJOINTS[k].tobytes() == d.conj().T.tobytes()
+        assert _AXIS_ADJOINTS[k].strides == d.conj().T.strides
+    for stack in (_AXIS_ROTATIONS, _AXIS_ADJOINTS):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+
+
+def test_w_value_direction_and_euler_angles_agree():
+    # The Euler angles (phi, theta, 0) of a Direction's own, canonical angles.
+    # Raw angles with theta folded from (pi, 2pi) are a different triple: the
+    # fold moves pi into psi, and the rounding may then differ.
+    theta, phi, _ = _directions(N_STATES)
+    signed = [0.0, -0.0, math.pi / 2, math.pi, 3 * math.pi, -math.pi]
+    angles = list(zip(theta, phi)) + [(t, p) for t in signed for p in signed]
+    states = _axis_states()
+    for k, (theta, phi) in enumerate(angles):
+        rho = states[k % len(states)]
+        u = Direction(theta=theta, phi=phi)
+        by_direction = w_value(rho, u)
+        by_euler = w_value(rho, EulerAngles(phi=u.phi, theta=u.theta, psi=0.0))
+        assert bits(by_direction.w_plus, by_direction.w_minus) == bits(
+            by_euler.w_plus, by_euler.w_minus
+        )
+        assert by_direction.direction == by_euler.direction
 
 
 def test_density_from_bloch_matches_array_form():

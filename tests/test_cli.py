@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -804,6 +805,42 @@ def test_input_newlines_read_as_text(capsys, tmp_path, newline):
         f"error: {str(payload)!r} is not valid JSON: Expecting value: line 2 "
         "column 12 (char 13)\n"
     )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text", ['{"w_axes": [0.5, 0.5, 0.5]}', '{"w_axes": ', "[" * 100_000],
+    ids=["valid", "invalid", "nested"],
+)
+def test_input_parsed_with_gc_paused_then_restored(monkeypatch, tmp_path, text, enabled):
+    # The cyclic garbage collector is off during the parse, and afterwards in
+    # the state the caller left it, whether the parse succeeded or not.
+    from types import SimpleNamespace
+
+    from spintomo import cli
+
+    during = []
+
+    def loads(s):
+        during.append(gc.isenabled())
+        return json.loads(s)
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(loads=loads))
+    payload = tmp_path / "input.json"
+    payload.write_text(text)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            result = cli._load_json(str(payload))
+        except cli.CliError:
+            result = None
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
+    assert after is enabled
+    assert (result is not None) == (text == '{"w_axes": [0.5, 0.5, 0.5]}')
 
 
 def test_overflowing_bloch_norm_prints_only_the_error(capsys):

@@ -566,3 +566,14 @@ def test_import_leaves_out_fractions():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["phi", "theta", "psi"])
+def test_spin_j_rotations_refuse_non_finite_angle(name, value):
+    # The Euler angles are refused before any d^j is evaluated.
+    angles = {"phi": 0.5, "theta": 1.0, "psi": 0.1, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        wigner_D(1, 0, 1, EulerAngles(**angles))
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        rotation_matrix_j(1.5, EulerAngles(**angles))

@@ -203,3 +203,37 @@ def test_w_from_bloch_rejects_non_finite_vector():
 
     with pytest.raises(NonPhysicalStateError, match="not finite"):
         w_from_bloch(np.array([0.1, np.nan, 0.0]), AXIS_DIRECTIONS["x"])
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["theta", "phi"])
+def test_direction_refuses_non_finite_angle(name, value):
+    angles = {"theta": 1.0, "phi": 0.5, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        Direction(**angles)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        w_value(np.eye(2) / 2, Direction(**angles))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["phi", "theta", "psi"])
+def test_euler_angles_refuse_non_finite_angle(name, value):
+    angles = {"phi": 0.5, "theta": 1.0, "psi": 0.1, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        EulerAngles(**angles)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        w_value(np.eye(2) / 2, EulerAngles(**angles))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        rotation_matrix(EulerAngles(**angles))
+
+
+def test_finite_angles_are_taken_as_floats():
+    u = EulerAngles(np.float32(0.5), 1, np.int64(0))
+    assert (u.phi, u.theta, u.psi) == (float(np.float32(0.5)), 1.0, 0.0)
+    assert all(type(a) is float for a in (u.phi, u.theta, u.psi))
+    d = Direction(theta=np.float64(1.0), phi=-0.0)
+    assert (d.theta, d.phi) == (1.0, 0.0)
+    assert all(type(a) is float for a in (d.theta, d.phi))
