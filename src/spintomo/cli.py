@@ -37,27 +37,32 @@ from .general_inversion import (
     w_callable_from_density,
 )
 from .quasiprob import (
-    _MARGINAL_VERTICES,
-    _MINUS,
-    _ORACLE_TERMS,
-    _PLUS,
-    _X_KETS,
     VERTEX_ORDER,
     QuasiProbTable,
+    _admissibility_maxima,
+    _batch_admissibility_maxima,
+    _matrix_entries,
+    _p_oracles,
+    _table_values,
     check_admissibility,
     density_from_p,
     marginal,
     p_from_density,
     p_oracle,
 )
-from .radon_link import p_from_w, verify_radon_consistency
+from .radon_link import (
+    _outside_unit_ball,
+    _w_table_values,
+    p_from_w,
+    verify_radon_consistency,
+)
 from .sampling import random_density_matrices
-from .spin_core import density_from_bloch, require_density, validate_density
+from .spin_core import _reports, density_from_bloch, require_density, validate_density
 from .tomography import (
-    _AXIS_ADJOINTS,
-    _AXIS_ROTATIONS,
     AxisTriple,
     EulerAngles,
+    _density_entries,
+    _w_axes_values,
     _w_grid,
     density_from_w_axes,
     w_axes,
@@ -219,23 +224,6 @@ def _triple_from_obj(obj) -> AxisTriple:
     if not all(map(math.isfinite, (triple.wx_plus, triple.wy_plus, triple.wz_plus))):
         raise CliError(f"'w_axes' values must be finite, got {obj!r}")
     return triple
-
-
-def _admissibility_maxima(report) -> dict:
-    """The largest deviation of each kind in an admissibility report, keyed
-    by the suffix of its ``verify`` check name."""
-    density = report.density_report
-    return {
-        "total": report.total_deviation,
-        "marginal-imag": max(m.imag_magnitude for m in report.marginals),
-        "marginal-range": max(m.range_violation for m in report.marginals),
-        "density": max(
-            density.hermiticity_deviation,
-            density.trace_deviation,
-            max(0.0, -density.min_eigenvalue),
-        ),
-        "redundancy": report.redundancy_deviation,
-    }
 
 
 def _admissibility_obj(report) -> dict:
@@ -519,7 +507,10 @@ def cmd_reconstruct(args):
     if "samples" in data:
         w = _w_from_samples(data, grid, j)
     elif "rho" in data:
-        source = require_density_j(_matrix_from_obj(data["rho"]), args.tol)
+        # Entries near the float range give an inf or NaN deviation, which
+        # fails validation, without numpy's overflow warnings on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            source = require_density_j(_matrix_from_obj(data["rho"]), args.tol)
         if source.shape[0] != int(round(2 * j)) + 1:
             raise CliError(
                 f"'rho' has dimension {source.shape[0]} but spin {j} needs "
@@ -560,116 +551,26 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
     Each array has the bits that the scalar route gives state by state:
     ``p_from_density`` -> ``density_from_p``, ``w_axes`` ->
     ``density_from_w_axes``, ``verify_radon_consistency``, ``p_oracle`` and
-    ``check_admissibility``.  Every step is its scalar formula applied
-    elementwise, in the same order.  Python's ``abs`` of a complex is
-    ``np.hypot``, numpy's vectorised ``abs`` stays ``np.abs``, sums run left
-    to right, the products by (1 +- i)/4 and 1 +- i are exact before rounding,
-    and the oracle's general products are written out part by part, as
-    Python forms them.  The first state that fails a check of the scalar
-    route goes through the scalar functions, which raise its error.
+    ``check_admissibility``, whose arithmetic, or its array twin, runs on all
+    states at once.  The first state that fails a check goes through the
+    scalar functions, which raise its error.
     """
 
-    def hypot(z):
-        return np.hypot(z.real, z.imag)
+    def passes(entries):
+        # validate_density of each row of an (N, 4) array of matrix entries
+        return _reports(*entries.T, tol).passed
 
-    def larger(a, b):
-        # Python's max(a, b), which keeps a unless b is larger: a zero stays
-        # +0.0 against -0.0, where np.maximum may return either.
-        return np.where(b > a, b, a)
+    def largest_gap(a, b):
+        return np.abs(a - b).max(axis=1)
 
-    def validation(a, b, c, d):
-        # spin_core._report: hermiticity, trace, min eigenvalue, passed
-        herm = np.maximum(
-            np.maximum(np.abs(b - c.conj()), hypot(a - a.conj())), hypot(d - d.conj())
-        )
-        trace = hypot(a + d - 1.0)
-        h00 = (0.5 * (a + a.conj())).real
-        h11 = (0.5 * (d + d.conj())).real
-        radius = np.hypot(0.5 * (h00 - h11), hypot(0.5 * (b + c.conj())))
-        min_eig = 0.5 * (h00 + h11) - radius
-        return herm, trace, min_eig, (herm <= tol) & (trace <= tol) & (min_eig >= -tol)
-
-    def table_of(pp, pm, mp, mm):
-        # quasiprob._table_from_entries, as an (N, 8) array in VERTEX_ORDER
-        s_top, d_top, s_bottom, d_bottom = pp + pm, pp - pm, mm + mp, mm - mp
-        return np.stack(
-            [
-                _PLUS * s_top, _MINUS * d_top, _MINUS * s_top, _PLUS * d_top,
-                _MINUS * s_bottom, _PLUS * d_bottom, _PLUS * s_bottom, _MINUS * d_bottom,
-            ],
-            axis=1,
-        )
-
-    n = len(states)
-    flat = states.reshape(n, 4)
-    *_, rho_ok = validation(*flat.T)
-    table = table_of(*flat.T)
-
-    # density_from_p
-    pp = (1.0 - 1.0j) * table[:, 0] + (1.0 + 1.0j) * table[:, 1]
-    pm = (1.0 - 1.0j) * table[:, 0] - (1.0 + 1.0j) * table[:, 1]
-    entries = (pp, pm, pm.conj(), 1.0 - pp)
-    herm, trace, min_eig, table_ok = validation(*entries)
-    p_round_trip = np.abs(np.stack(entries, axis=1) - flat).max(axis=1)
-
-    # w_axes and density_from_w_axes
-    rotated = _AXIS_ROTATIONS @ states[:, None] @ _AXIS_ADJOINTS
-    wx, wy, wz = rotated[:, :, 0, 0].real.T
-    off = (wx - 0.5) - 1.0j * (wy - 0.5)
-    axes_entries = (wz.astype(complex), off, off.conj(), (1.0 - wz).astype(complex))
-    *_, axes_ok = validation(*axes_entries)
-    w_axes_round_trip = np.abs(np.stack(axes_entries, axis=1) - flat).max(axis=1)
-
-    # verify_radon_consistency: p_from_w's check and entries
-    mx, my, mz = 2.0 * wx - 1.0, 2.0 * wy - 1.0, 2.0 * wz - 1.0
-    radon_ok = ~(mx * mx + my * my + mz * mz > 1.0 + tol)
-    wz_minus = 1.0 - wz
-    up = wx - 1.0j * wy + wz
-    up_flip = -wx + 1.0j * wy + wz
-    down = wx + 1.0j * wy + wz_minus
-    down_flip = -wx - 1.0j * wy + wz_minus
-    direct = np.stack(
-        [
-            _PLUS * up - 0.25, _MINUS * up_flip - 0.25j,
-            _MINUS * up + 0.25j, _PLUS * up_flip + 0.25,
-            _MINUS * down - 0.25, _PLUS * down_flip + 0.25j,
-            _PLUS * down - 0.25j, _MINUS * down_flip + 0.25,
-        ],
-        axis=1,
-    )
-    radon_consistency = np.abs(direct - table).max(axis=1)
-
-    # p_oracle: weight * <a;z| rho |c;x>, the ket selecting one image entry
-    images = {c: states @ ket for c, ket in _X_KETS.items()}
-    delta = np.empty_like(table)
-    for k, (weight, ket_a, c) in enumerate(_ORACLE_TERMS):
-        x = images[c] @ ket_a.conj()
-        delta[:, k].real = weight.real * x.real - weight.imag * x.imag - table[:, k].real
-        delta[:, k].imag = weight.real * x.imag + weight.imag * x.real - table[:, k].imag
-    oracle_equivalence = np.abs(delta).max(axis=1)
-
-    # check_admissibility, reduced as _admissibility_maxima and cmd_sweep did
-    total = table[:, 0]
-    for k in range(1, 8):
-        total = total + table[:, k]
-    marginal_imag = marginal_range = 0.0
-    for vertices in _MARGINAL_VERTICES.values():
-        first, *rest = (VERTEX_ORDER.index(v) for v in vertices)
-        value = table[:, first]
-        for k in rest:
-            value = value + table[:, k]
-        real = value.real
-        violation = larger(larger(0.0, -real), real - 1.0)
-        marginal_imag = larger(marginal_imag, np.abs(value.imag))
-        marginal_range = larger(marginal_range, violation)
-    redundancy = hypot(table - table_of(*entries)).max(axis=1)
-    density = larger(larger(herm, trace), larger(0.0, -min_eig))
-    admissibility = larger(
-        larger(larger(larger(hypot(total - 1.0), redundancy), marginal_imag), marginal_range),
-        density,
-    )
-
-    failed = ~(rho_ok & table_ok & axes_ok & radon_ok)
+    flat = states.reshape(len(states), 4)
+    table = np.stack(_table_values(*flat.T), axis=1)
+    from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
+    w = _w_axes_values(states).T
+    triple = AxisTriple(*w)
+    from_w_axes = np.stack(_density_entries(triple), axis=1)
+    in_ball = ~_outside_unit_ball(triple, tol)
+    failed = ~(passes(flat) & passes(from_p) & passes(from_w_axes) & in_ball)
     if failed.any():
         rho = states[int(failed.argmax())]
         density_from_p(p_from_density(rho, tol), tol)
@@ -680,11 +581,11 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
             "scalar route passes"
         )
     return {
-        "p_round_trip": p_round_trip,
-        "w_axes_round_trip": w_axes_round_trip,
-        "radon_consistency": radon_consistency,
-        "oracle_equivalence": oracle_equivalence,
-        "admissibility": admissibility,
+        "p_round_trip": largest_gap(from_p, flat),
+        "w_axes_round_trip": largest_gap(from_w_axes, flat),
+        "radon_consistency": largest_gap(np.stack(_w_table_values(*w), axis=1), table),
+        "oracle_equivalence": largest_gap(_p_oracles(states), table),
+        "admissibility": np.maximum.reduce([*_batch_admissibility_maxima(table).values()]),
     }
 
 
@@ -709,7 +610,10 @@ def cmd_verify(args):
         triple = _triple_from_obj(data["w_axes"])
         doc["w_axes"] = _w_axes_obj(triple)
         ws = (triple.wx_plus, triple.wy_plus, triple.wz_plus)
-        deviation = max(0.0, float(np.linalg.norm(triple.mean_values())) - 1.0)
+        # Squares above the float range make the norm inf, which the
+        # document refuses, without numpy's overflow warning on stderr.
+        with np.errstate(over="ignore"):
+            deviation = max(0.0, float(np.linalg.norm(triple.mean_values())) - 1.0)
         deviation = max(deviation, *(max(0.0, w - 1.0, -w) for w in ws))
         checks.append(_check_obj("triple-physicality", deviation, args.tol))
     if table is not None and triple is not None:

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import NonPhysicalStateError
 from .spin_core import TOL, ValidationReport
-from .tomography import EulerAngles
+from .tomography import EulerAngles, _finite_angle
 
 _TWO_PI = 2.0 * math.pi
 
@@ -171,8 +171,8 @@ def _check_projection(tj, tm, name):
 def wigner_small_d(j, mp, m, theta: float) -> float:
     """Rotation matrix element d^j_{mp, m}(theta) in this module's convention.
 
-    Out-of-multiplet projections raise ``ValueError``.  For j = 1/2 the
-    matrix over (mp, m) in descending order is
+    Out-of-multiplet projections and a non-finite ``theta`` raise
+    ``ValueError``.  For j = 1/2 the matrix over (mp, m) in descending order is
     [[cos(theta/2), sin(theta/2)], [-sin(theta/2), cos(theta/2)]].
     """
     tj = _twice_spin(j)
@@ -180,7 +180,8 @@ def wigner_small_d(j, mp, m, theta: float) -> float:
     tm = _twice(m)
     _check_projection(tj, tmp, "mp")
     _check_projection(tj, tm, "m")
-    return float(_small_d_matrix(tj, float(theta))[(tj - tmp) // 2, (tj - tm) // 2])
+    d = _small_d_matrix(tj, _finite_angle("theta", theta))
+    return float(d[(tj - tmp) // 2, (tj - tm) // 2])
 
 
 def wigner_D(j, mp, m, u: EulerAngles) -> complex:
@@ -281,9 +282,10 @@ def w_callable_from_density(rho, tol: float = TOL) -> DensityTomogram:
 class DensityTomogram:
     """Tomogram family of a fixed density matrix.
 
-    Calling it as ``w(m1, theta, phi)`` evaluates one node; ``samples(grid)``
-    returns every node of a quadrature grid as the sample array that
-    ``reconstruct_density_j`` accepts.
+    Calling it as ``w(m1, theta, phi)`` evaluates one node, and refuses a
+    non-finite angle with ``ValueError``; ``samples(grid)`` returns every node
+    of a quadrature grid as the sample array that ``reconstruct_density_j``
+    accepts.
     """
 
     __slots__ = ("rho", "tj", "_ms")
@@ -297,8 +299,8 @@ class DensityTomogram:
         tm1 = _twice(m1)
         _check_projection(self.tj, tm1, "m1")
         # The k-th diagonal entry of D rho D^dagger; the psi phase cancels.
-        row = _small_d_matrix(self.tj, float(theta))[(self.tj - tm1) // 2]
-        row = row * np.exp(1j * self._ms * float(phi))
+        row = _small_d_matrix(self.tj, _finite_angle("theta", theta))[(self.tj - tm1) // 2]
+        row = row * np.exp(1j * self._ms * _finite_angle("phi", phi))
         return float(np.real(row @ self.rho @ row.conj()))
 
     def samples(self, grid: QuadratureGrid) -> np.ndarray:

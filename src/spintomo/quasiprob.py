@@ -11,6 +11,7 @@ that an admissibility check can exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Mapping, Tuple
 
 import numpy as np
@@ -21,8 +22,10 @@ from .spin_core import (
     ValidationReport,
     _check_axis,
     _check_sign,
+    _hypot,
     _nanmax,
     _report,
+    _reports,
     _require,
     eigenket,
     overlap,
@@ -113,20 +116,15 @@ _PLUS = 0.25 * (1.0 + 1.0j)
 _MINUS = 0.25 * (1.0 - 1.0j)
 
 
-def _table_from_entries(rho_pp, rho_pm, rho_mp, rho_mm) -> QuasiProbTable:
-    # Python complex arithmetic: a scalar product has the bits of numpy's
-    # scalar product, which a 2x2 array product would not.
-    return QuasiProbTable._trusted(
-        (
-            _PLUS * (rho_pp + rho_pm),
-            _MINUS * (rho_pp - rho_pm),
-            _MINUS * (rho_pp + rho_pm),
-            _PLUS * (rho_pp - rho_pm),
-            _MINUS * (rho_mm + rho_mp),
-            _PLUS * (rho_mm - rho_mp),
-            _PLUS * (rho_mm + rho_mp),
-            _MINUS * (rho_mm - rho_mp),
-        )
+def _table_values(rho_pp, rho_pm, rho_mp, rho_mm):
+    """The table of [[rho_pp, rho_pm], [rho_mp, rho_mm]] in ``VERTEX_ORDER``.
+    Only + - *, so Python complex numbers, numpy scalars and arrays give the
+    same bits (a 2x2 matrix product would not)."""
+    s_top, d_top = rho_pp + rho_pm, rho_pp - rho_pm
+    s_bottom, d_bottom = rho_mm + rho_mp, rho_mm - rho_mp
+    return (
+        _PLUS * s_top, _MINUS * d_top, _MINUS * s_top, _PLUS * d_top,
+        _MINUS * s_bottom, _PLUS * d_bottom, _PLUS * s_bottom, _MINUS * d_bottom,
     )
 
 
@@ -137,7 +135,7 @@ def p_from_density(rho, tol: float = TOL) -> QuasiProbTable:
     density-matrix elements; see :func:`p_oracle` for the equivalent
     eigenket-overlap construction.
     """
-    return _table_from_entries(*_require(rho, tol)[1])
+    return QuasiProbTable._trusted(_table_values(*_require(rho, tol)[1]))
 
 
 # Per vertex (c, b, a) in VERTEX_ORDER: <c;x|b;y><b;y|a;z>, the ket |a;z>, and c.
@@ -161,11 +159,21 @@ def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
     )
 
 
-def _matrix_entries(table: QuasiProbTable):
-    # Only the two entries with (b, a) = (+1, +1) are needed; hermiticity and
-    # unit trace fix the rest of the matrix.
-    p_ppp = table[1, 1, 1]
-    p_mpp = table[-1, 1, 1]
+def _p_oracles(states: np.ndarray) -> np.ndarray:
+    """``p_oracle`` of an unchecked ``(N, 2, 2)`` stack, as an ``(N, 8)`` array.
+    Each weight's product is written out as Python forms it, for its bits."""
+    images = {c: states @ ket_c for c, ket_c in _X_KETS.items()}
+    out = np.empty((len(states), len(_ORACLE_TERMS)), dtype=complex)
+    for k, (weight, ket_a, c) in enumerate(_ORACLE_TERMS):
+        x = images[c] @ ket_a.conj()
+        out[:, k].real = weight.real * x.real - weight.imag * x.imag
+        out[:, k].imag = weight.real * x.imag + weight.imag * x.real
+    return out
+
+
+def _matrix_entries(p_ppp, p_mpp):
+    # The matrix entries from p(1, 1, 1) and p(-1, 1, 1) alone, as Python
+    # complex numbers or as arrays: hermiticity and unit trace fix the rest.
     rho_pp = (1.0 - 1.0j) * p_ppp + (1.0 + 1.0j) * p_mpp
     rho_pm = (1.0 - 1.0j) * p_ppp - (1.0 + 1.0j) * p_mpp
     return rho_pp, rho_pm, rho_pm.conjugate(), 1.0 - rho_pp
@@ -178,7 +186,7 @@ def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
     is validated and an :class:`AdmissibilityError` carrying the report is
     raised when the table does not come from a physical state.
     """
-    rho_pp, rho_pm, rho_mp, rho_mm = _matrix_entries(table)
+    rho_pp, rho_pm, rho_mp, rho_mm = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
     report = _report(rho_pp, rho_pm, rho_mp, rho_mm, tol)
     if not report.passed:
         raise AdmissibilityError(
@@ -250,10 +258,10 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
         real = value.real
         violation = _nanmax((0.0, -real, real - 1.0))
         checks.append(MarginalCheck(axis, sign, value, abs(value.imag), violation))
-    entries = _matrix_entries(table)
+    entries = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
     density_report = _report(*entries, tol)
-    regenerated = _table_from_entries(*entries)
-    redundancy = _nanmax([abs(table[v] - regenerated[v]) for v in VERTEX_ORDER])
+    regenerated = zip(VERTEX_ORDER, _table_values(*entries))
+    redundancy = _nanmax([abs(table[v] - value) for v, value in regenerated])
     return AdmissibilityReport(
         total=total,
         total_deviation=float(abs(total - 1.0)),
@@ -262,3 +270,50 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
         redundancy_deviation=redundancy,
         tol=tol,
     )
+
+
+def _admissibility_maxima(report: AdmissibilityReport) -> dict:
+    """The largest deviation of each kind in an admissibility report, keyed
+    by the suffix of its ``verify`` check name."""
+    density = report.density_report
+    return {
+        "total": report.total_deviation,
+        "marginal-imag": max(m.imag_magnitude for m in report.marginals),
+        "marginal-range": max(m.range_violation for m in report.marginals),
+        "density": max(
+            density.hermiticity_deviation,
+            density.trace_deviation,
+            max(0.0, -density.min_eigenvalue),
+        ),
+        "redundancy": report.redundancy_deviation,
+    }
+
+
+def _batch_admissibility_maxima(tables: np.ndarray) -> dict:
+    """``_admissibility_maxima(check_admissibility(table))`` of each row of an
+    ``(N, 8)`` array of finite tables, as arrays of shape ``(N,)``.
+
+    Sums run left to right, ``_hypot`` is Python's ``abs``, and ``np.where``
+    is ``max(0.0, x)``, which np.maximum may return as -0.0.  The other terms
+    are +0.0 or positive, so np.maximum keeps the bits of Python's ``max``.
+    """
+
+    def column_sum(vertices):
+        return reduce(np.add, (tables[:, VERTEX_ORDER.index(v)] for v in vertices))
+
+    def positive_part(x):
+        return np.where(x > 0.0, x, 0.0)
+
+    entries = _matrix_entries(tables[:, 0], tables[:, 1])
+    d = _reports(*entries)
+    marginals = [column_sum(vertices) for vertices in _MARGINAL_VERTICES.values()]
+    ranges = [positive_part(x) for v in marginals for x in (-v.real, v.real - 1.0)]
+    return {
+        "total": _hypot(column_sum(VERTEX_ORDER) - 1.0),
+        "marginal-imag": np.maximum.reduce([np.abs(v.imag) for v in marginals]),
+        "marginal-range": np.maximum.reduce(ranges),
+        "density": np.maximum.reduce(
+            [d.hermiticity_deviation, d.trace_deviation, positive_part(-d.min_eigenvalue)]
+        ),
+        "redundancy": _hypot(tables - np.stack(_table_values(*entries), axis=1)).max(axis=1),
+    }

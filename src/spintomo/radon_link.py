@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalStateError
-from .quasiprob import _MINUS, _PLUS, QuasiProbTable, _table_from_entries
+from .quasiprob import _MINUS, _PLUS, QuasiProbTable, _table_values
 from .spin_core import TOL, _require
-from .tomography import AxisTriple, _w_axes_of
+from .tomography import AxisTriple, _w_axes_values
 
 
 def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> QuasiProbTable:
@@ -37,12 +37,23 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
             raise NonPhysicalStateError(
                 f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
             )
-        mx, my, mz = triple.mean_values()
-        if mx * mx + my * my + mz * mz > 1.0 + tol:
+        if _outside_unit_ball(triple, tol):
             raise NonPhysicalStateError(
                 f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
                 "describe a physical state"
             )
+    return QuasiProbTable._trusted(_w_table_values(wx, wy, wz))
+
+
+def _outside_unit_ball(triple: AxisTriple, tol: float):
+    # Elementwise for a triple of arrays.
+    mx, my, mz = triple.mean_values()
+    return mx * mx + my * my + mz * mz > 1.0 + tol
+
+
+def _w_table_values(wx, wy, wz):
+    """The table of ``p_from_w`` in ``VERTEX_ORDER``.  Only + - *, so Python
+    floats and arrays give the same bits."""
     wz_minus = 1.0 - wz
     # Four linear combinations shared by pairs of entries; "flip" negates the
     # transverse (x, y) contributions.
@@ -50,17 +61,11 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
     up_flip = -wx + 1.0j * wy + wz
     down = wx + 1.0j * wy + wz_minus
     down_flip = -wx - 1.0j * wy + wz_minus
-    return QuasiProbTable._trusted(
-        (
-            _PLUS * up - 0.25,
-            _MINUS * up_flip - 0.25j,
-            _MINUS * up + 0.25j,
-            _PLUS * up_flip + 0.25,
-            _MINUS * down - 0.25,
-            _PLUS * down_flip + 0.25j,
-            _PLUS * down - 0.25j,
-            _MINUS * down_flip + 0.25,
-        )
+    return (
+        _PLUS * up - 0.25, _MINUS * up_flip - 0.25j,
+        _MINUS * up + 0.25j, _PLUS * up_flip + 0.25,
+        _MINUS * down - 0.25, _PLUS * down_flip + 0.25j,
+        _PLUS * down - 0.25j, _MINUS * down_flip + 0.25,
     )
 
 
@@ -80,10 +85,7 @@ class ConsistencyReport:
 def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
     m, entries = _require(rho, tol)
-    triple = _w_axes_of(m)
-    direct = p_from_w(triple, tol)
-    composed = _table_from_entries(*entries)
-    delta = float(
-        np.max(np.abs(direct.to_array() - composed.to_array()))
-    )
+    triple = AxisTriple(*_w_axes_values(m).tolist())
+    direct = p_from_w(triple, tol).to_array()
+    delta = float(np.max(np.abs(direct - np.array(_table_values(*entries)))))
     return ConsistencyReport(axis_triple=triple, max_abs_delta=delta, tol=tol)

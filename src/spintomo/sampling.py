@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .spin_core import _densities_from_bloch
@@ -15,6 +17,8 @@ def random_bloch_vectors(n: int, seed: int, radius: float = 0.5) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
     rng = np.random.default_rng(seed)
     out = np.empty((n, 3))
     filled = 0

@@ -95,10 +95,11 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
+        # ``&``, so that a report of arrays (see ``_reports``) passes elementwise.
         return (
-            self.hermiticity_deviation <= self.tol
-            and self.trace_deviation <= self.tol
-            and self.min_eigenvalue >= -self.tol
+            (self.hermiticity_deviation <= self.tol)
+            & (self.trace_deviation <= self.tol)
+            & (self.min_eigenvalue >= -self.tol)
         )
 
     def summary(self) -> str:
@@ -141,6 +142,27 @@ def _report(a: complex, b: complex, c: complex, d: complex, tol: float) -> Valid
     h01 = 0.5 * (b + c.conjugate())
     mean = 0.5 * (h00 + h11)
     radius = abs(complex(0.5 * (h00 - h11), abs(h01)))
+    return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
+
+
+def _hypot(z: np.ndarray) -> np.ndarray:
+    """Python's ``abs`` of each complex in ``z``: libm hypot, not numpy's |z|."""
+    return np.hypot(z.real, z.imag)
+
+
+def _reports(a, b, c, d, tol: float = TOL) -> ValidationReport:
+    """``_report`` of N matrices [[a, b], [c, d]] given as four complex arrays,
+    with array fields: its steps in order, with ``_hypot`` for Python's ``abs``
+    and np.maximum for ``_nanmax``, so each matrix gets ``_report``'s bits."""
+    herm_dev = np.maximum(
+        np.maximum(np.abs(b - c.conj()), _hypot(a - a.conj())), _hypot(d - d.conj())
+    )
+    trace_dev = _hypot(a + d - 1.0)
+    h00 = (0.5 * (a + a.conj())).real
+    h11 = (0.5 * (d + d.conj())).real
+    h01 = 0.5 * (b + c.conj())
+    mean = 0.5 * (h00 + h11)
+    radius = np.hypot(0.5 * (h00 - h11), _hypot(h01))
     return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
 
 

@@ -244,16 +244,22 @@ def mean_from_w(tomogram: Tomogram) -> float:
     return 2.0 * tomogram.w_plus - 1.0
 
 
-def _w_axes_of(m: np.ndarray) -> AxisTriple:
-    """Axis triple of an already validated ``m``, with the bits of ``_w_of``
-    along each of ``AXIS_DIRECTIONS``."""
-    wx, wy, wz = (_AXIS_ROTATIONS @ m @ _AXIS_ADJOINTS)[:, 0, 0].real.tolist()
-    return AxisTriple(wx_plus=wx, wy_plus=wy, wz_plus=wz)
+def _w_axes_values(m: np.ndarray) -> np.ndarray:
+    """Up-probabilities along x, y, z of a validated 2x2 ``m``, or of each of an
+    ``(N, 2, 2)`` stack, with the bits of ``_w_of`` along ``AXIS_DIRECTIONS``."""
+    return (_AXIS_ROTATIONS @ m[..., None, :, :] @ _AXIS_ADJOINTS)[..., 0, 0].real
 
 
 def w_axes(rho, tol: float = TOL) -> AxisTriple:
     """Up-probabilities of ``rho`` along the three fixed axes."""
-    return _w_axes_of(require_density(rho, tol))
+    return AxisTriple(*_w_axes_values(require_density(rho, tol)).tolist())
+
+
+def _density_entries(triple: AxisTriple):
+    # The matrix entries of a triple of floats or of arrays.
+    wz = triple.wz_plus
+    off = (triple.wx_plus - 0.5) - 1.0j * (triple.wy_plus - 0.5)
+    return wz, off, off.conjugate(), 1.0 - wz
 
 
 def density_from_w_axes(triple: AxisTriple, tol: float = TOL) -> np.ndarray:
@@ -263,9 +269,8 @@ def density_from_w_axes(triple: AxisTriple, tol: float = TOL) -> np.ndarray:
     x and y probabilities; the result is validated and an
     :class:`AdmissibilityError` is raised for incompatible triples.
     """
-    wx, wy, wz = triple.wx_plus, triple.wy_plus, triple.wz_plus
-    off = (wx - 0.5) - 1.0j * (wy - 0.5)
-    m = np.array([[wz, off], [np.conj(off), 1.0 - wz]], dtype=complex)
+    rho_pp, rho_pm, rho_mp, rho_mm = _density_entries(triple)
+    m = np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex)
     report = validate_density(m, tol)
     if not report.passed:
         raise AdmissibilityError(

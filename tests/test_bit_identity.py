@@ -3,9 +3,9 @@
 The scalar core computes on Python complex numbers.  The references below
 keep the array formulas it replaced, and every comparison is on the bytes of
 the float64 values, so a last-bit difference or a flipped zero sign fails.
-The other way round, the CLI's array paths for ``sweep`` and ``w --grid``
-give bit for bit what the scalar functions give state by state and
-direction by direction.
+The other way round, the array twins of the scalar maps, and the CLI's
+array paths for ``sweep`` and ``w --grid`` that use them, give bit for bit
+what the scalar functions give state by state and direction by direction.
 """
 
 import math
@@ -43,9 +43,14 @@ from spintomo import (
     w_axes,
     w_value,
 )
-from spintomo.cli import _admissibility_maxima, _sweep_deviations
-from spintomo.quasiprob import _table_from_entries
-from spintomo.spin_core import AXES
+from spintomo.cli import _sweep_deviations
+from spintomo.quasiprob import (
+    _admissibility_maxima,
+    _batch_admissibility_maxima,
+    _p_oracles,
+    _table_values,
+)
+from spintomo.spin_core import AXES, _reports
 from spintomo.tomography import _AXIS_ADJOINTS, _AXIS_ROTATIONS, _w_grid
 
 from conftest import NAMED_STATES
@@ -223,17 +228,25 @@ MATRICES = _matrices()
 
 
 def test_validate_density_matches_array_form():
-    for m in STATES + MATRICES:
+    matrices = STATES + MATRICES
+    batch = _reports(*np.array(matrices).reshape(-1, 4).T)
+    for i, m in enumerate(matrices):
         report = validate_density(m)
         got = (report.hermiticity_deviation, report.trace_deviation, report.min_eigenvalue)
         assert bits(*got) == bits(*ref_validate(m))
+        got = (batch.hermiticity_deviation[i], batch.trace_deviation[i], batch.min_eigenvalue[i])
+        assert bits(*got) == bits(*ref_validate(m))
+        assert batch.passed[i] == report.passed
 
 
 def test_tables_match_array_form():
-    for m in STATES + MATRICES:
+    matrices = STATES + MATRICES
+    batch = np.stack(_table_values(*np.array(matrices).reshape(-1, 4).T), axis=1)
+    for m, row in zip(matrices, batch):
         entries = m.tolist()
-        table = _table_from_entries(*entries[0], *entries[1])
-        assert table_bits(table) == table_bits(ref_table_from_matrix(m))
+        ref = table_bits(ref_table_from_matrix(m))
+        assert bits(*_table_values(*entries[0], *entries[1])) == ref
+        assert bits(*row) == ref
     for rho in STATES:
         assert table_bits(p_from_density(rho)) == table_bits(ref_table_from_matrix(rho))
 
@@ -250,7 +263,9 @@ def test_check_admissibility_matches_array_form():
         QuasiProbTable.from_array(rng.normal(size=8) + 1j * rng.normal(size=8))
         for _ in range(N_MATRICES)
     ]
-    for table in [p_from_density(rho) for rho in STATES] + random_tables:
+    tables = [p_from_density(rho) for rho in STATES] + random_tables
+    batch = _batch_admissibility_maxima(np.array([table.to_array() for table in tables]))
+    for i, table in enumerate(tables):
         report = check_admissibility(table)
         total, total_dev, marginals, density, redundancy = ref_admissibility(table)
         assert bits(report.total, report.total_deviation) == bits(total, total_dev)
@@ -259,11 +274,17 @@ def test_check_admissibility_matches_array_form():
         d = report.density_report
         assert bits(d.hermiticity_deviation, d.trace_deviation, d.min_eigenvalue) == bits(*density)
         assert bits(report.redundancy_deviation) == bits(redundancy)
+        maxima = _admissibility_maxima(report)
+        assert sorted(batch) == sorted(maxima)
+        assert bits(*(batch[name][i] for name in maxima)) == bits(*maxima.values())
 
 
 def test_p_oracle_matches_array_form():
-    for rho in STATES:
-        assert table_bits(p_oracle(rho)) == table_bits(ref_p_oracle(rho))
+    batch = _p_oracles(np.array(STATES))
+    for rho, row in zip(STATES, batch):
+        ref = table_bits(ref_p_oracle(rho))
+        assert table_bits(p_oracle(rho)) == ref
+        assert bits(*row) == ref
 
 
 def test_rotation_matrix_matches_array_form():

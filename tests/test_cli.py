@@ -853,6 +853,31 @@ def test_overflowing_bloch_norm_prints_only_the_error(capsys):
     assert err == "error: Bloch vector norm inf exceeds 1/2; state would not be positive\n"
 
 
+def test_overflowing_triple_norm_prints_only_the_error(capsys, tmp_path):
+    payload = tmp_path / "triple.json"
+    payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e154}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--input", str(payload))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the result has non-finite numbers; an input value is too large to process\n"
+    )
+
+
+@pytest.mark.parametrize("off_diagonal", [(1e308, -1e308), (1e308, 1e308)])
+def test_overflowing_rho_prints_only_the_error(capsys, tmp_path, off_diagonal):
+    # m - m^dagger, or m + m^dagger, overflows; the report fails on its own.
+    cells = [{"re": 0.5, "im": 0.0}, *({"re": x, "im": 0.0} for x in off_diagonal)]
+    rho = [[cells[0], cells[1]], [cells[2], cells[0]]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": 0.5, "rho": rho}))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not a physical density matrix (FAILED: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_reconstruct_integral_state_at_spin_within_tolerance(capsys, validator, tmp_path):
     # A j within the 1e-9 tolerance of 1/2 is spin 1/2 for a state as for a rho.
     code, doc, _ = run_doc(

@@ -577,3 +577,11 @@ def test_spin_j_rotations_refuse_non_finite_angle(name, value):
         wigner_D(1, 0, 1, EulerAngles(**angles))
     with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
         rotation_matrix_j(1.5, EulerAngles(**angles))
+    # So are the raw angles of wigner_small_d and of a tomogram family.
+    if name == "theta":
+        with pytest.raises(ValueError, match=rf"^theta must be finite, got {value!r}$"):
+            wigner_small_d(1, 0, 1, value)
+    if name != "psi":
+        w = w_callable_from_density(np.eye(3) / 3)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+            w(0, angles["theta"], angles["phi"])
