@@ -28,16 +28,15 @@ import numpy as np
 
 from .errors import AdmissibilityError, NonPhysicalStateError
 from .general_inversion import (
+    _product_grid,
     _twice,
     build_quadrature,
     m_values,
     reconstruct_density_j,
-    require_density_j,
     validate_density_j,
     w_callable_from_density,
 )
 from .quasiprob import (
-    VERTEX_ORDER,
     QuasiProbTable,
     _admissibility_maxima,
     _batch_admissibility_maxima,
@@ -182,14 +181,8 @@ def _state_obj(kind: str, spec: str, rho) -> dict:
 
 def _table_obj(table: QuasiProbTable) -> list:
     return [
-        {
-            "c": c,
-            "b": b,
-            "a": a,
-            "re": float(table[c, b, a].real),
-            "im": float(table[c, b, a].imag),
-        }
-        for (c, b, a) in VERTEX_ORDER
+        {"c": c, "b": b, "a": a, "re": float(value.real), "im": float(value.imag)}
+        for (c, b, a), value in table.items()
     ]
 
 
@@ -332,10 +325,10 @@ def cmd_w(args):
             raise CliError(f"--grid must be at least 1, got {args.grid}")
         if args.grid > MAX_GRID:
             raise CliError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
-        x, _ = np.polynomial.legendre.leggauss(args.grid)
+        grid = _product_grid(args.grid, args.grid)
         # Already canonical, so these are the directions' own angles.
-        thetas = np.arccos(x)[::-1].tolist()
-        phis = (np.arange(args.grid) * (2.0 * np.pi / args.grid)).tolist()
+        thetas = grid.theta_nodes.tolist()
+        phis = grid.phi_nodes.tolist()
         w_plus, w_minus = _w_grid(require_density(rho, args.tol), thetas, phis)
         rows = list(
             zip(
@@ -507,16 +500,11 @@ def cmd_reconstruct(args):
     if "samples" in data:
         w = _w_from_samples(data, grid, j)
     elif "rho" in data:
-        # Entries near the float range give an inf or NaN deviation, which
-        # fails validation, without numpy's overflow warnings on stderr.
-        with np.errstate(over="ignore", invalid="ignore"):
-            source = require_density_j(_matrix_from_obj(data["rho"]), args.tol)
-        if source.shape[0] != int(round(2 * j)) + 1:
+        w = w_callable_from_density(_matrix_from_obj(data["rho"]), args.tol)
+        if w.tj != _twice(j):
             raise CliError(
-                f"'rho' has dimension {source.shape[0]} but spin {j} needs "
-                f"{int(round(2 * j)) + 1}"
+                f"'rho' has dimension {w.tj + 1} but spin {j} needs {_twice(j) + 1}"
             )
-        w = w_callable_from_density(source, args.tol)
     elif "state" in data:
         if _twice(j) != 1:
             raise CliError("'state' specifications are only defined for j = 1/2")
@@ -618,7 +606,7 @@ def cmd_verify(args):
         checks.append(_check_obj("triple-physicality", deviation, args.tol))
     if table is not None and triple is not None:
         direct = p_from_w(triple, args.tol, validate=False)
-        delta = max(abs(direct[v] - table[v]) for v in VERTEX_ORDER)
+        delta = max(abs(d - t) for (_, d), (_, t) in zip(direct.items(), table.items()))
         checks.append(_check_obj("radon-consistency", delta, args.tol))
     doc["checks"] = checks
     passed = all(check["passed"] for check in checks)

@@ -54,7 +54,7 @@ Conventions, fixed once and verified by round trips at machine precision:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import factorial
 
@@ -251,10 +251,13 @@ def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    trace_dev = float(abs(np.trace(m) - 1.0))
-    h = 0.5 * (m + m.conj().T)
-    min_eig = float(np.linalg.eigvalsh(h)[0])
+    # Entries near the float range give an inf or NaN deviation, which fails
+    # the report, without numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_dev = float(np.abs(m - m.conj().T).max())
+        trace_dev = float(abs(np.trace(m) - 1.0))
+        h = 0.5 * (m + m.conj().T)
+        min_eig = float(np.linalg.eigvalsh(h)[0])
     return ValidationReport(herm_dev, trace_dev, min_eig, tol)
 
 
@@ -318,9 +321,7 @@ class DensityTomogram:
         freed on every call, make the allocator hand their pages back to the
         system and fault them in again on the next call.
         """
-        d_columns, phases = _sampling_tables(
-            self.tj, _node_bytes(grid.theta_nodes), _node_bytes(grid.phi_nodes)
-        )
+        d_columns, phases = _sampling_tables(self.tj, grid)
         dim, _, n_theta = d_columns.shape
         d_flat = d_columns.reshape(dim, dim * n_theta)
         hermitian = 0.5 * (self.rho + self.rho.conj().T)
@@ -336,24 +337,18 @@ class DensityTomogram:
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _sampling_tables(tj: int, theta_nodes: bytes, phi_nodes: bytes):
+def _sampling_tables(tj: int, grid: QuadratureGrid):
     """d^j at the theta nodes, as (a, k, t) -> d^j_{k, a}(theta_t), and the
     phases (2 (2j+1), n_phi): real and minus imaginary parts of
     f_Delta exp(-i Delta phi_p), with f_0 = 1 and f_Delta = 2 for each pair
     of conjugate diagonals."""
-    d_nodes = _d_rows(tj, np.frombuffer(theta_nodes), slice(None))
-    phase = np.exp(-1j * np.outer(np.arange(tj + 1), np.frombuffer(phi_nodes)))
+    d_nodes = _d_rows(tj, grid.theta_nodes, slice(None))
+    phase = np.exp(-1j * np.outer(np.arange(tj + 1), grid.phi_nodes))
     phase[1:] *= 2.0
     return (
         np.ascontiguousarray(d_nodes.transpose(2, 1, 0)),
         np.vstack([phase.real, -phase.imag]),
     )
-
-
-def _node_bytes(nodes: np.ndarray) -> bytes:
-    # Grid caches key on node and weight values, so equal grids share one
-    # entry whether or not they are the same object.
-    return np.ascontiguousarray(nodes, dtype=float).tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,12 +359,22 @@ class QuadratureGrid:
     to 1 (the sin(theta)/2 measure); ``phi`` uses uniform nodes on [0, 2pi)
     with equal weights.  Both rules integrate the band-limited
     reconstruction integrands exactly up to the spin the grid was built for.
+
+    The grid keeps read-only float64 copies of the arrays it is given, so
+    the grid object itself keys the cached sampling tables and kernels:
+    reuse one grid object rather than building an equal one anew.
     """
 
     theta_nodes: np.ndarray
     theta_weights: np.ndarray
     phi_nodes: np.ndarray
     phi_weights: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            values = np.array(getattr(self, field.name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, field.name, values)
 
     @property
     def n_theta(self) -> int:
@@ -396,20 +401,18 @@ def build_quadrature(j, oversample: int = 2) -> QuadratureGrid:
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _quadrature(tj: int, oversample: int) -> QuadratureGrid:
-    n_theta = max(8, tj + 2) * oversample
-    n_azimuth = max(8, 2 * tj + 2) * oversample
+    return _product_grid(max(8, tj + 2) * oversample, max(8, 2 * tj + 2) * oversample)
+
+
+def _product_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
+    """Gauss-Legendre nodes in cos(theta), ascending in theta, times
+    ``n_phi`` uniform nodes on [0, 2pi)."""
     x, a = np.polynomial.legendre.leggauss(n_theta)
-    theta_nodes = np.arccos(x)[::-1].copy()
-    theta_weights = (0.5 * a)[::-1].copy()
-    phi_nodes = np.arange(n_azimuth) * (_TWO_PI / n_azimuth)
-    phi_weights = np.full(n_azimuth, 1.0 / n_azimuth)
-    for arr in (theta_nodes, theta_weights, phi_nodes, phi_weights):
-        arr.flags.writeable = False
     return QuadratureGrid(
-        theta_nodes=theta_nodes,
-        theta_weights=theta_weights,
-        phi_nodes=phi_nodes,
-        phi_weights=phi_weights,
+        theta_nodes=np.arccos(x)[::-1],
+        theta_weights=(0.5 * a)[::-1],
+        phi_nodes=np.arange(n_phi) * (_TWO_PI / n_phi),
+        phi_weights=np.full(n_phi, 1.0 / n_phi),
     )
 
 
@@ -530,26 +533,18 @@ def _coupling_families(tj: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _kernel(
-    tj: int,
-    phase_convention: str,
-    theta_nodes: bytes,
-    theta_weights: bytes,
-    phi_nodes: bytes,
-    phi_weights: bytes,
-) -> _Kernel:
+def _kernel(tj: int, phase_convention: str, grid: QuadratureGrid) -> _Kernel:
     dim = tj + 1
     index = np.arange(dim)
     m3 = np.arange(-tj, tj + 1)
-    phi = np.frombuffer(phi_nodes)
-    phi_dft = np.frombuffer(phi_weights)[:, None] * np.exp(1j * phi[:, None] * m3)
+    phi_dft = grid.phi_weights[:, None] * np.exp(1j * grid.phi_nodes[:, None] * m3)
     phi_dft = np.hstack([phi_dft.real, phi_dft.imag])
-    nodes = np.frombuffer(theta_nodes)
+    nodes = grid.theta_nodes
     theta = np.zeros((dim, 2 * tj + 1, len(nodes)))
     for j3 in range(dim):
         # Row mp = 0 of d^(j3), its columns turned into ascending m3.
         theta[j3, tj - j3 : tj + j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, ::-1].T
-    theta *= np.frombuffer(theta_weights)
+    theta *= grid.theta_weights
     families = _coupling_families(tj)
     # (-1)^(j - m1) in the combined reading, (-1)^(j + m1) in the literal one
     m1_power = index if phase_convention == "combined" else tj - index
@@ -601,7 +596,7 @@ def reconstruct_density_j(
         decide which deviations to accept.
 
     The inversion is linear in the samples.  Its kernel is built once per
-    spin, phase convention and grid node and weight values, and cached.
+    spin, phase convention and grid object, and cached.
     """
     if phase_convention not in ("combined", "literal"):
         raise ValueError(
@@ -612,12 +607,4 @@ def reconstruct_density_j(
         grid = build_quadrature(tj / 2)
     values = _grid_samples(w, tj, grid)
     _check_samples(values, tol)
-    kernel = _kernel(
-        tj,
-        phase_convention,
-        _node_bytes(grid.theta_nodes),
-        _node_bytes(grid.theta_weights),
-        _node_bytes(grid.phi_nodes),
-        _node_bytes(grid.phi_weights),
-    )
-    return kernel.apply(values)
+    return _kernel(tj, phase_convention, grid).apply(values)

@@ -46,18 +46,21 @@ VERTEX_ORDER: Tuple[Vertex, ...] = (
     (-1, -1, -1),
 )
 
+_VERTEX_POSITION = {v: k for k, v in enumerate(VERTEX_ORDER)}
 _AXIS_SLOT = {"x": 0, "y": 1, "z": 2}
 
-# The four vertices summed by each one-axis marginal, in VERTEX_ORDER.
+# The positions in VERTEX_ORDER of the four vertices summed by each one-axis
+# marginal, ascending.
 _MARGINAL_VERTICES = {
-    (axis, sign): tuple(v for v in VERTEX_ORDER if v[slot] == sign)
+    (axis, sign): tuple(k for k, v in enumerate(VERTEX_ORDER) if v[slot] == sign)
     for axis, slot in _AXIS_SLOT.items()
     for sign in (1, -1)
 }
 
 
 class QuasiProbTable:
-    """Immutable container for the eight complex entries p(c, b, a)."""
+    """Immutable container for the eight complex entries p(c, b, a), held
+    as a tuple in ``VERTEX_ORDER``."""
 
     __slots__ = ("_entries",)
 
@@ -70,31 +73,31 @@ class QuasiProbTable:
                 f"missing {missing}, unexpected {extra}"
             )
         object.__setattr__(
-            self, "_entries", {v: complex(entries[v]) for v in VERTEX_ORDER}
+            self, "_entries", tuple(complex(entries[v]) for v in VERTEX_ORDER)
         )
 
     @classmethod
     def _trusted(cls, values) -> "QuasiProbTable":
         """Table of eight Python complex ``values`` in ``VERTEX_ORDER``, unchecked."""
         table = object.__new__(cls)
-        object.__setattr__(table, "_entries", dict(zip(VERTEX_ORDER, values)))
+        object.__setattr__(table, "_entries", tuple(values))
         return table
 
     def __setattr__(self, name, value):
         raise AttributeError("QuasiProbTable is immutable")
 
     def __getitem__(self, vertex: Vertex) -> complex:
-        return self._entries[vertex]
+        return self._entries[_VERTEX_POSITION[vertex]]
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(VERTEX_ORDER)
 
     def items(self):
-        return ((v, self._entries[v]) for v in VERTEX_ORDER)
+        return zip(VERTEX_ORDER, self._entries)
 
     def to_array(self) -> np.ndarray:
         """Entries as a complex vector in ``VERTEX_ORDER``."""
-        return np.array([self._entries[v] for v in VERTEX_ORDER], dtype=complex)
+        return np.array(self._entries, dtype=complex)
 
     @classmethod
     def from_array(cls, values) -> "QuasiProbTable":
@@ -105,10 +108,10 @@ class QuasiProbTable:
 
     def total(self) -> complex:
         """Sum of all eight entries; 1 for any table of a physical state."""
-        return complex(sum(self._entries[v] for v in VERTEX_ORDER))
+        return complex(sum(self._entries))
 
     def __repr__(self) -> str:
-        rows = ", ".join(f"{v}: {self._entries[v]:.4g}" for v in VERTEX_ORDER)
+        rows = ", ".join(f"{v}: {value:.4g}" for v, value in self.items())
         return f"QuasiProbTable({rows})"
 
 
@@ -202,8 +205,8 @@ def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
     For a physical table this is the (real) probability of outcome ``sign``
     when measuring the spin projection along ``axis``.
     """
-    vertices = _MARGINAL_VERTICES[_check_axis(axis), _check_sign(sign)]
-    return complex(sum(map(table.__getitem__, vertices)))
+    positions = _MARGINAL_VERTICES[_check_axis(axis), _check_sign(sign)]
+    return complex(sum(map(table._entries.__getitem__, positions)))
 
 
 @dataclass(frozen=True)
@@ -253,15 +256,15 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
     """Report every physicality condition on a table without raising."""
     total = table.total()
     checks = []
-    for (axis, sign), vertices in _MARGINAL_VERTICES.items():
-        value = complex(sum(map(table.__getitem__, vertices)))
+    for (axis, sign), positions in _MARGINAL_VERTICES.items():
+        value = complex(sum(map(table._entries.__getitem__, positions)))
         real = value.real
         violation = _nanmax((0.0, -real, real - 1.0))
         checks.append(MarginalCheck(axis, sign, value, abs(value.imag), violation))
     entries = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
     density_report = _report(*entries, tol)
-    regenerated = zip(VERTEX_ORDER, _table_values(*entries))
-    redundancy = _nanmax([abs(table[v] - value) for v, value in regenerated])
+    regenerated = zip(table._entries, _table_values(*entries))
+    redundancy = _nanmax([abs(given - value) for given, value in regenerated])
     return AdmissibilityReport(
         total=total,
         total_deviation=float(abs(total - 1.0)),
@@ -298,18 +301,18 @@ def _batch_admissibility_maxima(tables: np.ndarray) -> dict:
     are +0.0 or positive, so np.maximum keeps the bits of Python's ``max``.
     """
 
-    def column_sum(vertices):
-        return reduce(np.add, (tables[:, VERTEX_ORDER.index(v)] for v in vertices))
+    def column_sum(positions):
+        return reduce(np.add, (tables[:, k] for k in positions))
 
     def positive_part(x):
         return np.where(x > 0.0, x, 0.0)
 
     entries = _matrix_entries(tables[:, 0], tables[:, 1])
     d = _reports(*entries)
-    marginals = [column_sum(vertices) for vertices in _MARGINAL_VERTICES.values()]
+    marginals = [column_sum(positions) for positions in _MARGINAL_VERTICES.values()]
     ranges = [positive_part(x) for v in marginals for x in (-v.real, v.real - 1.0)]
     return {
-        "total": _hypot(column_sum(VERTEX_ORDER) - 1.0),
+        "total": _hypot(column_sum(range(len(VERTEX_ORDER))) - 1.0),
         "marginal-imag": np.maximum.reduce([np.abs(v.imag) for v in marginals]),
         "marginal-range": np.maximum.reduce(ranges),
         "density": np.maximum.reduce(

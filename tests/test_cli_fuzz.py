@@ -123,6 +123,31 @@ def test_sweep_random_flags(flags):
     _sweep(flags)
 
 
+W_SINGLE = {"--theta": "1", "--phi": "0.5", "--psi": "0"}
+# ``--axes`` takes no value; None stands for the bare flag.
+W_GRID = {"--grid": "3", "--axes": None}
+
+
+def _w(flags, *extra):
+    argv = ["w", "--state", "up_x", *extra]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return check_contract(*argv)
+
+
+# No accepted --grid is above 3: ``w --grid 256`` takes seconds.
+@EVERY
+@given(flags=st.sampled_from(faults(W_SINGLE, ARGUMENTS) + faults(W_GRID, ARGUMENTS)))
+def test_w_flag_faults(flags):
+    _w(flags)
+
+
+@pytest.mark.parametrize("flags", [W_SINGLE, W_GRID], ids=["single", "grid"])
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "missing-parent"])
+def test_w_unwritable_output(tmp_path, flags, target):
+    assert _w(flags, "--output", str(tmp_path / target)) == 2
+
+
 def _spec(kind, count):
     return st.lists(NUMBER_TEXT, min_size=count - 1, max_size=count + 1).map(
         lambda parts: f"{kind}=" + ",".join(parts)

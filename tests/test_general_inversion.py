@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from itertools import product
 
 import numpy as np
@@ -430,6 +431,18 @@ def test_reconstruct_rejects_negative_probabilities():
         reconstruct_density_j(negative, 0.5)
 
 
+@pytest.mark.parametrize("off_diagonal", [(1e308, -1e308), (1e308, 1e308)])
+def test_overflowing_density_j_fails_without_warnings(off_diagonal):
+    # m - m^dagger, or m + m^dagger, overflows; the report fails on its own.
+    m = np.array([[0.5, off_diagonal[0]], [off_diagonal[1], 0.5]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_density_j(m)
+        with pytest.raises(NonPhysicalStateError, match="not a physical density matrix"):
+            w_callable_from_density(m)
+    assert not report.passed
+
+
 def test_require_density_j_rejects_bad_input():
     with pytest.raises(NonPhysicalStateError):
         require_density_j(np.eye(3, dtype=complex))  # trace 3
@@ -506,6 +519,53 @@ def test_kernel_keys_on_node_values_not_shapes():
         phi_weights=default.phi_weights,
     )
     assert np.abs(reconstruct_density_j(family, j, grid=shifted) - rho).max() < 1e-13
+
+
+_GRID_FIELDS = ("theta_nodes", "theta_weights", "phi_nodes", "phi_weights")
+
+
+def test_grid_keeps_read_only_copies_of_caller_arrays():
+    j = 1
+    family = w_callable_from_density(random_density_j(3, 1, seed=71)[0])
+    default = build_quadrature(j)
+    given = {name: np.array(getattr(default, name)) for name in _GRID_FIELDS}
+    grid = QuadratureGrid(**given)
+    for name, values in given.items():
+        held = getattr(grid, name)
+        assert held.dtype == np.float64
+        assert not held.flags.writeable
+        assert not np.shares_memory(held, values)
+    first = reconstruct_density_j(family, j, grid=grid)
+    for values in given.values():
+        values *= 2.0
+    for name in _GRID_FIELDS:
+        assert np.array_equal(getattr(grid, name), getattr(default, name))
+    assert reconstruct_density_j(family, j, grid=grid).tobytes() == first.tobytes()
+    # Lists become float64 arrays as well.
+    listed = QuadratureGrid(**{name: getattr(default, name).tolist() for name in _GRID_FIELDS})
+    for name in _GRID_FIELDS:
+        assert getattr(listed, name).dtype == np.float64
+        assert getattr(listed, name).tobytes() == getattr(default, name).tobytes()
+
+
+def test_second_reconstruction_on_one_grid_hits_the_caches():
+    from spintomo.general_inversion import _kernel, _sampling_tables
+
+    j = 1.5
+    family = w_callable_from_density(random_density_j(4, 1, seed=73)[0])
+    # A grid object that no earlier test has used.
+    default = build_quadrature(j)
+    grid = QuadratureGrid(**{name: getattr(default, name) for name in _GRID_FIELDS})
+    caches = (_kernel, _sampling_tables)
+    before = [cache.cache_info() for cache in caches]
+    first = reconstruct_density_j(family, j, grid=grid)
+    after_first = [cache.cache_info() for cache in caches]
+    second = reconstruct_density_j(family, j, grid=grid)
+    after_second = [cache.cache_info() for cache in caches]
+    for b, f, s in zip(before, after_first, after_second):
+        assert (f.hits, f.misses) == (b.hits, b.misses + 1)
+        assert (s.hits, s.misses) == (f.hits + 1, f.misses)
+    assert second.tobytes() == first.tobytes()
 
 
 def test_literal_kernel_cached_separately(named_states):
