@@ -54,6 +54,7 @@ Conventions, fixed once and verified by round trips at machine precision:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import factorial
@@ -296,7 +297,7 @@ class DensityTomogram:
     def __init__(self, rho: np.ndarray):
         self.rho = rho
         self.tj = rho.shape[0] - 1
-        self._ms = np.array(m_values(self.tj / 2))
+        self._ms = _m_array(self.tj)
 
     def __call__(self, m1, theta, phi) -> float:
         tm1 = _twice(m1)
@@ -316,39 +317,98 @@ class DensityTomogram:
         d real, so c_k,-Delta = conj(c_k,Delta) and Delta >= 0 suffices.
         Like a single-node call, this reads the Hermitian part of rho.
 
-        The sum runs one diagonal at a time, so that no temporary is larger
-        than the result.  Temporaries many times its size, allocated and
-        freed on every call, make the allocator hand their pages back to the
-        system and fault them in again on the next call.
+        Every c comes from one batched product of the diagonals of rho with
+        a table of the products d_ka d_kb, built once per spin and grid and
+        cached; one more product with the phases gives w.  The result is a
+        new array.
         """
-        d_columns, phases = _sampling_tables(self.tj, grid)
-        dim, _, n_theta = d_columns.shape
-        d_flat = d_columns.reshape(dim, dim * n_theta)
-        hermitian = 0.5 * (self.rho + self.rho.conj().T)
-        # Real parts of c_k,Delta in row Delta, imaginary parts in row
-        # dim + Delta, matching the rows of the phase table.
-        c = np.empty((2 * dim, dim * n_theta))
-        for delta in range(dim):
-            entries = np.diagonal(hermitian, -delta)  # rho_{b + Delta, b}
-            pairs = d_flat[delta:] * d_flat[: dim - delta]
-            c[delta] = entries.real @ pairs
-            c[dim + delta] = entries.imag @ pairs
-        return (c.T @ phases).reshape(dim, n_theta, -1)
+        tables = _sampling_tables(self.tj, grid)
+        return self._fill(tables, np.empty((self.tj + 1, grid.n_theta, grid.n_phi)))
+
+    def _fill(self, tables: _SamplingTables, out: np.ndarray) -> np.ndarray:
+        """Write the samples of ``tables``' grid into ``out`` and return it."""
+        dim = self.tj + 1
+        # The Hermitian part of rho, then one zero that the gather index
+        # reads where a row of the tables has no entry of rho.
+        hermitian = np.zeros(dim * dim + 1, dtype=complex)
+        square = hermitian[:-1].reshape(dim, dim)
+        np.add(self.rho, self.rho.conj().T, out=square)
+        square *= 0.5
+        entries = hermitian.view(float)[tables.index]
+        c = np.matmul(entries, tables.products, out=tables.scratch.arrays[0])
+        n_phi = tables.phases.shape[1]
+        np.matmul(c.reshape(-1, c.shape[2]).T, tables.phases, out=out.reshape(-1, n_phi))
+        return out
+
+
+@lru_cache(maxsize=_SPIN_CACHE_SIZE)
+def _m_array(tj: int) -> np.ndarray:
+    ms = np.array(m_values(tj / 2))
+    ms.flags.writeable = False
+    return ms
+
+
+class _Scratch(threading.local):
+    """Float arrays of fixed shapes, allocated once in each thread that
+    uses them.  Cached tables and kernels are shared between threads, so
+    their scratch space must not be."""
+
+    def __init__(self, *shapes):
+        self.arrays = tuple(np.empty(shape) for shape in shapes)
+
+
+@dataclass(frozen=True, eq=False)
+class _SamplingTables:
+    """The linear maps from the diagonals of rho to the samples on a grid.
+
+    With n = 2j+1, diagonal Delta of an n-square matrix has n - Delta
+    entries and diagonal n - Delta has Delta, so one cyclic shift holds
+    both: the pair (b, (b + s) mod n) lies on diagonal s while b + s < n
+    and on diagonal n - s after it wraps.  The shifts s = 0..floor(n/2)
+    cover every diagonal Delta >= 0 once, with n rows each and no padding:
+    about half the table that one padded block per diagonal would take.
+    """
+
+    # (s, b, (k, t)): d^j_{k, b}(theta_t) d^j_{k, (b + s) mod n}(theta_t)
+    products: np.ndarray
+    # (s, row, b): position in the float view of DensityTomogram._fill's
+    # array of the real (rows 0 and 2) or imaginary (rows 1 and 3) part of
+    # the rho entry of the pair on diagonal s (rows 0, 1) or n - s (rows 2,
+    # 3), or of the trailing zero when the pair is on the other one
+    index: np.ndarray
+    # (4 (floor(n/2) + 1), n_phi) over (s, row): the real or minus imaginary
+    # part of f_Delta exp(-i Delta phi_p) for that row's diagonal, with
+    # f_0 = 1 and f_Delta = 2 for each pair of conjugate diagonals
+    phases: np.ndarray
+    # per thread: c over (s, row, (k, t)), and the samples that
+    # reconstruct_density_j reads
+    scratch: _Scratch
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _sampling_tables(tj: int, grid: QuadratureGrid):
-    """d^j at the theta nodes, as (a, k, t) -> d^j_{k, a}(theta_t), and the
-    phases (2 (2j+1), n_phi): real and minus imaginary parts of
-    f_Delta exp(-i Delta phi_p), with f_0 = 1 and f_Delta = 2 for each pair
-    of conjugate diagonals."""
-    d_nodes = _d_rows(tj, grid.theta_nodes, slice(None))
-    phase = np.exp(-1j * np.outer(np.arange(tj + 1), grid.phi_nodes))
-    phase[1:] *= 2.0
-    return (
-        np.ascontiguousarray(d_nodes.transpose(2, 1, 0)),
-        np.vstack([phase.real, -phase.imag]),
+def _sampling_tables(tj: int, grid: QuadratureGrid) -> _SamplingTables:
+    dim = tj + 1
+    # (a, (k, t)) -> d^j_{k, a}(theta_t)
+    d_nodes = _d_rows(tj, grid.theta_nodes, slice(None)).transpose(2, 1, 0)
+    d_flat = np.ascontiguousarray(d_nodes).reshape(dim, -1)
+    shift = np.arange(dim // 2 + 1)[:, None]
+    b = np.arange(dim)
+    partner = (b + shift) % dim
+    products = d_flat[partner]
+    products *= d_flat
+    zero = 2 * dim * dim
+    wrapped = b + shift >= dim
+    below = np.where(wrapped, zero, 2 * (partner * dim + b))
+    # At even dimension the middle diagonal is whole below the wrap.
+    above = np.where(wrapped & (2 * shift != dim), 2 * (b * dim + partner), zero)
+    index = np.stack([below, below + 1, above, above + 1], axis=1)
+    delta = np.hstack([shift, shift, dim - shift, dim - shift])
+    phase = np.where(delta == 0, 1.0, 2.0)[..., None] * np.exp(
+        -1j * delta[..., None] * grid.phi_nodes
     )
+    phases = np.where(np.arange(4)[:, None] % 2, -phase.imag, phase.real)
+    scratch = _Scratch((len(shift), 4, d_flat.shape[1]), (dim, grid.n_theta, grid.n_phi))
+    return _SamplingTables(products, index, phases.reshape(4 * len(shift), -1), scratch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,6 +477,9 @@ def _product_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
 
 
 def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
+    """The samples of ``w`` on ``grid``.  Those of a :class:`DensityTomogram`
+    are this thread's scratch array of its sampling tables, which the next
+    call overwrites."""
     dim = tj + 1
     shape = (dim, grid.n_theta, grid.n_phi)
     if isinstance(w, DensityTomogram):
@@ -425,7 +488,8 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
                 f"tomogram family of spin {w.tj / 2.0} cannot be reconstructed "
                 f"as spin {tj / 2.0}"
             )
-        return w.samples(grid)
+        tables = _sampling_tables(tj, grid)
+        return w._fill(tables, tables.scratch.arrays[1])
     if callable(w):
         values = np.empty(shape)
         for i in range(dim):
@@ -444,14 +508,18 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
 
 
 def _check_samples(values: np.ndarray, tol: float) -> None:
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
+    # min and max are both finite exactly when every sample is: NaN
+    # propagates through both, and an infinity is one of them.
+    low = float(values.min())
+    high = float(values.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
         raise NonPhysicalStateError(
             f"tomogram samples contain {bad} non-finite value(s) out of {values.size}"
         )
-    low = float(values.min())
-    high = float(values.max())
-    norm_dev = float(np.abs(values.sum(axis=0) - 1.0).max())
+    deviation = values.sum(axis=0)
+    deviation -= 1.0
+    norm_dev = float(np.abs(deviation, out=deviation).max())
     if low < -tol or high > 1.0 + tol or norm_dev > tol:
         raise NonPhysicalStateError(
             "tomogram samples are not a normalized probability family on the "
@@ -480,18 +548,23 @@ class _Kernel:
     # (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
     rho_coupling: np.ndarray
     m3_column: np.ndarray  # (2j+1, 2j+1): column of m3 = m2' - m1'
+    # per thread: the m1 sums, their phi DFT, and the real and imaginary
+    # theta sums
+    scratch: _Scratch
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         dim, n_theta, n_phi = values.shape
         n_m3 = self.theta.shape[1]
+        summed, g, s_real, s_imag = self.scratch.arrays
         # The m1 sum first, while the samples are still real.
-        summed = self.m1_coupling @ values.reshape(dim, n_theta * n_phi)
-        g = summed.reshape(dim * n_theta, n_phi) @ self.phi_dft
+        np.matmul(self.m1_coupling, values.reshape(dim, n_theta * n_phi), out=summed)
+        np.matmul(summed.reshape(dim * n_theta, n_phi), self.phi_dft, out=g)
         g = g.reshape(dim, n_theta, 2 * n_m3)
         # The theta sums of the real and imaginary halves, without a complex
         # copy of g.
-        s = np.einsum("jkt,jtk->jk", self.theta, g[..., :n_m3])
-        s = s + 1j * np.einsum("jkt,jtk->jk", self.theta, g[..., n_m3:])
+        np.einsum("jkt,jtk->jk", self.theta, g[..., :n_m3], out=s_real)
+        np.einsum("jkt,jtk->jk", self.theta, g[..., n_m3:], out=s_imag)
+        s = s_real + 1j * s_imag
         return np.einsum("abj,jab->ab", self.rho_coupling, s[:, self.m3_column])
 
 
@@ -552,12 +625,19 @@ def _kernel(tj: int, phase_convention: str, grid: QuadratureGrid) -> _Kernel:
     m1_coupling = m1_sign * families.diagonal(axis1=1, axis2=2)
     m2_sign = np.where(index % 2, -1.0, 1.0)[:, None]
     rho_coupling = m2_sign * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
+    n_m3 = 2 * tj + 1
     return _Kernel(
         phi_dft=phi_dft,
         theta=theta,
         m1_coupling=m1_coupling,
         rho_coupling=rho_coupling,
         m3_column=index[:, None] - index[None, :] + tj,
+        scratch=_Scratch(
+            (dim, grid.n_theta * grid.n_phi),
+            (dim * grid.n_theta, 2 * n_m3),
+            (dim, n_m3),
+            (dim, n_m3),
+        ),
     )
 
 
