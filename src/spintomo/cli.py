@@ -74,9 +74,10 @@ SCHEMA_VERSION = "1"
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
 # ``sweep --trials 100000`` takes about 1.3 s and peaks at about 175 MB.
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
-# from a ``rho`` peaks at about 155 MB, most of it the (2j+1) x n_theta x
-# n_phi sample array and the two intermediates of the same size that the
-# kernel makes from it.  Input files, pipes included, are read whole up to
+# from a ``rho`` peaks at about 267 MiB: 107 MiB is the cached table of d^j
+# products that sampling multiplies by, and most of the rest the
+# (2j+1) x n_theta x n_phi sample array and the scratch arrays of about
+# that size that sampling and the kernel write into.  Input files, pipes included, are read whole up to
 # 16 MiB and parsed by ``json``; at 16 MiB the most memory-hungry documents
 # found (millions of small objects) peak at about 580 MB.
 MAX_GRID = 256

@@ -322,11 +322,14 @@ class DensityTomogram:
         cached; one more product with the phases gives w.  The result is a
         new array.
         """
-        tables = _sampling_tables(self.tj, grid)
-        return self._fill(tables, np.empty((self.tj + 1, grid.n_theta, grid.n_phi)))
+        return self._fill(grid, np.empty((self.tj + 1, grid.n_theta, grid.n_phi)))
 
-    def _fill(self, tables: _SamplingTables, out: np.ndarray) -> np.ndarray:
-        """Write the samples of ``tables``' grid into ``out`` and return it."""
+    def _fill(self, grid: QuadratureGrid, out: np.ndarray | None = None) -> np.ndarray:
+        """Write the samples on ``grid`` into ``out`` and return it; without
+        ``out``, into this thread's scratch array of the grid's tables,
+        which the next call overwrites."""
+        products, index, phases, scratch = _sampling_tables(self.tj, grid)
+        c, samples = scratch.arrays
         dim = self.tj + 1
         # The Hermitian part of rho, then one zero that the gather index
         # reads where a row of the tables has no entry of rho.
@@ -334,10 +337,9 @@ class DensityTomogram:
         square = hermitian[:-1].reshape(dim, dim)
         np.add(self.rho, self.rho.conj().T, out=square)
         square *= 0.5
-        entries = hermitian.view(float)[tables.index]
-        c = np.matmul(entries, tables.products, out=tables.scratch.arrays[0])
-        n_phi = tables.phases.shape[1]
-        np.matmul(c.reshape(-1, c.shape[2]).T, tables.phases, out=out.reshape(-1, n_phi))
+        np.matmul(hermitian.view(float)[index], products, out=c)
+        out = samples if out is None else out
+        np.matmul(c.reshape(-1, c.shape[2]).T, phases, out=out.reshape(-1, phases.shape[1]))
         return out
 
 
@@ -357,8 +359,8 @@ class _Scratch(threading.local):
         self.arrays = tuple(np.empty(shape) for shape in shapes)
 
 
-@dataclass(frozen=True, eq=False)
-class _SamplingTables:
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _sampling_tables(tj: int, grid: QuadratureGrid):
     """The linear maps from the diagonals of rho to the samples on a grid.
 
     With n = 2j+1, diagonal Delta of an n-square matrix has n - Delta
@@ -367,26 +369,21 @@ class _SamplingTables:
     and on diagonal n - s after it wraps.  The shifts s = 0..floor(n/2)
     cover every diagonal Delta >= 0 once, with n rows each and no padding:
     about half the table that one padded block per diagonal would take.
+    Returns a tuple of:
+
+    * products (s, b, (k, t)): d^j_{k, b}(theta_t) d^j_{k, (b + s) mod n}(theta_t);
+    * index (s, row, b): the position in the float view of
+      ``DensityTomogram._fill``'s array of the real (rows 0 and 2) or
+      imaginary (rows 1 and 3) part of the rho entry of the pair on
+      diagonal s (rows 0, 1) or n - s (rows 2, 3), or of the trailing zero
+      when the pair is on the other one;
+    * phases (4 (floor(n/2) + 1), n_phi) over (s, row): the real or minus
+      imaginary part of f_Delta exp(-i Delta phi_p) for that row's
+      diagonal, with f_0 = 1 and f_Delta = 2 for each pair of conjugate
+      diagonals;
+    * per-thread scratch: c over (s, row, (k, t)), and the samples that
+      ``reconstruct_density_j`` reads.
     """
-
-    # (s, b, (k, t)): d^j_{k, b}(theta_t) d^j_{k, (b + s) mod n}(theta_t)
-    products: np.ndarray
-    # (s, row, b): position in the float view of DensityTomogram._fill's
-    # array of the real (rows 0 and 2) or imaginary (rows 1 and 3) part of
-    # the rho entry of the pair on diagonal s (rows 0, 1) or n - s (rows 2,
-    # 3), or of the trailing zero when the pair is on the other one
-    index: np.ndarray
-    # (4 (floor(n/2) + 1), n_phi) over (s, row): the real or minus imaginary
-    # part of f_Delta exp(-i Delta phi_p) for that row's diagonal, with
-    # f_0 = 1 and f_Delta = 2 for each pair of conjugate diagonals
-    phases: np.ndarray
-    # per thread: c over (s, row, (k, t)), and the samples that
-    # reconstruct_density_j reads
-    scratch: _Scratch
-
-
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _sampling_tables(tj: int, grid: QuadratureGrid) -> _SamplingTables:
     dim = tj + 1
     # (a, (k, t)) -> d^j_{k, a}(theta_t)
     d_nodes = _d_rows(tj, grid.theta_nodes, slice(None)).transpose(2, 1, 0)
@@ -408,7 +405,7 @@ def _sampling_tables(tj: int, grid: QuadratureGrid) -> _SamplingTables:
     )
     phases = np.where(np.arange(4)[:, None] % 2, -phase.imag, phase.real)
     scratch = _Scratch((len(shift), 4, d_flat.shape[1]), (dim, grid.n_theta, grid.n_phi))
-    return _SamplingTables(products, index, phases.reshape(4 * len(shift), -1), scratch)
+    return products, index, phases.reshape(4 * len(shift), -1), scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,9 +474,8 @@ def _product_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
 
 
 def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
-    """The samples of ``w`` on ``grid``.  Those of a :class:`DensityTomogram`
-    are this thread's scratch array of its sampling tables, which the next
-    call overwrites."""
+    """The samples of ``w`` on ``grid``; those of a :class:`DensityTomogram`
+    in a scratch array that the next call overwrites."""
     dim = tj + 1
     shape = (dim, grid.n_theta, grid.n_phi)
     if isinstance(w, DensityTomogram):
@@ -488,8 +484,7 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
                 f"tomogram family of spin {w.tj / 2.0} cannot be reconstructed "
                 f"as spin {tj / 2.0}"
             )
-        tables = _sampling_tables(tj, grid)
-        return w._fill(tables, tables.scratch.arrays[1])
+        return w._fill(grid)
     if callable(w):
         values = np.empty(shape)
         for i in range(dim):
@@ -548,14 +543,14 @@ class _Kernel:
     # (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
     rho_coupling: np.ndarray
     m3_column: np.ndarray  # (2j+1, 2j+1): column of m3 = m2' - m1'
-    # per thread: the m1 sums, their phi DFT, and the real and imaginary
-    # theta sums
+    # per thread: the m1 sums, their phi DFT, the real and imaginary theta
+    # sums, and a float view of the complex sums at each (j3, m1', m2')
     scratch: _Scratch
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         dim, n_theta, n_phi = values.shape
         n_m3 = self.theta.shape[1]
-        summed, g, s_real, s_imag = self.scratch.arrays
+        summed, g, s_real, s_imag, gathered = self.scratch.arrays
         # The m1 sum first, while the samples are still real.
         np.matmul(self.m1_coupling, values.reshape(dim, n_theta * n_phi), out=summed)
         np.matmul(summed.reshape(dim * n_theta, n_phi), self.phi_dft, out=g)
@@ -565,7 +560,10 @@ class _Kernel:
         np.einsum("jkt,jtk->jk", self.theta, g[..., :n_m3], out=s_real)
         np.einsum("jkt,jtk->jk", self.theta, g[..., n_m3:], out=s_imag)
         s = s_real + 1j * s_imag
-        return np.einsum("abj,jab->ab", self.rho_coupling, s[:, self.m3_column])
+        # s[:, m3_column]; the indices are in range, and "clip" writes
+        # straight into the scratch array where "raise" would buffer.
+        gathered = np.take(s, self.m3_column, axis=1, out=gathered.view(complex), mode="clip")
+        return np.einsum("abj,jab->ab", self.rho_coupling, gathered)
 
 
 def _coupling_families(tj: int) -> np.ndarray:
@@ -637,6 +635,7 @@ def _kernel(tj: int, phase_convention: str, grid: QuadratureGrid) -> _Kernel:
             (dim * grid.n_theta, 2 * n_m3),
             (dim, n_m3),
             (dim, n_m3),
+            (dim, dim, 2 * dim),
         ),
     )
 
