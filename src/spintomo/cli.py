@@ -77,9 +77,10 @@ SCHEMA_VERSION = "1"
 # from a ``rho`` peaks at about 267 MiB: 107 MiB is the cached table of d^j
 # products that sampling multiplies by, and most of the rest the
 # (2j+1) x n_theta x n_phi sample array and the scratch arrays of about
-# that size that sampling and the kernel write into.  Input files, pipes included, are read whole up to
-# 16 MiB and parsed by ``json``; at 16 MiB the most memory-hungry documents
-# found (millions of small objects) peak at about 580 MB.
+# that size that sampling and the kernel write into.  Input files, pipes
+# included, are read whole up to 16 MiB and parsed by ``json``; at 16 MiB
+# the most memory-hungry documents found (millions of small objects) peak
+# at about 580 MB.
 MAX_GRID = 256
 MAX_TRIALS = 100_000
 MAX_OVERSAMPLE = 4

@@ -506,35 +506,6 @@ def test_reconstruct_refuses_non_finite_samples():
         reconstruct_density_j(broken, 0.5)
 
 
-def test_refusals_come_before_any_table_or_kernel_is_built():
-    from spintomo.general_inversion import _kernel, _sampling_tables
-
-    # At j = 25 the tables and kernel of even the default grid take over a
-    # hundred megabytes; a refused request must not build them.
-    j = 25
-    grid = QuadratureGrid(
-        **{name: getattr(build_quadrature(j), name) for name in _GRID_FIELDS}
-    )
-    shape = (51, grid.n_theta, grid.n_phi)
-    uniform = np.full(shape, 1.0 / 51)
-    non_finite = uniform.copy()
-    non_finite[3, 2, 1] = np.nan
-    unnormalized = 2.0 * uniform
-    refusals = [
-        (uniform[:, :-1], ValueError),
-        (uniform.astype(complex), ValueError),
-        (w_callable_from_density(np.eye(3) / 3), ValueError),
-        (non_finite, NonPhysicalStateError),
-        (unnormalized, NonPhysicalStateError),
-    ]
-    caches = (_kernel, _sampling_tables)
-    before = [cache.cache_info().misses for cache in caches]
-    for w, error in refusals:
-        with pytest.raises(error):
-            reconstruct_density_j(w, j, grid=grid)
-    assert [cache.cache_info().misses for cache in caches] == before
-
-
 def test_family_rejects_out_of_multiplet_projection():
     family = w_callable_from_density(np.eye(2) / 2)
     with pytest.raises(ValueError, match="m1=1.5"):
@@ -603,6 +574,35 @@ def test_second_reconstruction_on_one_grid_hits_the_caches():
         assert (f.hits, f.misses) == (b.hits, b.misses + 1)
         assert (s.hits, s.misses) == (f.hits + 1, f.misses)
     assert second.tobytes() == first.tobytes()
+
+
+def test_refusals_come_before_any_table_or_kernel_is_built():
+    from spintomo.general_inversion import _kernel, _sampling_tables
+
+    # At j = 25 the tables and kernel of even the default grid take over a
+    # hundred megabytes; a refused request must not build them.
+    j = 25
+    grid = QuadratureGrid(
+        **{name: getattr(build_quadrature(j), name) for name in _GRID_FIELDS}
+    )
+    shape = (51, grid.n_theta, grid.n_phi)
+    uniform = np.full(shape, 1.0 / 51)
+    non_finite = uniform.copy()
+    non_finite[3, 2, 1] = np.nan
+    unnormalized = 2.0 * uniform
+    refusals = [
+        (uniform[:, :-1], ValueError),
+        (uniform.astype(complex), ValueError),
+        (w_callable_from_density(np.eye(3) / 3), ValueError),
+        (non_finite, NonPhysicalStateError),
+        (unnormalized, NonPhysicalStateError),
+    ]
+    caches = (_kernel, _sampling_tables)
+    before = [cache.cache_info().misses for cache in caches]
+    for w, error in refusals:
+        with pytest.raises(error):
+            reconstruct_density_j(w, j, grid=grid)
+    assert [cache.cache_info().misses for cache in caches] == before
 
 
 def test_literal_kernel_cached_separately(named_states):
