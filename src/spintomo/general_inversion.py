@@ -42,13 +42,13 @@ Conventions, fixed once and verified by round trips at machine precision:
   therefore carry theta and phi nodes only.
 
 * The reconstruction kernel contains two sign factors raised to the
-  projection quantum numbers.  They must be combined into the single
-  integer power (-1)^(m2' - m1), which is well defined for every spin
-  because projections of one multiplet differ by integers.  Evaluating the
-  two factors independently as exp(i pi m) is only consistent for integer
+  projection quantum numbers.  They are combined into the single integer
+  power (-1)^(m2' - m1), which is well defined for every spin because
+  projections of one multiplet differ by integers.  Evaluating the two
+  factors independently as exp(i pi m) is only consistent for integer
   spin; for half-integer spin it flips the overall sign and returns minus
-  the density matrix.  ``reconstruct_density_j`` defaults to the combined
-  reading and keeps the literal one available for comparison.
+  the density matrix.  The kernel uses the combined reading only; the
+  tests evaluate the printed triple sum both ways as an independent check.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     at j = 1/2."""
     tj = _twice_spin(j)
     d = _small_d_matrix(tj, float(u.theta))
-    ms = np.array(m_values(tj / 2))
+    ms = _m_array(tj)
     return np.exp(1j * ms * u.psi)[:, None] * d * np.exp(1j * ms * u.phi)[None, :]
 
 
@@ -451,9 +451,12 @@ def build_quadrature(j, oversample: int = 2) -> QuadratureGrid:
     memoised; their arrays are read-only.
     """
     tj = _twice_spin(j)
+    # Checked before the cache, whose keys would take 2.0 or True for 2 or 1.
+    if isinstance(oversample, bool) or not isinstance(oversample, (int, np.integer)):
+        raise ValueError(f"oversample must be an integer, got {oversample!r}")
     if oversample < 1:
         raise ValueError(f"oversample must be at least 1, got {oversample}")
-    return _quadrature(tj, oversample)
+    return _quadrature(tj, int(oversample))
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -515,7 +518,8 @@ def _check_samples(values: np.ndarray, tol: float) -> None:
     deviation = values.sum(axis=0)
     deviation -= 1.0
     norm_dev = float(np.abs(deviation, out=deviation).max())
-    if low < -tol or high > 1.0 + tol or norm_dev > tol:
+    # The accepting condition, so that a NaN tol refuses.
+    if not (low >= -tol and high <= 1.0 + tol and norm_dev <= tol):
         raise NonPhysicalStateError(
             "tomogram samples are not a normalized probability family on the "
             f"grid (min={low:.3e}, max={high:.3e}, normalization deviation="
@@ -604,7 +608,7 @@ def _coupling_families(tj: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _kernel(tj: int, phase_convention: str, grid: QuadratureGrid) -> _Kernel:
+def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     dim = tj + 1
     index = np.arange(dim)
     m3 = np.arange(-tj, tj + 1)
@@ -617,12 +621,11 @@ def _kernel(tj: int, phase_convention: str, grid: QuadratureGrid) -> _Kernel:
         theta[j3, tj - j3 : tj + j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, ::-1].T
     theta *= grid.theta_weights
     families = _coupling_families(tj)
-    # (-1)^(j - m1) in the combined reading, (-1)^(j + m1) in the literal one
-    m1_power = index if phase_convention == "combined" else tj - index
-    m1_sign = np.where(m1_power % 2, -1.0, 1.0)
-    m1_coupling = m1_sign * families.diagonal(axis1=1, axis2=2)
-    m2_sign = np.where(index % 2, -1.0, 1.0)[:, None]
-    rho_coupling = m2_sign * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
+    # (-1)^(j - m) at descending index i, m = j - i: the two factors of the
+    # sign (-1)^(m2' - m1) = (-1)^(j - m1) (-1)^(j - m2')
+    sign = np.where(index % 2, -1.0, 1.0)
+    m1_coupling = sign * families.diagonal(axis1=1, axis2=2)
+    rho_coupling = sign[:, None] * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
     n_m3 = 2 * tj + 1
     return _Kernel(
         phi_dft=phi_dft,
@@ -645,7 +648,6 @@ def reconstruct_density_j(
     j,
     grid: QuadratureGrid | None = None,
     tol: float = TOL,
-    phase_convention: str = "combined",
 ) -> np.ndarray:
     """Recover a spin-``j`` density matrix from a tomogram family.
 
@@ -664,10 +666,6 @@ def reconstruct_density_j(
         tol: bound on how far the sampled family may violate positivity or
             normalization before reconstruction is refused; non-finite
             samples are always refused.
-        phase_convention: ``"combined"`` (default) evaluates the kernel sign
-            as the integer power (-1)^(m2' - m1); ``"literal"`` evaluates
-            the two printed factors independently as (-1)^(m2' + m1), which
-            flips the sign of the result for half-integer spin.
 
     Returns:
         The reconstructed matrix, unvalidated: quadrature noise or
@@ -675,15 +673,12 @@ def reconstruct_density_j(
         decide which deviations to accept.
 
     The inversion is linear in the samples.  Its kernel is built once per
-    spin, phase convention and grid object, and cached.
+    spin and grid object, and cached.  The kernel's sign factors are read as
+    the single integer power (-1)^(m2' - m1); see the module docstring.
     """
-    if phase_convention not in ("combined", "literal"):
-        raise ValueError(
-            f"phase_convention must be 'combined' or 'literal', got {phase_convention!r}"
-        )
     tj = _twice_spin(j)
     if grid is None:
         grid = build_quadrature(tj / 2)
     values = _grid_samples(w, tj, grid)
     _check_samples(values, tol)
-    return _kernel(tj, phase_convention, grid).apply(values)
+    return _kernel(tj, grid).apply(values)

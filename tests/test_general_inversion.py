@@ -394,23 +394,58 @@ def test_reconstruct_stable_under_grid_refinement():
     assert np.abs(coarse - fine).max() < 1e-13
 
 
-def test_literal_phase_reading_flips_half_integer_spin(named_states):
-    # Reading the two kernel sign factors as independent exponentials is only
-    # equivalent for integer spin; for j = 1/2 it returns minus the state.
-    rho = named_states["up_y"]
-    family = w_callable_from_density(rho)
-    literal = reconstruct_density_j(family, 0.5, phase_convention="literal")
-    assert np.abs(literal + rho).max() < 1e-13
-    combined = reconstruct_density_j(family, 0.5, phase_convention="combined")
-    assert np.abs(combined - rho).max() < 1e-13
+def _printed_triple_sum(samples, j, grid, literal):
+    # The inversion formula term by term, independent of the kernel:
+    # rho_{m1', m2'} = sum over j3, m3 and m1 of (2 j3 + 1)^2 s(m1, m2')
+    # (j j j3; m1 -m1 0) (j j j3; m1' -m2' m3) times the Euler-angle integral
+    # of w(m1, u) D^(j3)_{0, m3}(u).  The sign s is the integer power
+    # (-1)^(m2' - m1), or, read literally, exp(i pi m2') exp(i pi m1).
+    ms = m_values(j)
+    weights = np.outer(grid.theta_weights, grid.phi_weights)
+    phis = grid.phi_nodes
+    integrals = {}
+    for j3 in range(len(ms)):
+        for m3 in range(-j3, j3 + 1):
+            d = np.array(
+                [
+                    [wigner_D(j3, 0, m3, EulerAngles(phi=p, theta=t, psi=0.0)) for p in phis]
+                    for t in grid.theta_nodes
+                ]
+            )
+            for k, m1 in enumerate(ms):
+                integrals[j3, m3, m1] = np.sum(weights * d * samples[k])
+    rho = np.zeros((len(ms), len(ms)), dtype=complex)
+    for (a, m1p), (b, m2p) in product(enumerate(ms), repeat=2):
+        for (j3, m3, m1), integral in integrals.items():
+            if literal:
+                sign = np.exp(1j * np.pi * m2p) * np.exp(1j * np.pi * m1)
+            else:
+                sign = (-1) ** round(m2p - m1)
+            rho[a, b] += (
+                (2 * j3 + 1) ** 2
+                * sign
+                * wigner_3j(j, j, j3, m1, -m1, 0)
+                * wigner_3j(j, j, j3, m1p, -m2p, m3)
+                * integral
+            )
+    return rho
 
-    rho1 = random_density_j(3, 1, seed=77)[0]
-    family1 = w_callable_from_density(rho1)
-    literal1 = reconstruct_density_j(family1, 1, phase_convention="literal")
-    assert np.abs(literal1 - rho1).max() < 1e-12
 
-    with pytest.raises(ValueError):
-        reconstruct_density_j(family, 0.5, phase_convention="exponential")
+@pytest.mark.parametrize("j", [0.5, 1, 1.5])
+def test_printed_triple_sum_matches_kernel_in_both_sign_readings(j):
+    # Reading the two sign factors as independent exponentials is only
+    # equivalent for integer spin; for half-integer spin it returns minus
+    # the state.
+    dim = int(2 * j) + 1
+    rho = random_density_j(dim, 1, seed=400 + dim)[0]
+    grid = build_quadrature(j, oversample=1)
+    samples = _looped_samples(w_callable_from_density(rho), j, grid)
+    reconstructed = reconstruct_density_j(samples, j, grid=grid)
+    combined = _printed_triple_sum(samples, j, grid, literal=False)
+    literal = _printed_triple_sum(samples, j, grid, literal=True)
+    assert np.abs(combined - reconstructed).max() < 1e-12
+    assert np.abs(literal - (-1) ** (dim - 1) * reconstructed).max() < 1e-12
+    assert np.abs(reconstructed - rho).max() < 1e-12
 
 
 def test_reconstruct_rejects_unnormalized_family():
@@ -422,6 +457,14 @@ def test_reconstruct_rejects_unnormalized_family():
 
     with pytest.raises(NonPhysicalStateError):
         reconstruct_density_j(broken, 0.5)
+
+    # A NaN tol accepts nothing, as in validate_density_j.
+    grid = build_quadrature(0.5)
+    message = "not a normalized probability family"
+    for values in (2 * family.samples(grid), family.samples(grid)):
+        with pytest.raises(NonPhysicalStateError, match=message):
+            reconstruct_density_j(values, 0.5, grid=grid, tol=float("nan"))
+    assert not validate_density_j(rho, tol=float("nan")).passed
 
 
 def test_reconstruct_rejects_negative_probabilities():
@@ -605,18 +648,27 @@ def test_refusals_come_before_any_table_or_kernel_is_built():
     assert [cache.cache_info().misses for cache in caches] == before
 
 
-def test_literal_kernel_cached_separately(named_states):
-    rho = named_states["up_y"]
-    family = w_callable_from_density(rho)
-    grid = build_quadrature(0.5, oversample=3)
-    for convention, sign in [("combined", 1), ("literal", -1), ("combined", 1), ("literal", -1)]:
-        rec = reconstruct_density_j(family, 0.5, grid=grid, phase_convention=convention)
-        assert np.abs(rec - sign * rho).max() < 1e-13, convention
-
-
 def test_build_quadrature_is_memoised():
     assert build_quadrature(2) is build_quadrature(2.0)
     assert build_quadrature(2, oversample=3) is not build_quadrature(2)
+    assert build_quadrature(2, oversample=np.int64(3)) is build_quadrature(2, oversample=3)
+
+
+def test_build_quadrature_refuses_float_or_boolean_oversample():
+    # Refused whether or not the integer grid is cached; a spin no other
+    # test builds at oversample 3 keeps the first call cold.
+    j = 11.5
+    for warm in (False, True):
+        if warm:
+            build_quadrature(j, oversample=3)
+        for oversample in (3.0, np.float64(3.0), 2.5, "3"):
+            with pytest.raises(ValueError, match="oversample must be an integer"):
+                build_quadrature(j, oversample=oversample)
+    for oversample in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="oversample must be an integer"):
+            build_quadrature(1, oversample=oversample)
+    with pytest.raises(ValueError, match="oversample must be at least 1, got 0"):
+        build_quadrature(1, oversample=np.int64(0))
 
 
 def test_angle_cache_is_bounded():
