@@ -8,11 +8,15 @@ Verbs:
 * ``verify``      round-trip and consistency checks for one state
 * ``sweep``       the same checks over seeded random states
 
-Exit codes: 0 success, 2 unusable input (bad flags, non-finite numbers,
-requests above the size bounds, unparsable state or file, unwritable output
-file), 3 physically inadmissible input or failed checks.  Documents are
-strict JSON (no NaN or Infinity), serialized with sorted keys and fixed
-indentation, so a given invocation always produces identical bytes.
+Every verb takes ``--tol`` and ``--output``; ``w --format csv`` writes its
+tomograms as CSV rows instead of a document.
+
+Exit codes: 0 success, 2 unusable input (bad flags or flags that do not
+combine, non-finite numbers, requests above the size bounds, unparsable
+state or file, unwritable output file), 3 physically inadmissible input or
+failed checks.  Documents are strict JSON (no NaN or Infinity), serialized
+with sorted keys and fixed indentation, so a given invocation always
+produces identical bytes.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .quasiprob import (
     density_from_p,
     marginal,
     p_from_density,
-    p_oracle,
 )
 from .radon_link import (
     _outside_unit_ball,
@@ -56,7 +59,7 @@ from .radon_link import (
     verify_radon_consistency,
 )
 from .sampling import random_density_matrices
-from .spin_core import _reports, density_from_bloch, require_density, validate_density
+from .spin_core import TOL, _reports, density_from_bloch, require_density, validate_density
 from .tomography import (
     AxisTriple,
     EulerAngles,
@@ -68,7 +71,6 @@ from .tomography import (
     w_value,
 )
 
-DEFAULT_TOL = 1e-10
 SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
@@ -286,8 +288,7 @@ def _load_json(path: str):
 
 def cmd_p_table(args):
     kind, rho = parse_state(args.state, args.tol)
-    builder = p_oracle if args.oracle else p_from_density
-    table = builder(rho, args.tol)
+    table = p_from_density(rho, args.tol)
     report = check_admissibility(table, args.tol)
     doc = _envelope("p-table", args.tol)
     doc["state"] = _state_obj(kind, args.state, rho)
@@ -307,10 +308,12 @@ _TOMOGRAM_FIELDS = ("theta", "phi", "w_plus", "w_minus")
 
 def cmd_w(args):
     kind, rho = parse_state(args.state, args.tol)
-    for flag in ("theta", "phi", "psi"):
+    for flag in ("theta", "phi"):
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise CliError(f"--{flag} must be finite, got {value!r}")
+    if args.axes and args.format == "csv":
+        raise CliError("--axes has no csv form; give it with --format doc")
     single = args.theta is not None or args.phi is not None
     if single and args.grid is not None:
         raise CliError("give either --theta/--phi or --grid, not both")
@@ -319,8 +322,7 @@ def cmd_w(args):
     if single:
         if args.theta is None or args.phi is None:
             raise CliError("--theta and --phi must be given together")
-        u = EulerAngles(phi=args.phi, theta=args.theta, psi=args.psi)
-        t = w_value(rho, u, args.tol)
+        t = w_value(rho, EulerAngles(phi=args.phi, theta=args.theta), args.tol)
         rows = [(t.direction.theta, t.direction.phi, t.w_plus, t.w_minus)]
     else:
         if args.grid < 1:
@@ -469,12 +471,17 @@ _DIRECT_MODES = {
 
 
 def cmd_reconstruct(args):
+    integral = args.mode == "from-w-integral"
+    if args.oversample is not None and not integral:
+        raise CliError(
+            f"--oversample applies only to --mode from-w-integral, not {args.mode}"
+        )
     data = _load_json(args.input)
     if not isinstance(data, dict):
         raise CliError("input document must be a JSON object")
     doc = _envelope("reconstruct", args.tol)
     doc["mode"] = args.mode
-    if args.mode in _DIRECT_MODES:
+    if not integral:
         field, parse, invert = _DIRECT_MODES[args.mode]
         if field not in data:
             raise CliError(f"input document needs a '{field}' field")
@@ -489,16 +496,14 @@ def cmd_reconstruct(args):
         doc["rho"] = _matrix_obj(rho)
         doc["validation"] = _validation_obj(validate_density(rho, args.tol))
         return doc, 0, None
-    # from-w-integral
-    if args.oversample < 1:
-        raise CliError(f"--oversample must be at least 1, got {args.oversample}")
-    if args.oversample > MAX_OVERSAMPLE:
-        raise CliError(
-            f"--oversample must be at most {MAX_OVERSAMPLE}, got {args.oversample}"
-        )
+    oversample = 2 if args.oversample is None else args.oversample
+    if oversample < 1:
+        raise CliError(f"--oversample must be at least 1, got {oversample}")
+    if oversample > MAX_OVERSAMPLE:
+        raise CliError(f"--oversample must be at most {MAX_OVERSAMPLE}, got {oversample}")
     j = _spin_from_doc(data)
     doc["j"] = j
-    grid = build_quadrature(j, oversample=args.oversample)
+    grid = build_quadrature(j, oversample=oversample)
     if "samples" in data:
         w = _w_from_samples(data, grid, j)
     elif "rho" in data:
@@ -647,17 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        default=DEFAULT_TOL,
+        default=TOL,
         help="tolerance for physicality and consistency checks (default %(default)g)",
     )
     common.add_argument(
         "--output", metavar="FILE", help="write the document here instead of stdout"
-    )
-    common.add_argument(
-        "--format",
-        choices=("doc", "csv"),
-        default="doc",
-        help="output format; csv is only available for the w command",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -665,11 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         "p-table", parents=[common], help="quasiprobability table of a state"
     )
     p.add_argument("--state", required=True, help="state specification")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="build the table from eigenket overlaps instead of the closed form",
-    )
 
     w = sub.add_parser(
         "w", parents=[common], help="tomographic probabilities of a state"
@@ -677,12 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--state", required=True, help="state specification")
     w.add_argument("--theta", type=float, help="polar angle of one direction")
     w.add_argument("--phi", type=float, help="azimuth of one direction")
-    w.add_argument(
-        "--psi",
-        type=float,
-        default=0.0,
-        help="third Euler angle; probabilities do not depend on it",
-    )
     w.add_argument(
         "--grid",
         type=int,
@@ -694,6 +682,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--axes",
         action="store_true",
         help="also report the three-axis probability triple",
+    )
+    w.add_argument(
+        "--format",
+        choices=("doc", "csv"),
+        default="doc",
+        help="write the JSON document, or the tomograms as CSV rows "
+        "(default %(default)s)",
     )
 
     r = sub.add_parser(
@@ -709,9 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument(
         "--oversample",
         type=int,
-        default=2,
-        help="quadrature refinement factor for integral reconstruction "
-        f"(1 to {MAX_OVERSAMPLE}, default %(default)s)",
+        help="quadrature refinement factor, for --mode from-w-integral only "
+        f"(1 to {MAX_OVERSAMPLE}, default 2)",
     )
 
     v = sub.add_parser(
@@ -771,9 +765,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.format == "csv" and args.command != "w":
-        print("error: csv output is only available for the w command", file=sys.stderr)
-        return 2
     if not math.isfinite(args.tol):
         print(f"error: --tol must be finite, got {args.tol!r}", file=sys.stderr)
         return 2

@@ -95,7 +95,6 @@ def _half_factorial(t: int) -> int:
     return factorial(t // 2)
 
 
-@lru_cache(maxsize=None)
 def _w3j_twice(tj1, tj2, tj3, tm1, tm2, tm3) -> float:
     # Imported here: only this exact reference needs it, and importing it
     # (with decimal) costs every process that imports the package.

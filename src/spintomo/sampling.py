@@ -2,29 +2,26 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .spin_core import _densities_from_bloch
+from .spin_core import _bloch_entries
 
 
-def random_bloch_vectors(n: int, seed: int, radius: float = 0.5) -> np.ndarray:
-    """``n`` vectors drawn uniformly from the ball of the given radius.
+def random_bloch_vectors(n: int, seed: int) -> np.ndarray:
+    """``n`` vectors drawn uniformly from the ball of radius 1/2, where the
+    Bloch vectors of spin-1/2 states lie.
 
     Rejection sampling from the enclosing cube with a fixed batch size, so
     the output depends only on ``n`` and ``seed``.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if not (math.isfinite(radius) and radius >= 0.0):
-        raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
     rng = np.random.default_rng(seed)
     out = np.empty((n, 3))
     filled = 0
     while filled < n:
-        batch = rng.uniform(-radius, radius, size=(max(64, n), 3))
-        keep = batch[np.linalg.norm(batch, axis=1) <= radius]
+        batch = rng.uniform(-0.5, 0.5, size=(max(64, n), 3))
+        keep = batch[np.linalg.norm(batch, axis=1) <= 0.5]
         take = min(len(keep), n - filled)
         out[filled : filled + take] = keep[:take]
         filled += take
@@ -33,7 +30,8 @@ def random_bloch_vectors(n: int, seed: int, radius: float = 0.5) -> np.ndarray:
 
 def random_density_matrices(n: int, seed: int) -> np.ndarray:
     """``n`` random 2x2 density matrices with Bloch vectors uniform in the ball."""
-    return _densities_from_bloch(random_bloch_vectors(n, seed))
+    entries = _bloch_entries(*random_bloch_vectors(n, seed).T)
+    return np.stack(entries, axis=-1).reshape(n, 2, 2)
 
 
 def random_density_j(dim: int, n: int, seed: int) -> np.ndarray:
@@ -44,6 +42,8 @@ def random_density_j(dim: int, n: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim, dim), dtype=complex)
     for i in range(n):

@@ -238,24 +238,13 @@ def density_from_bloch(b, tol: float = TOL) -> np.ndarray:
 
     Raises :class:`NonPhysicalStateError` for a longer or a non-finite vector.
     """
-    x, y, z = _bloch_vector(b, tol).tolist()
-    # 0.5 I + x sigma_x + y sigma_y + z sigma_z entry by entry, with the same
-    # products and sums in the same order, so even the signed zeros match
-    # _densities_from_bloch.
-    return np.array(
-        [0.5 * e + x * sx + y * sy + z * sz for e, sx, sy, sz in _BLOCH_BASIS]
-    ).reshape(2, 2)
+    return np.array(_bloch_entries(*_bloch_vector(b, tol).tolist())).reshape(2, 2)
 
 
-def _densities_from_bloch(vectors: np.ndarray) -> np.ndarray:
-    """Density matrices of an ``(n, 3)`` array of Bloch vectors, unchecked."""
-    v = vectors[:, :, None, None]
-    return (
-        0.5 * np.eye(2, dtype=complex)
-        + v[:, 0] * SIGMA_X
-        + v[:, 1] * SIGMA_Y
-        + v[:, 2] * SIGMA_Z
-    )
+def _bloch_entries(x, y, z) -> list:
+    # Row-major entries of 0.5 I + x sigma_x + y sigma_y + z sigma_z, for
+    # floats or for arrays of them, unchecked.
+    return [0.5 * e + x * sx + y * sy + z * sz for e, sx, sy, sz in _BLOCH_BASIS]
 
 
 def bloch_from_density(rho, tol: float = TOL) -> np.ndarray:

@@ -68,16 +68,6 @@ def test_p_table_document(capsys, validator):
     assert sum(entries.values()) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_p_table_oracle_flag_matches(capsys, validator):
-    _, doc_a, _ = run_doc(capsys, validator, "p-table", "--state", "bloch=0.1,0.2,0.3")
-    _, doc_b, _ = run_doc(
-        capsys, validator, "p-table", "--state", "bloch=0.1,0.2,0.3", "--oracle"
-    )
-    for ea, eb in zip(doc_a["p_table"], doc_b["p_table"]):
-        assert ea["re"] == pytest.approx(eb["re"], abs=1e-14)
-        assert ea["im"] == pytest.approx(eb["im"], abs=1e-14)
-
-
 def test_state_specifications(capsys, validator):
     specs = [
         "up_y",
@@ -110,15 +100,6 @@ def test_w_single_direction(capsys, validator):
     assert tomo["w_plus"] + tomo["w_minus"] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_w_psi_has_no_effect(capsys, validator):
-    base = ["w", "--state", "up_x", "--theta", "0.8", "--phi", "1.3"]
-    _, doc_a, _ = run_doc(capsys, validator, *base)
-    _, doc_b, _ = run_doc(capsys, validator, *base, "--psi", "2.9")
-    (ta,), (tb,) = doc_a["tomograms"], doc_b["tomograms"]
-    assert ta["w_plus"] == pytest.approx(tb["w_plus"], abs=1e-14)
-    assert ta["w_minus"] == pytest.approx(tb["w_minus"], abs=1e-14)
-
-
 def test_w_grid_and_axes(capsys, validator):
     code, doc, _ = run_doc(
         capsys, validator, "w", "--state", "up_y", "--grid", "3", "--axes"
@@ -145,6 +126,35 @@ def test_csv_rejected_elsewhere(capsys):
     code, _, err = run_cli(capsys, "p-table", "--state", "up_z", "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["p-table", "--state", "up_z", "--oracle"], "--oracle"),
+        (["w", "--state", "up_z", "--theta", "1", "--phi", "0", "--psi", "0"], "--psi"),
+        (["p-table", "--state", "up_z", "--format", "doc"], "--format"),
+        (["sweep", "--format", "csv"], "--format"),
+    ],
+    ids=["p-table-oracle", "w-psi", "p-table-format", "sweep-format"],
+)
+def test_flags_that_select_nothing_are_gone(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "where", [["--grid", "2"], ["--theta", "1", "--phi", "0"]], ids=["grid", "single"]
+)
+def test_w_axes_with_csv_exit_2(capsys, where):
+    code, out, err = run_cli(
+        capsys, "w", "--state", "up_x", *where, "--axes", "--format", "csv"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--axes" in err and "csv" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -625,11 +635,27 @@ def test_reconstruct_integral_oversample_zero_exit_2(capsys, tmp_path):
     assert "--oversample" in err
 
 
-@pytest.mark.parametrize("flag", ["--theta", "--phi", "--psi"])
+@pytest.mark.parametrize("mode", ["from-p", "from-w-axes"])
+@pytest.mark.parametrize("oversample", ["2", "99"])
+def test_reconstruct_direct_mode_refuses_oversample(capsys, tmp_path, mode, oversample):
+    # Valid for both modes, which accept it without --oversample.
+    table = [{"c": c, "b": b, "a": a, "re": 0.125, "im": 0.0} for c, b, a in VERTEX_ORDER]
+    triple = {"wx_plus": 0.5, "wy_plus": 0.5, "wz_plus": 0.5}
+    payload = tmp_path / "input.json"
+    payload.write_text(json.dumps({"p_table": table, "w_axes": triple}))
+    argv = ["reconstruct", "--mode", mode, "--input", str(payload)]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--oversample", oversample)
+    assert code == 2
+    assert out == ""
+    assert "--oversample" in err and mode in err
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--phi"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("fmt", ["doc", "csv"])
 def test_w_non_finite_angle_exit_2(capsys, flag, value, fmt):
-    angles = {"--theta": "1.0", "--phi": "0.5", "--psi": "0.0", flag: value}
+    angles = {"--theta": "1.0", "--phi": "0.5", flag: value}
     args = [f"{name}={angle}" for name, angle in angles.items()]
     code, out, err = run_cli(capsys, "w", "--state", "up_z", *args, "--format", fmt)
     assert code == 2

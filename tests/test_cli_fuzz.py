@@ -123,7 +123,7 @@ def test_sweep_random_flags(flags):
     _sweep(flags)
 
 
-W_SINGLE = {"--theta": "1", "--phi": "0.5", "--psi": "0"}
+W_SINGLE = {"--theta": "1", "--phi": "0.5"}
 # ``--axes`` takes no value; None stands for the bare flag.
 W_GRID = {"--grid": "3", "--axes": None}
 
@@ -166,11 +166,10 @@ STATE_SPECS = st.one_of(
 
 
 @settings(max_examples=60)
-@given(spec=STATE_SPECS, verb=st.sampled_from(["p-table", "oracle", "w", "grid"]))
+@given(spec=STATE_SPECS, verb=st.sampled_from(["p-table", "w", "grid"]))
 def test_state_specs(spec, verb):
     argv = {
         "p-table": ["p-table", "--state", spec],
-        "oracle": ["p-table", "--state", spec, "--oracle"],
         "w": ["w", "--state", spec, "--theta", "0.5", "--phi", "1.0", "--axes"],
         "grid": ["w", "--state", spec, "--grid", "3"],
     }[verb]
