@@ -49,7 +49,6 @@ from .quasiprob import (
     _table_values,
     check_admissibility,
     density_from_p,
-    marginal,
     p_from_density,
 )
 from .radon_link import (
@@ -76,13 +75,12 @@ SCHEMA_VERSION = "1"
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
 # ``sweep --trials 100000`` takes about 1.3 s and peaks at about 175 MB.
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
-# from a ``rho`` peaks at about 267 MiB: 107 MiB is the cached table of d^j
-# products that sampling multiplies by, and most of the rest the
-# (2j+1) x n_theta x n_phi sample array and the scratch arrays of about
-# that size that sampling and the kernel write into.  Input files, pipes
-# included, are read whole up to 16 MiB and parsed by ``json``; at 16 MiB
-# the most memory-hungry documents found (millions of small objects) peak
-# at about 580 MB.
+# from a ``rho`` peaks at about 165 MiB: 66 MiB is two arrays of the
+# (2j+1) x n_theta x n_phi sample size, the samples and the scratch array
+# that sampling and the kernel share, 25 MiB smaller scratch arrays, and
+# 16 MiB the cached kernel.  Input files, pipes included, are read whole up
+# to 16 MiB and parsed by ``json``; at 16 MiB the most memory-hungry
+# documents found (millions of small objects) peak at about 580 MB.
 MAX_GRID = 256
 MAX_TRIALS = 100_000
 MAX_OVERSAMPLE = 4
@@ -295,9 +293,8 @@ def cmd_p_table(args):
     doc["p_table"] = _table_obj(table)
     doc["total"] = _complex_obj(table.total())
     doc["marginals"] = [
-        {"axis": axis, "sign": sign, "value": _complex_obj(marginal(table, axis, sign))}
-        for axis in ("x", "y", "z")
-        for sign in (1, -1)
+        {"axis": m.axis, "sign": m.sign, "value": _complex_obj(m.value)}
+        for m in report.marginals
     ]
     doc["admissibility"] = _admissibility_obj(report)
     return doc, 0, None
@@ -507,11 +504,12 @@ def cmd_reconstruct(args):
     if "samples" in data:
         w = _w_from_samples(data, grid, j)
     elif "rho" in data:
-        w = w_callable_from_density(_matrix_from_obj(data["rho"]), args.tol)
-        if w.tj != _twice(j):
+        matrix = _matrix_from_obj(data["rho"])
+        if len(matrix) != _twice(j) + 1:
             raise CliError(
-                f"'rho' has dimension {w.tj + 1} but spin {j} needs {_twice(j) + 1}"
+                f"'rho' has dimension {len(matrix)} but spin {j} needs {_twice(j) + 1}"
             )
+        w = w_callable_from_density(matrix, args.tol)
     elif "state" in data:
         if _twice(j) != 1:
             raise CliError("'state' specifications are only defined for j = 1/2")

@@ -24,6 +24,12 @@ How the numbers are computed:
   orthogonality.  The tests hold them to 1e-14 of the exact symbols for
   2j <= 24, and random states to 1e-10 of their reconstruction up to
   j = 25.
+* Sampling a density matrix on a grid runs the kernel's factors in
+  reverse: the 3j couplings fold each diagonal of rho into one sum per j3,
+  a phi synthesis and the d^(j3)_{0, M}(theta) rows spread those sums over
+  the grid, and the diagonal 3j family maps j3 onto the outcomes m1.  No
+  other table is built.  The tests hold it to 1e-14 of a node-by-node
+  evaluation with d^j from J_y up to j = 25.
 * :func:`wigner_3j` evaluates single symbols with exact rational
   arithmetic and one final square root.  The kernel does not use it; the
   tests compare the recursion against it.
@@ -195,7 +201,8 @@ def wigner_D(j, mp, m, u: EulerAngles) -> complex:
 # bounded.  It only has to hold one grid's theta nodes while a tomogram
 # family is evaluated node by node; whole grids live in the grid caches.
 _ANGLE_CACHE_SIZE = 256
-# Distinct (spin, grid) pairs whose sampling tables and kernels stay cached.
+# Distinct (spin, grid) pairs whose kernels, which both sample and invert,
+# stay cached.
 _GRID_CACHE_SIZE = 16
 # Distinct spins whose J_y eigenvectors stay cached; a kernel for spin j
 # reads those of j and of every integer spin up to 2j.
@@ -310,36 +317,13 @@ class DensityTomogram:
         """w on every grid node, shape (2j+1, n_theta, n_phi): descending m1,
         then the grid's theta nodes, then its phi nodes.
 
-        The rotated diagonal is w_k(theta, phi) = sum over Delta = a - b of
-        exp(-i Delta phi) c_k,Delta(theta), with c_k,Delta the sum of
-        d_ka d_kb rho_ab along the Delta-th diagonal.  rho is Hermitian and
-        d real, so c_k,-Delta = conj(c_k,Delta) and Delta >= 0 suffices.
-        Like a single-node call, this reads the Hermitian part of rho.
-
-        Every c comes from one batched product of the diagonals of rho with
-        a table of the products d_ka d_kb, built once per spin and grid and
-        cached; one more product with the phases gives w.  The result is a
-        new array.
+        The cached inversion kernel of the spin and grid computes them by
+        running its own factors in reverse (see ``_Kernel.sample``).  Like
+        a single-node call, this reads the Hermitian part of rho.  The
+        result is a new array.
         """
-        return self._fill(grid, np.empty((self.tj + 1, grid.n_theta, grid.n_phi)))
-
-    def _fill(self, grid: QuadratureGrid, out: np.ndarray | None = None) -> np.ndarray:
-        """Write the samples on ``grid`` into ``out`` and return it; without
-        ``out``, into this thread's scratch array of the grid's tables,
-        which the next call overwrites."""
-        products, index, phases, scratch = _sampling_tables(self.tj, grid)
-        c, samples = scratch.arrays
-        dim = self.tj + 1
-        # The Hermitian part of rho, then one zero that the gather index
-        # reads where a row of the tables has no entry of rho.
-        hermitian = np.zeros(dim * dim + 1, dtype=complex)
-        square = hermitian[:-1].reshape(dim, dim)
-        np.add(self.rho, self.rho.conj().T, out=square)
-        square *= 0.5
-        np.matmul(hermitian.view(float)[index], products, out=c)
-        out = samples if out is None else out
-        np.matmul(c.reshape(-1, c.shape[2]).T, phases, out=out.reshape(-1, phases.shape[1]))
-        return out
+        out = np.empty((self.tj + 1, grid.n_theta, grid.n_phi))
+        return _kernel(self.tj, grid).sample(self.rho, out)
 
 
 @lru_cache(maxsize=_SPIN_CACHE_SIZE)
@@ -351,60 +335,11 @@ def _m_array(tj: int) -> np.ndarray:
 
 class _Scratch(threading.local):
     """Float arrays of fixed shapes, allocated once in each thread that
-    uses them.  Cached tables and kernels are shared between threads, so
-    their scratch space must not be."""
+    uses them.  Cached kernels are shared between threads, so their scratch
+    space must not be."""
 
     def __init__(self, *shapes):
         self.arrays = tuple(np.empty(shape) for shape in shapes)
-
-
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _sampling_tables(tj: int, grid: QuadratureGrid):
-    """The linear maps from the diagonals of rho to the samples on a grid.
-
-    With n = 2j+1, diagonal Delta of an n-square matrix has n - Delta
-    entries and diagonal n - Delta has Delta, so one cyclic shift holds
-    both: the pair (b, (b + s) mod n) lies on diagonal s while b + s < n
-    and on diagonal n - s after it wraps.  The shifts s = 0..floor(n/2)
-    cover every diagonal Delta >= 0 once, with n rows each and no padding:
-    about half the table that one padded block per diagonal would take.
-    Returns a tuple of:
-
-    * products (s, b, (k, t)): d^j_{k, b}(theta_t) d^j_{k, (b + s) mod n}(theta_t);
-    * index (s, row, b): the position in the float view of
-      ``DensityTomogram._fill``'s array of the real (rows 0 and 2) or
-      imaginary (rows 1 and 3) part of the rho entry of the pair on
-      diagonal s (rows 0, 1) or n - s (rows 2, 3), or of the trailing zero
-      when the pair is on the other one;
-    * phases (4 (floor(n/2) + 1), n_phi) over (s, row): the real or minus
-      imaginary part of f_Delta exp(-i Delta phi_p) for that row's
-      diagonal, with f_0 = 1 and f_Delta = 2 for each pair of conjugate
-      diagonals;
-    * per-thread scratch: c over (s, row, (k, t)), and the samples that
-      ``reconstruct_density_j`` reads.
-    """
-    dim = tj + 1
-    # (a, (k, t)) -> d^j_{k, a}(theta_t)
-    d_nodes = _d_rows(tj, grid.theta_nodes, slice(None)).transpose(2, 1, 0)
-    d_flat = np.ascontiguousarray(d_nodes).reshape(dim, -1)
-    shift = np.arange(dim // 2 + 1)[:, None]
-    b = np.arange(dim)
-    partner = (b + shift) % dim
-    products = d_flat[partner]
-    products *= d_flat
-    zero = 2 * dim * dim
-    wrapped = b + shift >= dim
-    below = np.where(wrapped, zero, 2 * (partner * dim + b))
-    # At even dimension the middle diagonal is whole below the wrap.
-    above = np.where(wrapped & (2 * shift != dim), 2 * (b * dim + partner), zero)
-    index = np.stack([below, below + 1, above, above + 1], axis=1)
-    delta = np.hstack([shift, shift, dim - shift, dim - shift])
-    phase = np.where(delta == 0, 1.0, 2.0)[..., None] * np.exp(
-        -1j * delta[..., None] * grid.phi_nodes
-    )
-    phases = np.where(np.arange(4)[:, None] % 2, -phase.imag, phase.real)
-    scratch = _Scratch((len(shift), 4, d_flat.shape[1]), (dim, grid.n_theta, grid.n_phi))
-    return products, index, phases.reshape(4 * len(shift), -1), scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,8 +352,8 @@ class QuadratureGrid:
     reconstruction integrands exactly up to the spin the grid was built for.
 
     The grid keeps read-only float64 copies of the arrays it is given, so
-    the grid object itself keys the cached sampling tables and kernels:
-    reuse one grid object rather than building an equal one anew.
+    the grid object itself keys the cached kernels: reuse one grid object
+    rather than building an equal one anew.
     """
 
     theta_nodes: np.ndarray
@@ -486,7 +421,7 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
                 f"tomogram family of spin {w.tj / 2.0} cannot be reconstructed "
                 f"as spin {tj / 2.0}"
             )
-        return w._fill(grid)
+        return _kernel(tj, grid).sample(w.rho)
     if callable(w):
         values = np.empty(shape)
         for i in range(dim):
@@ -528,7 +463,8 @@ def _check_samples(values: np.ndarray, tol: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
-    """The inversion as a fixed linear map from samples to matrix elements.
+    """The inversion as a fixed linear map from samples to matrix elements,
+    and the same factors run backwards as the map from rho to its samples.
 
     The Euler-angle integral of w against D^(j3)_{0, m3} splits into a DFT
     over the uniform phi nodes and a Gauss-Legendre sum over the theta
@@ -546,14 +482,29 @@ class _Kernel:
     # (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
     rho_coupling: np.ndarray
     m3_column: np.ndarray  # (2j+1, 2j+1): column of m3 = m2' - m1'
+    # (2j+1, 2j+1, 4) over (M, i, part): the position in the float view of
+    # the flat rho of the real and imaginary parts of rho_{i+M, i} and of
+    # rho_{i, i+M}; 0 where i + M > 2j, whose coupling is zero
+    entry_index: np.ndarray
+    # (2j+1, 2j+1, 2j+1) over (M, j3, i): (-1)^i (j j j3; m -m' M) of the
+    # entry rho_{i+M, i}, m = j - i - M and m' = j - i; zero past the matrix
+    entry_coupling: np.ndarray
+    # (2j+1, 4, n_phi) over (M, part, p): (f_M / 2) times cos(M phi_p),
+    # sin(M phi_p), cos(M phi_p) and -sin(M phi_p), with f_0 = 1 and f_M = 2
+    # for the conjugate pair of diagonals
+    phi_synthesis: np.ndarray
+    # (2j+1, n_theta, 2j+1) over (j3, t, M): (2 j3 + 1) d^(j3)_{0, M}(theta_t)
+    theta_synthesis: np.ndarray
     # per thread: the m1 sums, their phi DFT, the real and imaginary theta
-    # sums, and a float view of the complex sums at each (j3, m1', m2')
+    # sums, and a float view of the complex sums at each (j3, m1', m2');
+    # then sampling's gathered entries, their j3 sums and phi synthesis, and
+    # its samples.  The m1 sums' array also takes sampling's theta synthesis.
     scratch: _Scratch
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         dim, n_theta, n_phi = values.shape
         n_m3 = self.theta.shape[1]
-        summed, g, s_real, s_imag, gathered = self.scratch.arrays
+        summed, g, s_real, s_imag, gathered = self.scratch.arrays[:5]
         # The m1 sum first, while the samples are still real.
         np.matmul(self.m1_coupling, values.reshape(dim, n_theta * n_phi), out=summed)
         np.matmul(summed.reshape(dim * n_theta, n_phi), self.phi_dft, out=g)
@@ -567,6 +518,33 @@ class _Kernel:
         # straight into the scratch array where "raise" would buffer.
         gathered = np.take(s, self.m3_column, axis=1, out=gathered.view(complex), mode="clip")
         return np.einsum("abj,jab->ab", self.rho_coupling, gathered)
+
+    def sample(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples of the Hermitian part h of ``rho`` on the kernel's
+        grid, written into ``out`` or, without it, into this thread's
+        scratch array, which the next call overwrites.
+
+        The inversion's factors run in reverse.  With M = 0..2j the
+        diagonal of the entry h_{i+M, i}, in descending indices,
+            s[M, j3] = sum over i of entry_coupling[M, j3, i] h_{i+M, i},
+            V[j3, t, p] = sum over M of f_M d^(j3)_{0, M}(theta_t)
+                          Re(s[M, j3] exp(-i M phi_p)),
+            w[k, t, p] = sum over j3 of (2 j3 + 1) m1_coupling[j3, k] V[j3, t, p],
+        with f_0 = 1 and f_M = 2 for the conjugate diagonal -M.  h is never
+        formed: rho_{i+M, i} and conj(rho_{i, i+M}) each take half.
+        """
+        dim = len(rho)
+        volume = self.scratch.arrays[0]
+        entries, sums, phased, samples = self.scratch.arrays[5:]
+        np.take(rho.reshape(-1).view(float), self.entry_index, out=entries, mode="clip")
+        np.matmul(self.entry_coupling, entries, out=sums)
+        # Written in (j3, M, p) order for the theta product.
+        np.matmul(sums, self.phi_synthesis, out=phased.transpose(1, 0, 2))
+        n_theta, n_phi = samples.shape[1:]
+        np.matmul(self.theta_synthesis, phased, out=volume.reshape(dim, n_theta, n_phi))
+        out = samples if out is None else out
+        np.matmul(self.m1_coupling.T, volume, out=out.reshape(dim, -1))
+        return out
 
 
 def _coupling_families(tj: int) -> np.ndarray:
@@ -614,30 +592,51 @@ def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     phi_dft = grid.phi_weights[:, None] * np.exp(1j * grid.phi_nodes[:, None] * m3)
     phi_dft = np.hstack([phi_dft.real, phi_dft.imag])
     nodes = grid.theta_nodes
-    theta = np.zeros((dim, 2 * tj + 1, len(nodes)))
+    rows = np.zeros((dim, 2 * tj + 1, len(nodes)))
     for j3 in range(dim):
         # Row mp = 0 of d^(j3), its columns turned into ascending m3.
-        theta[j3, tj - j3 : tj + j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, ::-1].T
-    theta *= grid.theta_weights
+        rows[j3, tj - j3 : tj + j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, ::-1].T
     families = _coupling_families(tj)
     # (-1)^(j - m) at descending index i, m = j - i: the two factors of the
     # sign (-1)^(m2' - m1) = (-1)^(j - m1) (-1)^(j - m2')
     sign = np.where(index % 2, -1.0, 1.0)
     m1_coupling = sign * families.diagonal(axis1=1, axis2=2)
     rho_coupling = sign[:, None] * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
+    # (M, i) -> i + M, the row of the entry rho_{i+M, i} on diagonal M
+    shifted = index[:, None] + index
+    inside = shifted <= tj
+    lower = 2 * (shifted * dim + index)
+    upper = 2 * (index * dim + shifted)
+    entry_index = np.where(inside[..., None], np.stack([lower, lower + 1, upper, upper + 1], -1), 0)
+    entry_coupling = np.where(
+        inside[:, None], sign * families[:, np.minimum(shifted, tj), index].transpose(1, 0, 2), 0.0
+    )
+    phase = np.multiply.outer(index, grid.phi_nodes)
+    cos, sin = np.cos(phase), np.sin(phase)
+    phi_synthesis = np.where(index == 0, 0.5, 1.0)[:, None, None] * np.stack(
+        [cos, sin, cos, -sin], axis=1
+    )
     n_m3 = 2 * tj + 1
     return _Kernel(
         phi_dft=phi_dft,
-        theta=theta,
+        theta=rows * grid.theta_weights,
         m1_coupling=m1_coupling,
         rho_coupling=rho_coupling,
         m3_column=index[:, None] - index[None, :] + tj,
+        entry_index=entry_index,
+        entry_coupling=entry_coupling,
+        phi_synthesis=phi_synthesis,
+        theta_synthesis=(2.0 * index[:, None, None] + 1.0) * rows[:, tj:].transpose(0, 2, 1),
         scratch=_Scratch(
             (dim, grid.n_theta * grid.n_phi),
             (dim * grid.n_theta, 2 * n_m3),
             (dim, n_m3),
             (dim, n_m3),
             (dim, dim, 2 * dim),
+            (dim, dim, 4),
+            (dim, dim, 4),
+            (dim, dim, grid.n_phi),
+            (dim, grid.n_theta, grid.n_phi),
         ),
     )
 

@@ -627,6 +627,17 @@ def test_reconstruct_integral_ragged_rho_exit_2(capsys, tmp_path):
         assert "'rho'" in err
 
 
+def test_reconstruct_integral_rho_of_the_wrong_size_exit_2(capsys, tmp_path):
+    # The size is refused before the matrix is validated: the 3x3 identity
+    # is not a density matrix either, but the mismatch is named.
+    for rho in (np.eye(3), np.eye(3) / 3, np.eye(1)):
+        rows = [[{"re": x, "im": 0.0} for x in row] for row in rho]
+        code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": 0.5, "rho": rows}))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: 'rho' has dimension {len(rho)} but spin 0.5 needs 2\n"
+
+
 def test_reconstruct_integral_oversample_zero_exit_2(capsys, tmp_path):
     args = _integral_input(tmp_path, {"j": 0.5, "state": "up_z"})
     code, out, err = run_cli(capsys, *args, "--oversample", "0")

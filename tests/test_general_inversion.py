@@ -520,6 +520,34 @@ def test_array_and_callable_inputs_agree(j):
     assert np.abs(from_array - rho).max() < 1e-12
 
 
+@pytest.mark.parametrize("j", [10, 20, 25])
+def test_grid_samples_match_single_nodes_at_large_spin(j):
+    # samples(grid) runs the kernel's 3j families in reverse, so a round
+    # trip through the kernel cannot catch an error they share.  A single
+    # node call builds d^j from the J_y eigenvectors with no 3j symbol.
+    # Near the poles the samples of |j, j> underflow to about 1e-39.
+    dim = 2 * j + 1
+    rng = np.random.default_rng(900 + dim)
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vector /= np.linalg.norm(vector)
+    top = np.zeros((dim, dim), dtype=complex)
+    top[0, 0] = 1.0
+    states = {
+        "mixed": random_density_j(dim, 1, seed=900 + dim)[0],
+        "pure": np.outer(vector, vector.conj()),
+        "top": top,
+    }
+    grid = build_quadrature(j)
+    nodes = rng.integers(0, [dim, grid.n_theta, grid.n_phi], size=(300, 3))
+    ms = m_values(j)
+    for name, rho in states.items():
+        family = w_callable_from_density(rho)
+        reference = [family(ms[k], grid.theta_nodes[t], grid.phi_nodes[p]) for k, t, p in nodes]
+        assert np.abs(family.samples(grid)[tuple(nodes.T)] - reference).max() < 1e-14, name
+        # The default tol accepts the samples.
+        assert np.abs(reconstruct_density_j(family, j, grid) - rho).max() < 1e-10, name
+
+
 def test_reconstruct_rejects_malformed_sample_arrays():
     grid = build_quadrature(0.5)
     good = w_callable_from_density(np.eye(2) / 2).samples(grid)
@@ -600,30 +628,30 @@ def test_grid_keeps_read_only_copies_of_caller_arrays():
 
 
 def test_second_reconstruction_on_one_grid_hits_the_caches():
-    from spintomo.general_inversion import _kernel, _sampling_tables
+    from spintomo.general_inversion import _kernel
 
     j = 1.5
     family = w_callable_from_density(random_density_j(4, 1, seed=73)[0])
     # A grid object that no earlier test has used.
     default = build_quadrature(j)
     grid = QuadratureGrid(**{name: getattr(default, name) for name in _GRID_FIELDS})
-    caches = (_kernel, _sampling_tables)
-    before = [cache.cache_info() for cache in caches]
+    # A reconstruction looks the kernel up twice: once to sample, once to
+    # invert.  Only the first lookup of the first call builds it.
+    before = _kernel.cache_info()
     first = reconstruct_density_j(family, j, grid=grid)
-    after_first = [cache.cache_info() for cache in caches]
+    after_first = _kernel.cache_info()
     second = reconstruct_density_j(family, j, grid=grid)
-    after_second = [cache.cache_info() for cache in caches]
-    for b, f, s in zip(before, after_first, after_second):
-        assert (f.hits, f.misses) == (b.hits, b.misses + 1)
-        assert (s.hits, s.misses) == (f.hits + 1, f.misses)
+    after_second = _kernel.cache_info()
+    assert (after_first.hits, after_first.misses) == (before.hits + 1, before.misses + 1)
+    assert (after_second.hits, after_second.misses) == (after_first.hits + 2, after_first.misses)
     assert second.tobytes() == first.tobytes()
 
 
 def test_refusals_come_before_any_table_or_kernel_is_built():
-    from spintomo.general_inversion import _kernel, _sampling_tables
+    from spintomo.general_inversion import _kernel
 
-    # At j = 25 the tables and kernel of even the default grid take over a
-    # hundred megabytes; a refused request must not build them.
+    # At j = 25 the kernel of even the default grid and its scratch arrays
+    # take tens of megabytes; a refused request must not build them.
     j = 25
     grid = QuadratureGrid(
         **{name: getattr(build_quadrature(j), name) for name in _GRID_FIELDS}
@@ -640,12 +668,11 @@ def test_refusals_come_before_any_table_or_kernel_is_built():
         (non_finite, NonPhysicalStateError),
         (unnormalized, NonPhysicalStateError),
     ]
-    caches = (_kernel, _sampling_tables)
-    before = [cache.cache_info().misses for cache in caches]
+    before = _kernel.cache_info().misses
     for w, error in refusals:
         with pytest.raises(error):
             reconstruct_density_j(w, j, grid=grid)
-    assert [cache.cache_info().misses for cache in caches] == before
+    assert _kernel.cache_info().misses == before
 
 
 def test_build_quadrature_is_memoised():
@@ -683,7 +710,7 @@ def test_angle_cache_is_bounded():
 
 
 def test_threads_reconstructing_at_once_match_serial_results():
-    # The cached tables and kernel are shared; their scratch arrays are not.
+    # The cached kernel is shared; its scratch arrays are not.
     j = 3
     grid = build_quadrature(j)
     states = [random_density_j(7, 4, seed=seed) for seed in (81, 82)]
@@ -719,7 +746,7 @@ def test_threads_reconstructing_at_once_match_serial_results():
 @pytest.mark.parametrize("j", [6, 10])
 def test_warm_reconstruction_temporaries_stay_small(j):
     # A warm reconstruction works in scratch arrays kept with the cached
-    # tables and kernel; what it allocates stays below one sample array.
+    # kernel; what it allocates stays below one sample array.
     # Larger transients are handed back to the operating system after each
     # call and faulted in again on the next, which makes repeated
     # reconstructions slow and uneven.
