@@ -73,6 +73,22 @@ from .tomography import EulerAngles, _finite_angle
 
 _TWO_PI = 2.0 * math.pi
 
+# A warm small-spin reconstruction spends most of its time in numpy's
+# Python-level wrappers, so two private entry points stand in for public
+# ones, each with the public one as its fallback.
+try:
+    # The LAPACK gufunc behind np.linalg.eigvalsh, without its input checks
+    # and error-state setup: where LAPACK does not converge it returns NaN
+    # eigenvalues and sets the invalid flag, where eigvalsh raises.
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+except ImportError:
+    _eigvalsh_lo = None
+try:
+    # What np.einsum runs when it does not optimize, without its wrapper.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
@@ -253,18 +269,35 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     return np.exp(1j * ms * u.psi)[:, None] * d * np.exp(1j * ms * u.phi)[None, :]
 
 
+def _eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian ``h`` from its lower triangle,
+    all NaN where LAPACK does not converge (as for a non-finite entry)."""
+    if _eigvalsh_lo is not None:
+        return _eigvalsh_lo(h, signature="D->d")
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError:
+        return np.full(len(h), np.nan)
+
+
 def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
-    """Validation report for a square density matrix of any dimension."""
+    """Validation report for a square density matrix of any dimension.
+
+    A matrix with a non-finite entry, or entries whose sums overflow, gets
+    a report with a non-finite deviation or a NaN minimum eigenvalue, which
+    does not pass.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # Entries near the float range give an inf or NaN deviation, which fails
-    # the report, without numpy's overflow warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        herm_dev = float(np.abs(m - m.conj().T).max())
-        trace_dev = float(abs(np.trace(m) - 1.0))
-        h = 0.5 * (m + m.conj().T)
-        min_eig = float(np.linalg.eigvalsh(h)[0])
+    adjoint = m.conj().T
+    # Such matrices raise no floating-point warnings.
+    with np.errstate(all="ignore"):
+        herm_dev = float(np.maximum.reduce(np.abs(m - adjoint), None))
+        trace_dev = float(abs(m.trace() - 1.0))
+        h = m + adjoint
+        h *= 0.5
+        min_eig = float(_eigenvalues(h)[0])
     return ValidationReport(herm_dev, trace_dev, min_eig, tol)
 
 
@@ -298,19 +331,18 @@ class DensityTomogram:
     accepts.
     """
 
-    __slots__ = ("rho", "tj", "_ms")
+    __slots__ = ("rho", "tj")
 
     def __init__(self, rho: np.ndarray):
         self.rho = rho
         self.tj = rho.shape[0] - 1
-        self._ms = _m_array(self.tj)
 
     def __call__(self, m1, theta, phi) -> float:
         tm1 = _twice(m1)
         _check_projection(self.tj, tm1, "m1")
         # The k-th diagonal entry of D rho D^dagger; the psi phase cancels.
         row = _small_d_matrix(self.tj, _finite_angle("theta", theta))[(self.tj - tm1) // 2]
-        row = row * np.exp(1j * self._ms * _finite_angle("phi", phi))
+        row = row * np.exp(1j * _m_array(self.tj) * _finite_angle("phi", phi))
         return float(np.real(row @ self.rho @ row.conj()))
 
     def samples(self, grid: QuadratureGrid) -> np.ndarray:
@@ -334,12 +366,12 @@ def _m_array(tj: int) -> np.ndarray:
 
 
 class _Scratch(threading.local):
-    """Float arrays of fixed shapes, allocated once in each thread that
+    """Arrays of fixed shapes and dtypes, allocated once in each thread that
     uses them.  Cached kernels are shared between threads, so their scratch
     space must not be."""
 
-    def __init__(self, *shapes):
-        self.arrays = tuple(np.empty(shape) for shape in shapes)
+    def __init__(self, *specs):
+        self.arrays = tuple(np.empty(shape, dtype) for shape, dtype in specs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,17 +443,10 @@ def _product_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
 
 
 def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
-    """The samples of ``w`` on ``grid``; those of a :class:`DensityTomogram`
-    in a scratch array that the next call overwrites."""
+    """The samples on ``grid`` of a callable ``w`` other than a
+    :class:`DensityTomogram`, or of a sample array."""
     dim = tj + 1
     shape = (dim, grid.n_theta, grid.n_phi)
-    if isinstance(w, DensityTomogram):
-        if w.tj != tj:
-            raise ValueError(
-                f"tomogram family of spin {w.tj / 2.0} cannot be reconstructed "
-                f"as spin {tj / 2.0}"
-            )
-        return _kernel(tj, grid).sample(w.rho)
     if callable(w):
         values = np.empty(shape)
         for i in range(dim):
@@ -442,16 +467,21 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
 def _check_samples(values: np.ndarray, tol: float) -> None:
     # min and max are both finite exactly when every sample is: NaN
     # propagates through both, and an infinity is one of them.
-    low = float(values.min())
-    high = float(values.max())
+    low = float(np.minimum.reduce(values, None))
+    high = float(np.maximum.reduce(values, None))
     if not (math.isfinite(low) and math.isfinite(high)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise NonPhysicalStateError(
             f"tomogram samples contain {bad} non-finite value(s) out of {values.size}"
         )
-    deviation = values.sum(axis=0)
-    deviation -= 1.0
-    norm_dev = float(np.abs(deviation, out=deviation).max())
+    total = np.add.reduce(values, 0)
+    # max |t - 1| over the sums t, bit for bit: the rounded t - 1 grows
+    # with t, and the rounded 1 - t is its negative, so the largest
+    # deviation is that of the largest or of the smallest sum.
+    norm_dev = max(
+        float(np.maximum.reduce(total, None)) - 1.0,
+        1.0 - float(np.minimum.reduce(total, None)),
+    )
     # The accepting condition, so that a NaN tol refuses.
     if not (low >= -tol and high <= 1.0 + tol and norm_dev <= tol):
         raise NonPhysicalStateError(
@@ -478,8 +508,8 @@ class _Kernel:
     theta: np.ndarray  # (2j+1, 4j+1, n_theta): w_t d^(j3)_{0, m3}(theta_t)
     # (2j+1, 2j+1) over (j3, m1): sign * (j j j3; m1 -m1 0)
     m1_coupling: np.ndarray
-    # (2j+1, 2j+1, 2j+1) over (m1', m2', j3):
-    # (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
+    # (2j+1, 2j+1, 2j+1) over (m1', m2', j3), complex with zero imaginary
+    # parts: (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
     rho_coupling: np.ndarray
     m3_column: np.ndarray  # (2j+1, 2j+1): column of m3 = m2' - m1'
     # (2j+1, 2j+1, 4) over (M, i, part): the position in the float view of
@@ -495,8 +525,8 @@ class _Kernel:
     phi_synthesis: np.ndarray
     # (2j+1, n_theta, 2j+1) over (j3, t, M): (2 j3 + 1) d^(j3)_{0, M}(theta_t)
     theta_synthesis: np.ndarray
-    # per thread: the m1 sums, their phi DFT, the real and imaginary theta
-    # sums, and a float view of the complex sums at each (j3, m1', m2');
+    # per thread: the m1 sums, their phi DFT, the complex theta sums, and
+    # those sums at each (j3, m1', m2');
     # then sampling's gathered entries, their j3 sums and phi synthesis, and
     # its samples.  The m1 sums' array also takes sampling's theta synthesis.
     scratch: _Scratch
@@ -504,20 +534,19 @@ class _Kernel:
     def apply(self, values: np.ndarray) -> np.ndarray:
         dim, n_theta, n_phi = values.shape
         n_m3 = self.theta.shape[1]
-        summed, g, s_real, s_imag, gathered = self.scratch.arrays[:5]
+        summed, g, s, gathered = self.scratch.arrays[:4]
         # The m1 sum first, while the samples are still real.
         np.matmul(self.m1_coupling, values.reshape(dim, n_theta * n_phi), out=summed)
         np.matmul(summed.reshape(dim * n_theta, n_phi), self.phi_dft, out=g)
         g = g.reshape(dim, n_theta, 2 * n_m3)
-        # The theta sums of the real and imaginary halves, without a complex
-        # copy of g.
-        np.einsum("jkt,jtk->jk", self.theta, g[..., :n_m3], out=s_real)
-        np.einsum("jkt,jtk->jk", self.theta, g[..., n_m3:], out=s_imag)
-        s = s_real + 1j * s_imag
+        # The theta sums of the real and imaginary halves of g, written
+        # into the halves of s.
+        _einsum("jkt,jtk->jk", self.theta, g[..., :n_m3], out=s.real)
+        _einsum("jkt,jtk->jk", self.theta, g[..., n_m3:], out=s.imag)
         # s[:, m3_column]; the indices are in range, and "clip" writes
         # straight into the scratch array where "raise" would buffer.
-        gathered = np.take(s, self.m3_column, axis=1, out=gathered.view(complex), mode="clip")
-        return np.einsum("abj,jab->ab", self.rho_coupling, gathered)
+        np.take(s, self.m3_column, axis=1, out=gathered, mode="clip")
+        return _einsum("abj,jab->ab", self.rho_coupling, gathered)
 
     def sample(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The samples of the Hermitian part h of ``rho`` on the kernel's
@@ -535,7 +564,7 @@ class _Kernel:
         """
         dim = len(rho)
         volume = self.scratch.arrays[0]
-        entries, sums, phased, samples = self.scratch.arrays[5:]
+        entries, sums, phased, samples = self.scratch.arrays[4:]
         np.take(rho.reshape(-1).view(float), self.entry_index, out=entries, mode="clip")
         np.matmul(self.entry_coupling, entries, out=sums)
         # Written in (j3, M, p) order for the theta product.
@@ -602,6 +631,8 @@ def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     sign = np.where(index % 2, -1.0, 1.0)
     m1_coupling = sign * families.diagonal(axis1=1, axis2=2)
     rho_coupling = sign[:, None] * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
+    # Complex, as the product with the complex sums would cast it on each call.
+    rho_coupling = rho_coupling.astype(complex)
     # (M, i) -> i + M, the row of the entry rho_{i+M, i} on diagonal M
     shifted = index[:, None] + index
     inside = shifted <= tj
@@ -628,15 +659,14 @@ def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
         phi_synthesis=phi_synthesis,
         theta_synthesis=(2.0 * index[:, None, None] + 1.0) * rows[:, tj:].transpose(0, 2, 1),
         scratch=_Scratch(
-            (dim, grid.n_theta * grid.n_phi),
-            (dim * grid.n_theta, 2 * n_m3),
-            (dim, n_m3),
-            (dim, n_m3),
-            (dim, dim, 2 * dim),
-            (dim, dim, 4),
-            (dim, dim, 4),
-            (dim, dim, grid.n_phi),
-            (dim, grid.n_theta, grid.n_phi),
+            ((dim, grid.n_theta * grid.n_phi), float),
+            ((dim * grid.n_theta, 2 * n_m3), float),
+            ((dim, n_m3), complex),
+            ((dim, dim, dim), complex),
+            ((dim, dim, 4), float),
+            ((dim, dim, 4), float),
+            ((dim, dim, grid.n_phi), float),
+            ((dim, grid.n_theta, grid.n_phi), float),
         ),
     )
 
@@ -676,7 +706,20 @@ def reconstruct_density_j(
     """
     tj = _twice_spin(j)
     if grid is None:
-        grid = build_quadrature(tj / 2)
-    values = _grid_samples(w, tj, grid)
-    _check_samples(values, tol)
-    return _kernel(tj, grid).apply(values)
+        grid = _quadrature(tj, 2)
+    # The kernel is looked up once, and only after every refusal that does
+    # not need it, so that a refused request builds nothing.
+    if isinstance(w, DensityTomogram):
+        if w.tj != tj:
+            raise ValueError(
+                f"tomogram family of spin {w.tj / 2.0} cannot be reconstructed "
+                f"as spin {tj / 2.0}"
+            )
+        kernel = _kernel(tj, grid)
+        values = kernel.sample(w.rho)
+        _check_samples(values, tol)
+    else:
+        values = _grid_samples(w, tj, grid)
+        _check_samples(values, tol)
+        kernel = _kernel(tj, grid)
+    return kernel.apply(values)
