@@ -75,10 +75,10 @@ SCHEMA_VERSION = "1"
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
 # ``sweep --trials 100000`` takes about 1.3 s and peaks at about 175 MB.
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
-# from a ``rho`` peaks at about 165 MiB: 66 MiB is two arrays of the
+# from a ``rho`` peaks at about 126 MiB: 66 MiB is two arrays of the
 # (2j+1) x n_theta x n_phi sample size, the samples and the scratch array
-# that sampling and the kernel share, 25 MiB smaller scratch arrays, and
-# 16 MiB the cached kernel.  Input files, pipes included, are read whole up
+# that sampling and inversion share, 8 MiB smaller scratch arrays, and
+# 11 MiB the cached kernel.  Input files, pipes included, are read whole up
 # to 16 MiB and parsed by ``json``; at 16 MiB the most memory-hungry
 # documents found (millions of small objects) peak at about 580 MB.
 MAX_GRID = 256
@@ -151,14 +151,39 @@ def _matrix_obj(m) -> list:
     return [[_complex_obj(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_obj(rows) -> np.ndarray:
+def _float(value) -> float:
+    """A JSON number as a float; an integer beyond the float range reads as
+    an infinity, as a float literal beyond it does."""
     try:
-        m = np.array(
-            [[complex(cell["re"], cell["im"]) for cell in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, KeyError, OverflowError) as exc:
-        raise CliError(f"'rho' entries must be objects with 're' and 'im': {exc}") from exc
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _number(obj, key: str, what: str) -> float:
+    """The field ``key`` of the JSON object ``obj``, which ``what`` names in
+    a refusal, as a float.  The field must be a JSON number: not a boolean,
+    and not a string that spells one."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    # type(), not isinstance(): json reads true as True, an int.
+    if type(value) not in (float, int):
+        if not isinstance(obj, dict):
+            raise CliError(f"{what} must be an object with a number {key!r}")
+        raise CliError(f"{what} needs a number {key!r}")
+    return _float(value)
+
+
+def _cell(cell, r: int, c: int) -> complex:
+    what = f"'rho' entry [{r}][{c}]"
+    return complex(_number(cell, "re", what), _number(cell, "im", what))
+
+
+def _matrix_from_obj(rows) -> np.ndarray:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise CliError("'rho' must be a list of rows of {re, im} objects")
+    values = [[_cell(cell, r, c) for c, cell in enumerate(row)] for r, row in enumerate(rows)]
+    try:
+        m = np.array(values, dtype=complex)
     except ValueError as exc:
         raise CliError(f"'rho' must be a square matrix: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -188,18 +213,26 @@ def _table_obj(table: QuasiProbTable) -> list:
     ]
 
 
+def _vertex_label(item, key: str, what: str) -> int:
+    label = item.get(key) if isinstance(item, dict) else None
+    # type(), not isinstance(): json reads true as True, an int.
+    if type(label) is not int or label not in (1, -1):
+        raise CliError(f"{what} needs the integer 1 or -1 as {key!r}")
+    return label
+
+
 def _table_from_obj(entries) -> QuasiProbTable:
     if not isinstance(entries, list):
         raise CliError("'p_table' must be a list of 8 entries")
     mapping = {}
     for item in entries:
-        try:
-            vertex = (int(item["c"]), int(item["b"]), int(item["a"]))
-            value = complex(float(item["re"]), float(item["im"]))
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise CliError(f"malformed table entry {item!r}: {exc}") from exc
+        what = f"table entry {item!r}"
+        vertex = tuple(_vertex_label(item, key, what) for key in "cba")
+        value = complex(_number(item, "re", what), _number(item, "im", what))
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise CliError(f"table entry {item!r} is not finite")
+            raise CliError(f"{what} is not finite")
+        if vertex in mapping:
+            raise CliError(f"{what} repeats the vertex (c, b, a) = {vertex}")
         mapping[vertex] = value
     try:
         return QuasiProbTable(mapping)
@@ -207,15 +240,11 @@ def _table_from_obj(entries) -> QuasiProbTable:
         raise CliError(str(exc)) from exc
 
 
+_TRIPLE_FIELDS = ("wx_plus", "wy_plus", "wz_plus")
+
+
 def _triple_from_obj(obj) -> AxisTriple:
-    try:
-        triple = AxisTriple(
-            wx_plus=float(obj["wx_plus"]),
-            wy_plus=float(obj["wy_plus"]),
-            wz_plus=float(obj["wz_plus"]),
-        )
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise CliError(f"malformed 'w_axes' object: {exc}") from exc
+    triple = AxisTriple(*(_number(obj, key, "'w_axes'") for key in _TRIPLE_FIELDS))
     if not all(map(math.isfinite, (triple.wx_plus, triple.wy_plus, triple.wz_plus))):
         raise CliError(f"'w_axes' values must be finite, got {obj!r}")
     return triple
@@ -371,7 +400,6 @@ def _spin_from_doc(data) -> float:
 
 
 _SAMPLE_FIELDS = ("m", "theta", "phi", "w")
-_SAMPLE_ERRORS = (TypeError, KeyError, ValueError, OverflowError)
 # How far a sample's angles may lie from their grid node.
 _MATCH_TOL = 1e-9
 
@@ -400,17 +428,23 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     records = data["samples"]
     if not isinstance(records, list):
         raise CliError("'samples' must be a list of {m, theta, phi, w} records")
-    # Parsed up to the first malformed record; the records before it are
-    # still checked first.
-    malformed = None
+    # Read up to the first malformed record, one that is not an object of
+    # four JSON numbers; the records before it are still checked first.
     parsed = []
     for record in records:
         try:
-            parsed.extend([float(record[field]) for field in _SAMPLE_FIELDS])
-        except _SAMPLE_ERRORS as exc:
-            malformed = CliError(f"malformed sample {record!r}: {exc}")
+            parsed.extend([record[field] for field in _SAMPLE_FIELDS])
+        except (TypeError, KeyError):
             break
-    rows = np.array(parsed, dtype=float).reshape(-1, 4)
+    if not set(map(type, parsed)) <= {float, int}:
+        # A boolean, a string, null, a list or an object ends the read.
+        first = next(i for i, v in enumerate(parsed) if type(v) not in (float, int))
+        del parsed[first - first % 4 :]
+    malformed = len(parsed) // 4
+    try:
+        rows = np.array(parsed, dtype=float).reshape(-1, 4)
+    except OverflowError:
+        rows = np.array([_float(v) for v in parsed]).reshape(-1, 4)
     m1, theta, phi, w = rows.T
 
     ms = np.array(m_values(j)[::-1])
@@ -446,8 +480,11 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
             f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the "
             "reconstruction grid"
         )
-    if malformed is not None:
-        raise malformed
+    if malformed < len(records):
+        # The field that ended the read raises.
+        record = records[malformed]
+        for field in _SAMPLE_FIELDS:
+            _number(record, field, f"sample {record!r}")
     missing = np.count_nonzero(counts == 0)
     if missing:
         raise CliError(

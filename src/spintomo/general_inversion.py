@@ -24,12 +24,16 @@ How the numbers are computed:
   orthogonality.  The tests hold them to 1e-14 of the exact symbols for
   2j <= 24, and random states to 1e-10 of their reconstruction up to
   j = 25.
-* Sampling a density matrix on a grid runs the kernel's factors in
-  reverse: the 3j couplings fold each diagonal of rho into one sum per j3,
-  a phi synthesis and the d^(j3)_{0, M}(theta) rows spread those sums over
-  the grid, and the diagonal 3j family maps j3 onto the outcomes m1.  No
-  other table is built.  The tests hold it to 1e-14 of a node-by-node
-  evaluation with d^j from J_y up to j = 25.
+* Sampling and inversion are one chain of linear factors per spin and
+  grid.  Sampling runs it forwards: the 3j couplings fold each diagonal
+  M >= 0 of rho into one sum per j3, a phi synthesis and the
+  d^(j3)_{0, M}(theta) rows spread those sums over the grid, and the
+  diagonal 3j family maps j3 onto the outcomes m1.  The tests hold it to
+  1e-14 of a node-by-node evaluation with d^j from J_y up to j = 25.  The
+  inversion runs the transposed factors backwards, with the quadrature
+  weights, for the entries on and below the diagonal only: for real
+  samples the rest are their conjugates, as
+  D^(j3)_{0, -m3} = (-1)^m3 conj(D^(j3)_{0, m3}).
 * :func:`wigner_3j` evaluates single symbols with exact rational
   arithmetic and one final square root.  The kernel does not use it; the
   tests compare the recursion against it.
@@ -74,8 +78,8 @@ from .tomography import EulerAngles, _finite_angle
 _TWO_PI = 2.0 * math.pi
 
 # A warm small-spin reconstruction spends most of its time in numpy's
-# Python-level wrappers, so two private entry points stand in for public
-# ones, each with the public one as its fallback.
+# Python-level wrappers, so a private entry point stands in for a public
+# one, with the public one as its fallback.
 try:
     # The LAPACK gufunc behind np.linalg.eigvalsh, without its input checks
     # and error-state setup: where LAPACK does not converge it returns NaN
@@ -83,11 +87,6 @@ try:
     from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 except ImportError:
     _eigvalsh_lo = None
-try:
-    # What np.einsum runs when it does not optimize, without its wrapper.
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:
-    _einsum = np.einsum
 
 
 def _twice(x) -> int:
@@ -298,6 +297,11 @@ def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
         h = m + adjoint
         h *= 0.5
         min_eig = float(_eigenvalues(h)[0])
+    # LAPACK reads only the real diagonal, and can return finite eigenvalues
+    # for a non-finite one.  Any non-finite entry makes a deviation
+    # non-finite, so a finite matrix skips the entry check.
+    if not math.isfinite(herm_dev + trace_dev) and not np.isfinite(m).all():
+        min_eig = math.nan
     return ValidationReport(herm_dev, trace_dev, min_eig, tol)
 
 
@@ -493,28 +497,25 @@ def _check_samples(values: np.ndarray, tol: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
-    """The inversion as a fixed linear map from samples to matrix elements,
-    and the same factors run backwards as the map from rho to its samples.
-
-    The Euler-angle integral of w against D^(j3)_{0, m3} splits into a DFT
-    over the uniform phi nodes and a Gauss-Legendre sum over the theta
-    nodes; two 3j couplings then sum over m1 and map (j3, m3) onto the
-    entries rho_{m1', m2'}, where only m3 = m2' - m1' survives.
+    """The linear map between rho and its samples on one grid, as a chain
+    of four factors.  With M = 0..2j the diagonal of the entry h_{i+M, i}
+    of the Hermitian part h of rho, in descending indices,
+        s[M, j3] = sum over i of entry_coupling[M, j3, i] h_{i+M, i},
+        V[j3, t, p] = sum over M of f_M d^(j3)_{0, M}(theta_t)
+                      Re(s[M, j3] exp(-i M phi_p)),
+        w[k, t, p] = sum over j3 of (2 j3 + 1) m1_coupling[j3, k] V[j3, t, p],
+    with f_0 = 1 and f_M = 2 for the conjugate diagonal -M.  ``sample`` runs
+    the chain forwards.  ``apply`` inverts it: it runs the same couplings
+    backwards, transposed, with analysis tables of the theta and phi factors
+    that carry the quadrature weights and the norm (2 j3 + 1)^2.
     """
 
-    # (n_phi, 2 (4j+1)): real and imaginary parts of w_p exp(i m3 phi_p),
-    # m3 = -2j..2j, side by side
-    phi_dft: np.ndarray
-    theta: np.ndarray  # (2j+1, 4j+1, n_theta): w_t d^(j3)_{0, m3}(theta_t)
     # (2j+1, 2j+1) over (j3, m1): sign * (j j j3; m1 -m1 0)
     m1_coupling: np.ndarray
-    # (2j+1, 2j+1, 2j+1) over (m1', m2', j3), complex with zero imaginary
-    # parts: (-1)^(m2' - j) (2 j3 + 1)^2 (j j j3; m1' -m2' m3)
-    rho_coupling: np.ndarray
-    m3_column: np.ndarray  # (2j+1, 2j+1): column of m3 = m2' - m1'
     # (2j+1, 2j+1, 4) over (M, i, part): the position in the float view of
     # the flat rho of the real and imaginary parts of rho_{i+M, i} and of
-    # rho_{i, i+M}; 0 where i + M > 2j, whose coupling is zero
+    # rho_{i, i+M}; one past the matrix where i + M > 2j, whose coupling is
+    # zero
     entry_index: np.ndarray
     # (2j+1, 2j+1, 2j+1) over (M, j3, i): (-1)^i (j j j3; m -m' M) of the
     # entry rho_{i+M, i}, m = j - i - M and m' = j - i; zero past the matrix
@@ -525,47 +526,47 @@ class _Kernel:
     phi_synthesis: np.ndarray
     # (2j+1, n_theta, 2j+1) over (j3, t, M): (2 j3 + 1) d^(j3)_{0, M}(theta_t)
     theta_synthesis: np.ndarray
-    # per thread: the m1 sums, their phi DFT, the complex theta sums, and
-    # those sums at each (j3, m1', m2');
-    # then sampling's gathered entries, their j3 sums and phi synthesis, and
-    # its samples.  The m1 sums' array also takes sampling's theta synthesis.
+    # (2j+1, n_phi, 4) over (M, p, part): the phi weight c_p times
+    # cos(M phi_p), sin(M phi_p), cos(M phi_p) and -sin(M phi_p)
+    phi_analysis: np.ndarray
+    # (2j+1, 2j+1, n_theta) over (j3, M, t): (2 j3 + 1)^2 times the theta
+    # weight b_t times d^(j3)_{0, M}(theta_t)
+    theta_analysis: np.ndarray
+    # per thread: the m1 sums, which sampling's theta synthesis also takes;
+    # the entries; their j3 sums; the phi-resolved sums; and the samples
     scratch: _Scratch
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """The matrix that the samples ``values`` invert to, as a new array.
+        Only the entries rho_{i+M, i}, M >= 0, are computed; rho_{i, i+M} is
+        written as their conjugate, from the phi table's last two parts, so
+        the result is exactly Hermitian."""
         dim, n_theta, n_phi = values.shape
-        n_m3 = self.theta.shape[1]
-        summed, g, s, gathered = self.scratch.arrays[:4]
+        summed, entries, sums, phased = self.scratch.arrays[:4]
         # The m1 sum first, while the samples are still real.
         np.matmul(self.m1_coupling, values.reshape(dim, n_theta * n_phi), out=summed)
-        np.matmul(summed.reshape(dim * n_theta, n_phi), self.phi_dft, out=g)
-        g = g.reshape(dim, n_theta, 2 * n_m3)
-        # The theta sums of the real and imaginary halves of g, written
-        # into the halves of s.
-        _einsum("jkt,jtk->jk", self.theta, g[..., :n_m3], out=s.real)
-        _einsum("jkt,jtk->jk", self.theta, g[..., n_m3:], out=s.imag)
-        # s[:, m3_column]; the indices are in range, and "clip" writes
-        # straight into the scratch array where "raise" would buffer.
-        np.take(s, self.m3_column, axis=1, out=gathered, mode="clip")
-        return _einsum("abj,jab->ab", self.rho_coupling, gathered)
+        np.matmul(self.theta_analysis, summed.reshape(dim, n_theta, n_phi), out=phased)
+        # Read in (M, j3, p) order: real and imaginary parts of s, then
+        # those of its conjugate.
+        np.matmul(phased.transpose(1, 0, 2), self.phi_analysis, out=sums)
+        np.matmul(self.entry_coupling.transpose(0, 2, 1), sums, out=entries)
+        # The entries past the matrix land in the one spare slot at its end;
+        # the diagonal is written twice, the second time with the same real
+        # part and a zero imaginary part.
+        flat = np.empty(2 * dim * dim + 1)
+        flat[self.entry_index] = entries
+        return flat[:-1].view(complex).reshape(dim, dim)
 
     def sample(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The samples of the Hermitian part h of ``rho`` on the kernel's
         grid, written into ``out`` or, without it, into this thread's
-        scratch array, which the next call overwrites.
-
-        The inversion's factors run in reverse.  With M = 0..2j the
-        diagonal of the entry h_{i+M, i}, in descending indices,
-            s[M, j3] = sum over i of entry_coupling[M, j3, i] h_{i+M, i},
-            V[j3, t, p] = sum over M of f_M d^(j3)_{0, M}(theta_t)
-                          Re(s[M, j3] exp(-i M phi_p)),
-            w[k, t, p] = sum over j3 of (2 j3 + 1) m1_coupling[j3, k] V[j3, t, p],
-        with f_0 = 1 and f_M = 2 for the conjugate diagonal -M.  h is never
-        formed: rho_{i+M, i} and conj(rho_{i, i+M}) each take half.
-        """
+        scratch array, which the next call overwrites.  h is never formed:
+        rho_{i+M, i} and conj(rho_{i, i+M}) each take half."""
         dim = len(rho)
-        volume = self.scratch.arrays[0]
-        entries, sums, phased, samples = self.scratch.arrays[4:]
-        np.take(rho.reshape(-1).view(float), self.entry_index, out=entries, mode="clip")
+        volume, entries, sums, phased, samples = self.scratch.arrays
+        # "wrap" reads rho_00 for the entries past the matrix, and, like
+        # "clip", writes straight into the scratch array.
+        np.take(rho.reshape(-1).view(float), self.entry_index, out=entries, mode="wrap")
         np.matmul(self.entry_coupling, entries, out=sums)
         # Written in (j3, M, p) order for the theta product.
         np.matmul(sums, self.phi_synthesis, out=phased.transpose(1, 0, 2))
@@ -617,52 +618,40 @@ def _coupling_families(tj: int) -> np.ndarray:
 def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     dim = tj + 1
     index = np.arange(dim)
-    m3 = np.arange(-tj, tj + 1)
-    phi_dft = grid.phi_weights[:, None] * np.exp(1j * grid.phi_nodes[:, None] * m3)
-    phi_dft = np.hstack([phi_dft.real, phi_dft.imag])
     nodes = grid.theta_nodes
-    rows = np.zeros((dim, 2 * tj + 1, len(nodes)))
+    # rows[j3, M, t] = d^(j3)_{0, M}(theta_t) for M = 0..2j, zero past j3
+    rows = np.zeros((dim, dim, len(nodes)))
     for j3 in range(dim):
-        # Row mp = 0 of d^(j3), its columns turned into ascending m3.
-        rows[j3, tj - j3 : tj + j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, ::-1].T
+        # Row mp = 0 of d^(j3), its columns m = j3..-j3 read from m = 0 up.
+        rows[j3, : j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, j3::-1].T
     families = _coupling_families(tj)
     # (-1)^(j - m) at descending index i, m = j - i: the two factors of the
     # sign (-1)^(m2' - m1) = (-1)^(j - m1) (-1)^(j - m2')
     sign = np.where(index % 2, -1.0, 1.0)
-    m1_coupling = sign * families.diagonal(axis1=1, axis2=2)
-    rho_coupling = sign[:, None] * (2.0 * index + 1.0) ** 2 * np.moveaxis(families, 0, -1)
-    # Complex, as the product with the complex sums would cast it on each call.
-    rho_coupling = rho_coupling.astype(complex)
     # (M, i) -> i + M, the row of the entry rho_{i+M, i} on diagonal M
     shifted = index[:, None] + index
     inside = shifted <= tj
     lower = 2 * (shifted * dim + index)
     upper = 2 * (index * dim + shifted)
-    entry_index = np.where(inside[..., None], np.stack([lower, lower + 1, upper, upper + 1], -1), 0)
+    entry_index = np.where(
+        inside[..., None], np.stack([lower, lower + 1, upper, upper + 1], -1), 2 * dim * dim
+    )
     entry_coupling = np.where(
         inside[:, None], sign * families[:, np.minimum(shifted, tj), index].transpose(1, 0, 2), 0.0
     )
     phase = np.multiply.outer(index, grid.phi_nodes)
     cos, sin = np.cos(phase), np.sin(phase)
-    phi_synthesis = np.where(index == 0, 0.5, 1.0)[:, None, None] * np.stack(
-        [cos, sin, cos, -sin], axis=1
-    )
-    n_m3 = 2 * tj + 1
+    parts = np.stack([cos, sin, cos, -sin], axis=1)
     return _Kernel(
-        phi_dft=phi_dft,
-        theta=rows * grid.theta_weights,
-        m1_coupling=m1_coupling,
-        rho_coupling=rho_coupling,
-        m3_column=index[:, None] - index[None, :] + tj,
+        m1_coupling=sign * families.diagonal(axis1=1, axis2=2),
         entry_index=entry_index,
         entry_coupling=entry_coupling,
-        phi_synthesis=phi_synthesis,
-        theta_synthesis=(2.0 * index[:, None, None] + 1.0) * rows[:, tj:].transpose(0, 2, 1),
+        phi_synthesis=np.where(index == 0, 0.5, 1.0)[:, None, None] * parts,
+        theta_synthesis=(2.0 * index[:, None, None] + 1.0) * rows.transpose(0, 2, 1),
+        phi_analysis=(grid.phi_weights * parts).transpose(0, 2, 1).copy(),
+        theta_analysis=(2.0 * index[:, None, None] + 1.0) ** 2 * rows * grid.theta_weights,
         scratch=_Scratch(
             ((dim, grid.n_theta * grid.n_phi), float),
-            ((dim * grid.n_theta, 2 * n_m3), float),
-            ((dim, n_m3), complex),
-            ((dim, dim, dim), complex),
             ((dim, dim, 4), float),
             ((dim, dim, 4), float),
             ((dim, dim, grid.n_phi), float),

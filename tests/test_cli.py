@@ -346,7 +346,7 @@ def _spoil(kind, samples, index):
     record = samples[index]
     if kind == "malformed":
         del record["w"]
-        return f"malformed sample {record!r}: 'w'"
+        return f"sample {record!r} needs a number 'w'"
     if kind == "projection":
         record["m"] = 0.25
         return "sample projection 0.25 is not in the spin-0.5 multiplet"
@@ -399,20 +399,16 @@ def test_reconstruct_integral_sample_checks_run_in_order(capsys, tmp_path):
 def ref_w_from_samples(records, grid, j):
     """The record-by-record loop the array ingestion replaced."""
     from spintomo import m_values
-    from spintomo.cli import CliError
+    from spintomo.cli import CliError, _number
 
     ms = m_values(j)
     shape = (len(ms), grid.n_theta, grid.n_phi)
     values = np.empty(shape)
     seen = np.zeros(shape, dtype=bool)
     for sample in records:
-        try:
-            m1 = float(sample["m"])
-            theta = float(sample["theta"])
-            phi = float(sample["phi"])
-            w = float(sample["w"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise CliError(f"malformed sample {sample!r}: {exc}") from exc
+        m1, theta, phi, w = (
+            _number(sample, field, f"sample {sample!r}") for field in ("m", "theta", "phi", "w")
+        )
         if m1 not in ms:
             raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
         if not np.isfinite(w):
@@ -456,6 +452,10 @@ _RECORD_FAULTS = [
     lambda r: r.update(w=None),
     lambda r: r.pop("theta"),
     lambda r: r.update(m=True),
+    lambda r: r.update(w=False),
+    lambda r: r.update(w=10**400),
+    lambda r: r.update(phi=-(10**400)),
+    lambda r: r.update(m=1),
 ]
 
 
@@ -946,19 +946,20 @@ _REFUSED_INPUTS = {
     "infinite-vertex": (
         json.dumps({"p_table": _p_table_entries(c=1e400)}).encode().replace(b"Infinity", b"1e400"),
         ("verify",),
-        "malformed table entry {'c': inf",
+        "table entry {'c': inf, 'b': 1, 'a': 1, 're': 0.125, 'im': 0.0} needs the integer 1 or -1 as 'c'",
     ),
+    # An integer beyond the float range reads as an infinity.
     "huge-integer-triple": (
         b'{"w_axes": {"wx_plus": 1' + b"0" * 400 + b', "wy_plus": 0.5, "wz_plus": 0.5}}',
         ("reconstruct", "--mode", "from-w-axes"),
-        "malformed 'w_axes' object",
+        "'w_axes' values must be finite",
     ),
     "huge-integer-sample": (
         b'{"j": 0.5, "samples": [{"m": 0.5, "theta": 0.1, "phi": 0.0, "w": 1'
         + b"0" * 400
         + b"}]}",
         ("reconstruct", "--mode", "from-w-integral"),
-        "malformed sample",
+        "sample at (m=0.5, theta=0.1, phi=0.0) has non-finite w=inf",
     ),
 }
 
@@ -976,6 +977,131 @@ def test_unusable_input_exits_2_naming_it(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+_HALF_TRIPLE = {"wx_plus": 0.5, "wy_plus": 0.5, "wz_plus": 0.5}
+_CELL = {"re": 0.0, "im": 0.0}
+
+
+def _with_sample(field, value):
+    """A samples document whose first record has ``value`` as ``field``,
+    and the refusal of it."""
+    samples = json.loads(json.dumps(_grid_samples(np.eye(2) / 2, 0.5)))
+    samples[0][field] = value
+    return {"j": 0.5, "samples": samples}, f"sample {samples[0]!r} needs a number {field!r}"
+
+
+# Each field of a p_table entry, a w_axes object, a rho cell or a sample
+# must be a JSON number: a boolean or a string that spells a number was
+# read as one, and a missing field or an object of the wrong type printed
+# Python's bare exception text.  Each now exits 2 naming the object and the
+# field.
+_NOT_NUMBERS = {
+    "triple true": (
+        "from-w-axes",
+        {"w_axes": dict(_HALF_TRIPLE, wx_plus=True)},
+        "'w_axes' needs a number 'wx_plus'",
+    ),
+    "triple string": (
+        "from-w-axes",
+        {"w_axes": dict(_HALF_TRIPLE, wx_plus="0.5")},
+        "'w_axes' needs a number 'wx_plus'",
+    ),
+    "triple missing": (
+        "from-w-axes",
+        {"w_axes": {"wx_plus": 0.5, "wy_plus": 0.5}},
+        "'w_axes' needs a number 'wz_plus'",
+    ),
+    "triple list": (
+        "from-w-axes",
+        {"w_axes": [0.5, 0.5, 0.5]},
+        "'w_axes' must be an object with a number 'wx_plus'",
+    ),
+    "verify triple null": (
+        "verify",
+        {"w_axes": dict(_HALF_TRIPLE, wy_plus=None)},
+        "'w_axes' needs a number 'wy_plus'",
+    ),
+    "rho re true": (
+        "from-w-integral",
+        {"j": 0.5, "rho": [[dict(_CELL, re=True), _CELL], [_CELL, _CELL]]},
+        "'rho' entry [0][0] needs a number 're'",
+    ),
+    "rho im string": (
+        "from-w-integral",
+        {"j": 0.5, "rho": [[_CELL, _CELL], [_CELL, dict(_CELL, im="0")]]},
+        "'rho' entry [1][1] needs a number 'im'",
+    ),
+    "rho number cell": (
+        "from-w-integral",
+        {"j": 0.5, "rho": [[_CELL, 0.5], [_CELL, _CELL]]},
+        "'rho' entry [0][1] must be an object with a number 're'",
+    ),
+    "rho object": (
+        "from-w-integral",
+        {"j": 0.5, "rho": {"re": 0.5, "im": 0.0}},
+        "'rho' must be a list of rows of {re, im} objects",
+    ),
+    "table re string": (
+        "from-p",
+        {"p_table": _p_table_entries(re="0.125")},
+        "table entry {'c': 1, 'b': 1, 'a': 1, 're': '0.125', 'im': 0.0} needs a number 're'",
+    ),
+    "verify table im true": (
+        "verify",
+        {"p_table": _p_table_entries(im=False)},
+        "table entry {'c': 1, 'b': 1, 'a': 1, 're': 0.125, 'im': False} needs a number 'im'",
+    ),
+    "table entry list": (
+        "verify",
+        {"p_table": [[1, 1, 1, 0.125, 0.0]] + _p_table_entries()[1:]},
+        "table entry [1, 1, 1, 0.125, 0.0] needs the integer 1 or -1 as 'c'",
+    ),
+    "sample w string": ("from-w-integral", *_with_sample("w", "0.5")),
+    "sample m true": ("from-w-integral", *_with_sample("m", True)),
+}
+
+
+# A vertex label must be the JSON integer 1 or -1: int() read 1.9, true
+# and "1" as 1.  Each vertex must appear once: a repeated one replaced the
+# earlier entry.
+def _bad_label(key, label):
+    entries = _p_table_entries(**{key: label})
+    return entries, f"table entry {entries[0]!r} needs the integer 1 or -1 as {key!r}"
+
+
+_BAD_LABELS = {
+    "label 1.9": _bad_label("c", 1.9),
+    "label 1.0": _bad_label("b", 1.0),
+    "label true": _bad_label("a", True),
+    "label string": _bad_label("c", "1"),
+    "label 2": _bad_label("c", 2),
+    "label missing": _bad_label("b", None),
+    "repeated vertex": (
+        _p_table_entries() + _p_table_entries()[:1],
+        f"table entry {_p_table_entries()[0]!r} repeats the vertex (c, b, a) = (1, 1, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_NUMBERS))
+def test_fields_must_be_json_numbers(capsys, tmp_path, case):
+    mode, doc, message = _NOT_NUMBERS[case]
+    payload = tmp_path / "input.json"
+    payload.write_text(json.dumps(doc))
+    command = ("verify",) if mode == "verify" else ("reconstruct", "--mode", mode)
+    code, out, err = run_cli(capsys, *command, "--input", str(payload))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [("verify",), ("reconstruct", "--mode", "from-p")])
+@pytest.mark.parametrize("case", sorted(_BAD_LABELS))
+def test_table_vertices_are_plus_or_minus_one_once(capsys, tmp_path, case, command):
+    entries, message = _BAD_LABELS[case]
+    payload = tmp_path / "input.json"
+    payload.write_text(json.dumps({"p_table": entries}))
+    code, out, err = run_cli(capsys, *command, "--input", str(payload))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

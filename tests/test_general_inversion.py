@@ -525,6 +525,22 @@ def test_overflowing_density_j_keeps_its_eigenvalue():
     assert not report.passed
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "value", NON_FINITE_ENTRIES + [complex(0.5, math.nan), complex(0.5, -math.inf)]
+)
+def test_non_finite_diagonal_gets_a_nan_eigenvalue(dim, value):
+    # LAPACK reads only the real part of the diagonal, and returned finite
+    # eigenvalues here: 0.0 for [[nan, 0], [0, 0.5]].
+    for k in sorted({0, dim - 1}):
+        m = _with_entry(dim, (k, k), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_density_j(m)
+        assert math.isnan(report.min_eigenvalue)
+        assert not report.passed
+
+
 def test_eigenvalue_gufunc_matches_eigvalsh():
     # The private LAPACK gufunc that validation calls gives eigvalsh's bits.
     gufunc = pytest.importorskip("numpy.linalg._umath_linalg").eigvalsh_lo
@@ -563,16 +579,29 @@ def test_validation_without_the_gufunc(monkeypatch):
                     w_callable_from_density(_with_entry(dim, (1, 0), value))
 
 
-def test_kernel_without_the_einsum_core(monkeypatch):
-    # np.einsum in place of the private core it wraps gives the same bits.
-    from spintomo import general_inversion
-
-    cases = [(random_density_j(dim, 1, seed=400 + dim)[0], (dim - 1) / 2) for dim in (1, 2, 5, 8, 13)]
-    expected = [reconstruct_density_j(w_callable_from_density(rho), j).tobytes() for rho, j in cases]
-    monkeypatch.setattr(general_inversion, "_einsum", np.einsum)
-    assert [
-        reconstruct_density_j(w_callable_from_density(rho), j).tobytes() for rho, j in cases
-    ] == expected
+def test_every_reconstruction_is_exactly_hermitian():
+    # The inversion writes each entry above the diagonal as the conjugate
+    # of the one below it, so the result is Hermitian bit for bit, with
+    # diagonal imaginary parts +0.0: from a family of
+    # w_callable_from_density, from a sample array, and from a callable
+    # sampled node by node (here on the coarsest grid, to keep it quick).
+    for dim in range(1, 52):
+        j = (dim - 1) / 2
+        rho = random_density_j(dim, 1, seed=500 + dim)[0]
+        family = w_callable_from_density(rho)
+        coarse = build_quadrature(j, oversample=1)
+        values = iter(family.samples(coarse).ravel().tolist())
+        results = [
+            reconstruct_density_j(family, j),
+            reconstruct_density_j(family.samples(build_quadrature(j)), j),
+            reconstruct_density_j(lambda m1, theta, phi: next(values), j, coarse),
+        ]
+        for out in results:
+            assert np.array_equal(out, out.conj().T)
+            assert validate_density_j(out).hermiticity_deviation == 0.0
+            diagonal = out.diagonal().imag
+            assert not diagonal.any() and not np.signbit(diagonal).any()
+            assert np.abs(out - rho).max() < 1e-12
 
 
 def test_require_density_j_rejects_bad_input():

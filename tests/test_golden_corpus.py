@@ -28,3 +28,15 @@ def test_golden_corpus_replays():
             failures.append(f"{case['name']}: {problem}")
     assert not failures, failures
     assert len(corpus["cases"]) == len(golden.build_cases())
+
+
+def test_either_cases_allow_each_outcome_rounding_can_pick():
+    case = next(c for c in golden.load()["cases"] if c.get("either"))
+    document = {"exit": 0, "stdout_sha256": "a", "stderr": "", "skeleton_sha256": "b", "numbers_count": 1, "numbers": [0.5]}
+    refusal = {"exit": 3, "stdout_sha256": "c", "stderr": "error: tomogram samples are not a normalized probability family\n"}
+    failed = dict(document, exit=3, skeleton_sha256="d")
+    for recorded in (document, refusal, failed):
+        for replayed in (document, refusal, failed):
+            assert golden.compare(case, recorded, replayed) == []
+        for other in (dict(refusal, exit=2), dict(refusal, stderr="error: not a physical density matrix\n")):
+            assert golden.compare(case, recorded, other) != []
