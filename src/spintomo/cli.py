@@ -173,6 +173,22 @@ def _number(obj, key: str, what: str) -> float:
     return _float(value)
 
 
+def _brief(value) -> str:
+    """``repr(value)`` for a refusal, cut short past 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
+
+
+def _finite_numbers(obj, keys, what: str) -> list:
+    """The fields ``keys`` of ``obj`` as floats, as ``_number`` reads them,
+    each refused unless finite."""
+    values = [_number(obj, key, what) for key in keys]
+    for key, value in zip(keys, values):
+        if not math.isfinite(value):
+            raise CliError(f"{what} field {key!r} must be finite, got {_brief(obj[key])}")
+    return values
+
+
 def _cell(cell, r: int, c: int) -> complex:
     what = f"'rho' entry [{r}][{c}]"
     return complex(_number(cell, "re", what), _number(cell, "im", what))
@@ -225,12 +241,10 @@ def _table_from_obj(entries) -> QuasiProbTable:
     if not isinstance(entries, list):
         raise CliError("'p_table' must be a list of 8 entries")
     mapping = {}
-    for item in entries:
-        what = f"table entry {item!r}"
+    for k, item in enumerate(entries):
+        what = f"'p_table' entry [{k}]"
         vertex = tuple(_vertex_label(item, key, what) for key in "cba")
-        value = complex(_number(item, "re", what), _number(item, "im", what))
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise CliError(f"{what} is not finite")
+        value = complex(*_finite_numbers(item, ("re", "im"), what))
         if vertex in mapping:
             raise CliError(f"{what} repeats the vertex (c, b, a) = {vertex}")
         mapping[vertex] = value
@@ -244,10 +258,7 @@ _TRIPLE_FIELDS = ("wx_plus", "wy_plus", "wz_plus")
 
 
 def _triple_from_obj(obj) -> AxisTriple:
-    triple = AxisTriple(*(_number(obj, key, "'w_axes'") for key in _TRIPLE_FIELDS))
-    if not all(map(math.isfinite, (triple.wx_plus, triple.wy_plus, triple.wz_plus))):
-        raise CliError(f"'w_axes' values must be finite, got {obj!r}")
-    return triple
+    return AxisTriple(*_finite_numbers(obj, _TRIPLE_FIELDS, "'w_axes'"))
 
 
 def _admissibility_obj(report) -> dict:
@@ -484,7 +495,7 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
         # The field that ended the read raises.
         record = records[malformed]
         for field in _SAMPLE_FIELDS:
-            _number(record, field, f"sample {record!r}")
+            _number(record, field, f"'samples' entry [{malformed}]")
     missing = np.count_nonzero(counts == 0)
     if missing:
         raise CliError(

@@ -20,8 +20,10 @@ from .errors import AdmissibilityError
 from .spin_core import (
     TOL,
     ValidationReport,
+    _check,
     _check_axis,
     _check_sign,
+    _frozen,
     _hypot,
     _nanmax,
     _report,
@@ -141,12 +143,12 @@ def p_from_density(rho, tol: float = TOL) -> QuasiProbTable:
     return QuasiProbTable._trusted(_table_values(*_require(rho, tol)[1]))
 
 
-# Per vertex (c, b, a) in VERTEX_ORDER: <c;x|b;y><b;y|a;z>, the ket |a;z>, and c.
+# Per vertex (c, b, a) in VERTEX_ORDER: <c;x|b;y><b;y|a;z>, a and c.
 _ORACLE_TERMS = tuple(
-    (overlap("x", c, "y", b) * overlap("y", b, "z", a), eigenket("z", a), c)
-    for c, b, a in VERTEX_ORDER
+    (overlap("x", c, "y", b) * overlap("y", b, "z", a), a, c) for c, b, a in VERTEX_ORDER
 )
 _X_KETS = {c: eigenket("x", c) for c in (1, -1)}
+_Z_KETS = {a: eigenket("z", a) for a in (1, -1)}
 
 
 def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
@@ -156,10 +158,10 @@ def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
     :func:`p_from_density`; kept as an independent construction.
     """
     m = _require(rho, tol)[0]
-    images = {c: m @ ket_c for c, ket_c in _X_KETS.items()}
-    return QuasiProbTable._trusted(
-        [weight * complex(np.vdot(ket_a, images[c])) for weight, ket_a, c in _ORACLE_TERMS]
-    )
+    images = {c: m.dot(ket_c) for c, ket_c in _X_KETS.items()}
+    # <a;z|rho|c;x>, once for each of the four pairs (a, c).
+    elements = {(a, c): complex(np.vdot(_Z_KETS[a], images[c])) for a in _Z_KETS for c in images}
+    return QuasiProbTable._trusted([weight * elements[a, c] for weight, a, c in _ORACLE_TERMS])
 
 
 def _p_oracles(states: np.ndarray) -> np.ndarray:
@@ -167,8 +169,8 @@ def _p_oracles(states: np.ndarray) -> np.ndarray:
     Each weight's product is written out as Python forms it, for its bits."""
     images = {c: states @ ket_c for c, ket_c in _X_KETS.items()}
     out = np.empty((len(states), len(_ORACLE_TERMS)), dtype=complex)
-    for k, (weight, ket_a, c) in enumerate(_ORACLE_TERMS):
-        x = images[c] @ ket_a.conj()
+    for k, (weight, a, c) in enumerate(_ORACLE_TERMS):
+        x = images[c] @ _Z_KETS[a].conj()
         out[:, k].real = weight.real * x.real - weight.imag * x.imag
         out[:, k].imag = weight.real * x.imag + weight.imag * x.real
     return out
@@ -189,14 +191,9 @@ def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
     is validated and an :class:`AdmissibilityError` carrying the report is
     raised when the table does not come from a physical state.
     """
-    rho_pp, rho_pm, rho_mp, rho_mm = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
-    report = _report(rho_pp, rho_pm, rho_mp, rho_mm, tol)
-    if not report.passed:
-        raise AdmissibilityError(
-            f"table does not describe a physical state ({report.summary()})",
-            report=report,
-        )
-    return np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex)
+    entries = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
+    _check(entries, tol, AdmissibilityError, "table does not describe a physical state")
+    return np.array(entries).reshape(2, 2)
 
 
 def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
@@ -254,24 +251,22 @@ class AdmissibilityReport:
 
 def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> AdmissibilityReport:
     """Report every physicality condition on a table without raising."""
+    given = table._entries
     total = table.total()
     checks = []
     for (axis, sign), positions in _MARGINAL_VERTICES.items():
-        value = complex(sum(map(table._entries.__getitem__, positions)))
+        value = sum(map(given.__getitem__, positions))  # a Python complex, as each entry
         real = value.real
-        violation = _nanmax((0.0, -real, real - 1.0))
-        checks.append(MarginalCheck(axis, sign, value, abs(value.imag), violation))
+        checks.append(_frozen(
+            MarginalCheck, axis=axis, sign=sign, value=value, imag_magnitude=abs(value.imag),
+            range_violation=_nanmax(0.0, -real, real - 1.0),
+        ))
     entries = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
-    density_report = _report(*entries, tol)
-    regenerated = zip(table._entries, _table_values(*entries))
-    redundancy = _nanmax([abs(given - value) for given, value in regenerated])
-    return AdmissibilityReport(
-        total=total,
-        total_deviation=float(abs(total - 1.0)),
-        marginals=tuple(checks),
-        density_report=density_report,
-        redundancy_deviation=redundancy,
-        tol=tol,
+    regenerated = zip(given, _table_values(*entries))
+    return _frozen(
+        AdmissibilityReport, total=total, total_deviation=abs(total - 1.0),
+        marginals=tuple(checks), density_report=_report(entries, tol),
+        redundancy_deviation=_nanmax(*[abs(p - q) for p, q in regenerated]), tol=tol,
     )
 
 

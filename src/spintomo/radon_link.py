@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonPhysicalStateError
 from .quasiprob import _MINUS, _PLUS, QuasiProbTable, _table_values
-from .spin_core import TOL, _require
+from .spin_core import TOL, _frozen, _nanmax, _require
 from .tomography import AxisTriple, _w_axes_values
 
 
@@ -85,7 +85,8 @@ class ConsistencyReport:
 def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
     m, entries = _require(rho, tol)
-    triple = AxisTriple(*_w_axes_values(m).tolist())
-    direct = p_from_w(triple, tol).to_array()
-    delta = float(np.max(np.abs(direct - np.array(_table_values(*entries)))))
-    return ConsistencyReport(axis_triple=triple, max_abs_delta=delta, tol=tol)
+    wx, wy, wz = _w_axes_values(m).tolist()
+    triple = _frozen(AxisTriple, wx_plus=wx, wy_plus=wy, wz_plus=wz)
+    gaps = zip(p_from_w(triple, tol)._entries, _table_values(*entries))
+    delta = _nanmax(*np.abs(np.array([p - q for p, q in gaps])).tolist())
+    return _frozen(ConsistencyReport, axis_triple=triple, max_abs_delta=delta, tol=tol)

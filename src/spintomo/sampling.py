@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spin_core import _bloch_entries
+from .spin_core import _bloch_parts
 
 
 def random_bloch_vectors(n: int, seed: int) -> np.ndarray:
@@ -30,8 +30,10 @@ def random_bloch_vectors(n: int, seed: int) -> np.ndarray:
 
 def random_density_matrices(n: int, seed: int) -> np.ndarray:
     """``n`` random 2x2 density matrices with Bloch vectors uniform in the ball."""
-    entries = _bloch_entries(*random_bloch_vectors(n, seed).T)
-    return np.stack(entries, axis=-1).reshape(n, 2, 2)
+    out = np.empty((n, 4), dtype=complex)
+    for k, (real, imag) in enumerate(zip(*_bloch_parts(*random_bloch_vectors(n, seed).T))):
+        out[:, k].real, out[:, k].imag = real, imag
+    return out.reshape(n, 2, 2)
 
 
 def random_density_j(dim: int, n: int, seed: int) -> np.ndarray:

@@ -80,6 +80,14 @@ def overlap_triple(cx: int, by: int, az: int, az2: int) -> complex:
     )
 
 
+def _frozen(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass ``cls`` and its fields in order,
+    without running ``__init__``: for values the code computed itself."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Deviations of a candidate matrix from the density-matrix axioms.
@@ -111,38 +119,47 @@ class ValidationReport:
         )
 
 
-def _nanmax(values) -> float:
+def _nanmax(*values: float) -> float:
     """The largest value, or NaN if any is NaN (as numpy's max; ``max`` may drop it)."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    for value in values:
+        if value != value:
+            return math.nan
+    return max(values)
 
 
-def _array_abs(z: complex) -> float:
-    # numpy's vectorised |z| and libm hypot (Python's abs) disagree in the last
-    # bit on about a third of inputs; this is the vectorised one.  With a zero
-    # part, as for any Hermitian input, both give the other part's magnitude.
-    if z.real == 0.0 or z.imag == 0.0:
-        return abs(z)
-    return float(np.abs(np.array(z)))
-
-
-def _report(a: complex, b: complex, c: complex, d: complex, tol: float) -> ValidationReport:
-    """Validation report of the matrix [[a, b], [c, d]] of Python complex entries.
+def _deviations(a: complex, b: complex, c: complex, d: complex):
+    """The hermiticity and trace deviations and the minimum eigenvalue of the
+    matrix [[a, b], [c, d]] of Python complex entries.
 
     Each step is the scalar form of the array expression it replaces
-    (m - m^dagger, m + m^dagger, ...), in the same order, so the report is
-    bit for bit the one numpy gives: the hermiticity deviation keeps numpy's
-    vectorised |z| and the eigenvalue radius libm hypot.
+    (m - m^dagger, m + m^dagger, ...), in the same order, so the values are
+    bit for bit the ones numpy gives: the hermiticity deviation keeps numpy's
+    vectorised |z|, and the eigenvalue radius libm hypot (Python's abs).  The
+    two disagree in the last bit on about a third of inputs, but not when a
+    part is zero, as for any Hermitian input.
     """
-    herm_dev = _nanmax(
-        (_array_abs(b - c.conjugate()), abs(a - a.conjugate()), abs(d - d.conjugate()))
-    )
-    trace_dev = abs(a + d - 1.0)
-    h00 = (0.5 * (a + a.conjugate())).real
-    h11 = (0.5 * (d + d.conjugate())).real
-    h01 = 0.5 * (b + c.conjugate())
-    mean = 0.5 * (h00 + h11)
-    radius = abs(complex(0.5 * (h00 - h11), abs(h01)))
-    return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
+    a_bar, c_bar, d_bar = a.conjugate(), c.conjugate(), d.conjugate()
+    z = b - c_bar
+    z_abs = abs(z) if z.real == 0.0 or z.imag == 0.0 else float(np.abs(np.array(z)))
+    herm_dev = _nanmax(z_abs, abs(a - a_bar), abs(d - d_bar))
+    h00 = (0.5 * (a + a_bar)).real
+    h11 = (0.5 * (d + d_bar)).real
+    radius = abs(complex(0.5 * (h00 - h11), abs(0.5 * (b + c_bar))))
+    return herm_dev, abs(a + d - 1.0), 0.5 * (h00 + h11) - radius
+
+
+def _report(entries, tol: float) -> ValidationReport:
+    herm_dev, trace_dev, min_eig = _deviations(*entries)
+    return _frozen(ValidationReport, hermiticity_deviation=herm_dev, trace_deviation=trace_dev,
+                   min_eigenvalue=min_eig, tol=tol)
+
+
+def _check(entries, tol: float, error=NonPhysicalStateError, what="not a physical density matrix"):
+    """Raise ``error`` with a report unless the matrix of ``entries`` is valid."""
+    herm_dev, trace_dev, min_eig = _deviations(*entries)
+    if not (herm_dev <= tol and trace_dev <= tol and min_eig >= -tol):
+        report = _report(entries, tol)
+        raise error(f"{what} ({report.summary()})", report=report)
 
 
 def _hypot(z: np.ndarray) -> np.ndarray:
@@ -182,17 +199,13 @@ def validate_density(matrix, tol: float = TOL) -> ValidationReport:
     hermiticity, the deviation of the trace from 1, and the smallest
     eigenvalue of the Hermitian part (closed form for 2x2, no eigensolver).
     """
-    return _report(*_entries(matrix)[1], tol)
+    return _report(_entries(matrix)[1], tol)
 
 
 def _require(matrix, tol: float):
     """Validate ``matrix`` once; return the complex array and its entries."""
     m, entries = _entries(matrix)
-    report = _report(*entries, tol)
-    if not report.passed:
-        raise NonPhysicalStateError(
-            f"not a physical density matrix ({report.summary()})", report=report
-        )
+    _check(entries, tol)
     return m, entries
 
 
@@ -227,24 +240,20 @@ def _bloch_vector(b, tol: float) -> np.ndarray:
     return v
 
 
-# Row-major entries of I, sigma_x, sigma_y, sigma_z as Python complex numbers.
-_BLOCH_BASIS = tuple(
-    zip(*(m.ravel().tolist() for m in (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)))
-)
-
-
 def density_from_bloch(b, tol: float = TOL) -> np.ndarray:
     """Density matrix (1/2)(I + 2 b . sigma) for a Bloch vector with |b| <= 1/2.
 
     Raises :class:`NonPhysicalStateError` for a longer or a non-finite vector.
     """
-    return np.array(_bloch_entries(*_bloch_vector(b, tol).tolist())).reshape(2, 2)
+    real, imag = _bloch_parts(*_bloch_vector(b, tol).tolist())
+    return np.array(list(map(complex, real, imag))).reshape(2, 2)
 
 
-def _bloch_entries(x, y, z) -> list:
-    # Row-major entries of 0.5 I + x sigma_x + y sigma_y + z sigma_z, for
-    # floats or for arrays of them, unchecked.
-    return [0.5 * e + x * sx + y * sy + z * sz for e, sx, sy, sz in _BLOCH_BASIS]
+def _bloch_parts(x, y, z):
+    # Real and imaginary parts of the row-major entries of 0.5 I + x sigma_x +
+    # y sigma_y + z sigma_z, for finite floats or arrays of them, unchecked.
+    # Adding 0.0 gives the zero signs of that sum of complex products.
+    return (0.5 + z, x + 0.0, x + 0.0, 0.5 - z), (0.0, 0.0 - y, y + 0.0, 0.0)
 
 
 def bloch_from_density(rho, tol: float = TOL) -> np.ndarray:

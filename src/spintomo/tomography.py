@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .spin_core import AXES, TOL, _bloch_vector, require_density, validate_density
+from .spin_core import AXES, TOL, _bloch_vector, _check, _entries, _frozen, require_density
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,10 +81,15 @@ class Direction:
     phi: float
 
     def __post_init__(self):
-        theta = _finite_angle("theta", self.theta)
-        phi, theta, _ = _canonical_angles(_finite_angle("phi", self.phi), theta, 0.0)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        theta, phi = self.theta, self.phi
+        # Floats strictly inside the canonical ranges are canonical already;
+        # zeros of either sign and boundary values take the full path.
+        inside = type(theta) is type(phi) is float and 0.0 < theta < math.pi
+        if not (inside and 0.0 < phi < _TWO_PI):
+            theta = _finite_angle("theta", theta)
+            phi, theta, _ = _canonical_angles(_finite_angle("phi", phi), theta, 0.0)
+            object.__setattr__(self, "theta", theta)
+            object.__setattr__(self, "phi", phi)
 
     @property
     def unit_vector(self) -> np.ndarray:
@@ -131,28 +136,21 @@ class AxisTriple:
         )
 
 
-def _half_phase(angle: float) -> complex:
-    """exp(i angle / 2), with the bits of np.exp(0.5j * angle)."""
-    # Adding 0.0 turns -0.0 into 0.0, as forming 0.5j * angle does.
-    half = 0.5 * angle + 0.0
-    return complex(math.cos(half), math.sin(half))
-
-
 def _rotation(phi: float, theta: float, psi: float) -> np.ndarray:
     half = 0.5 * theta
     c = math.cos(half)
     s = math.sin(half)
-    e_sum = _half_phase(phi + psi)
-    # With psi = 0, phi + psi and phi - psi differ at most in the sign of a
-    # zero, which _half_phase drops.
-    e_diff = e_sum if psi == 0.0 else _half_phase(phi - psi)
+    # exp(i angle / 2), with the bits of np.exp(0.5j * angle): adding 0.0 turns
+    # -0.0 into 0.0, as forming 0.5j * angle does.  So with psi = 0, where
+    # phi + psi and phi - psi differ at most in the sign of a zero, e_diff = e_sum.
+    angle = 0.5 * (phi + psi) + 0.0
+    e_sum = e_diff = complex(math.cos(angle), math.sin(angle))
+    if psi != 0.0:
+        angle = 0.5 * (phi - psi) + 0.0
+        e_diff = complex(math.cos(angle), math.sin(angle))
     return np.array(
-        [
-            [c * e_sum, s * e_diff.conjugate()],
-            [-s * e_diff, c * e_sum.conjugate()],
-        ],
-        dtype=complex,
-    )
+        (c * e_sum, s * e_diff.conjugate(), -s * e_diff, c * e_sum.conjugate())
+    ).reshape(2, 2)
 
 
 # The rotations onto the x, y and z axes, stacked in the order of ``AXES``,
@@ -193,9 +191,10 @@ def _w_of(m: np.ndarray, u) -> Tomogram:
     else:
         direction, d = Direction(theta=u.theta, phi=u.phi), _rotation(u.phi, u.theta, u.psi)
     # The matrix product, not a scalar formula for the diagonal: the two
-    # differ in the last bit on most inputs.
-    (w_plus, _), (_, w_minus) = (d @ m @ d.conj().T).real.tolist()
-    return Tomogram(w_plus=w_plus, w_minus=w_minus, direction=direction)
+    # differ in the last bit on most inputs.  ``dot`` calls the zgemm that
+    # ``@`` calls on these layouts, with less dispatch.
+    (w_plus, _), (_, w_minus) = d.dot(m).dot(d.conj().T).real.tolist()
+    return _frozen(Tomogram, w_plus=w_plus, w_minus=w_minus, direction=direction)
 
 
 def _w_grid(m: np.ndarray, thetas, phis):
@@ -212,7 +211,7 @@ def _w_grid(m: np.ndarray, thetas, phis):
     half = [0.5 * theta for theta in thetas]
     c = np.array([math.cos(h) for h in half])[:, None]
     s = np.array([math.sin(h) for h in half])[:, None]
-    e = np.array([_half_phase(phi) for phi in phis])
+    e = np.array([complex(math.cos(h), math.sin(h)) for h in [0.5 * phi + 0.0 for phi in phis]])
     d = np.empty((len(half), len(e), 2, 2), dtype=complex)
     d[..., 0, 0] = c * e
     d[..., 0, 1] = s * e.conj()
@@ -252,7 +251,8 @@ def _w_axes_values(m: np.ndarray) -> np.ndarray:
 
 def w_axes(rho, tol: float = TOL) -> AxisTriple:
     """Up-probabilities of ``rho`` along the three fixed axes."""
-    return AxisTriple(*_w_axes_values(require_density(rho, tol)).tolist())
+    wx, wy, wz = _w_axes_values(require_density(rho, tol)).tolist()
+    return _frozen(AxisTriple, wx_plus=wx, wy_plus=wy, wz_plus=wz)
 
 
 def _density_entries(triple: AxisTriple):
@@ -270,11 +270,6 @@ def density_from_w_axes(triple: AxisTriple, tol: float = TOL) -> np.ndarray:
     :class:`AdmissibilityError` is raised for incompatible triples.
     """
     rho_pp, rho_pm, rho_mp, rho_mm = _density_entries(triple)
-    m = np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex)
-    report = validate_density(m, tol)
-    if not report.passed:
-        raise AdmissibilityError(
-            f"axis probabilities do not describe a physical state ({report.summary()})",
-            report=report,
-        )
+    m, entries = _entries(np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex))
+    _check(entries, tol, AdmissibilityError, "axis probabilities do not describe a physical state")
     return m

@@ -8,7 +8,9 @@ array paths for ``sweep`` and ``w --grid`` that use them, give bit for bit
 what the scalar functions give state by state and direction by direction.
 """
 
+import dataclasses
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -45,12 +47,15 @@ from spintomo import (
 )
 from spintomo.cli import _sweep_deviations
 from spintomo.quasiprob import (
+    AdmissibilityReport,
+    MarginalCheck,
     _admissibility_maxima,
     _batch_admissibility_maxima,
     _p_oracles,
     _table_values,
 )
-from spintomo.spin_core import AXES, _reports
+from spintomo.radon_link import ConsistencyReport
+from spintomo.spin_core import AXES, ValidationReport, _reports
 from spintomo.tomography import _AXIS_ADJOINTS, _AXIS_ROTATIONS, _w_grid
 
 from conftest import NAMED_STATES
@@ -297,22 +302,29 @@ def test_rotation_matrix_matches_array_form():
         assert rotation_matrix(u).tobytes() == ref_rotation(u).tobytes()
 
 
-def test_w_value_matches_array_form():
-    for rho, theta, phi, psi in zip(STATES, *_directions(len(STATES))):
-        for u in (Direction(theta=theta, phi=phi), EulerAngles(phi=phi, theta=theta, psi=psi)):
-            got, ref = w_value(rho, u), ref_w_value(rho, u)
-            assert bits(got.w_plus, got.w_minus) == bits(ref.w_plus, ref.w_minus)
-            assert bits(got.direction.theta, got.direction.phi) == bits(
-                ref.direction.theta, ref.direction.phi
-            )
-
-
 def _axis_states():
     # Random and named states; Bloch states with signed zero components, the
     # unpolarized state among them; pure states on the sphere; and
     # transposed views, which are density matrices in a strided layout.
     states = STATES + _signed_zero_bloch_states() + list(_pure_states(200, 11))
     return states + [rho.T for rho in STATES[:100]]
+
+
+def test_w_value_matches_array_form():
+    # The reference forms d @ m @ d^dagger; w_value chains ndarray.dot.  Raw
+    # angles mostly lie outside the canonical ranges, so a Direction of the
+    # folded angles, which lie inside, takes the constructor's short path.
+    states = _axis_states()
+    for rho, theta, phi, psi in zip(states, *_directions(len(states))):
+        raw = Direction(theta=theta, phi=phi)
+        euler = EulerAngles(phi=phi, theta=theta, psi=psi)
+        inside = Direction(theta=theta % math.pi, phi=phi % (2.0 * math.pi))
+        for u in (raw, euler, inside):
+            got, ref = w_value(rho, u), ref_w_value(rho, u)
+            assert bits(got.w_plus, got.w_minus) == bits(ref.w_plus, ref.w_minus)
+            assert bits(got.direction.theta, got.direction.phi) == bits(
+                ref.direction.theta, ref.direction.phi
+            )
 
 
 def test_w_axes_and_radon_link_match_array_form():
@@ -484,3 +496,45 @@ def test_grid_tomograms_match_w_value(n, states):
                 t = w_value(named[name], Direction(theta=theta, phi=phi))
                 assert bits(t.direction.theta, t.direction.phi) == bits(theta, phi)
                 assert bits(t.w_plus, t.w_minus) == bits(w_plus[it, ip], w_minus[it, ip])
+
+
+def _public(record):
+    """The same record built field by field through the public constructors."""
+    if not dataclasses.is_dataclass(record):
+        return tuple(map(_public, record)) if isinstance(record, tuple) else record
+    fields = {f.name: _public(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    return type(record)(**fields)
+
+
+def _computed_records():
+    """One record of each class that the maps build without ``__init__``."""
+    rho = STATES[5]
+    adm = check_admissibility(p_from_density(rho))
+    return {
+        ValidationReport: validate_density(rho),
+        Tomogram: w_value(rho, Direction(theta=1.0, phi=2.0)),
+        AxisTriple: w_axes(rho),
+        MarginalCheck: adm.marginals[0],
+        AdmissibilityReport: adm,
+        ConsistencyReport: verify_radon_consistency(rho),
+    }
+
+
+@pytest.mark.parametrize("cls", list(_computed_records()), ids=lambda cls: cls.__name__)
+def test_fast_constructor_matches_public_constructor(cls):
+    fast = _computed_records()[cls]
+    public = _public(fast)
+    assert type(fast) is cls and fast == public and public == fast
+    assert list(vars(fast).items()) == list(vars(public).items())
+    assert repr(fast) == repr(public)
+    assert hash(fast) == hash(public)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(public)
+    assert dataclasses.replace(fast) == public
+    assert pickle.dumps(fast) == pickle.dumps(public)
+    assert pickle.loads(pickle.dumps(fast)) == public
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(fast, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(fast, name)
+    assert fast == public

@@ -346,7 +346,7 @@ def _spoil(kind, samples, index):
     record = samples[index]
     if kind == "malformed":
         del record["w"]
-        return f"sample {record!r} needs a number 'w'"
+        return f"'samples' entry [{index}] needs a number 'w'"
     if kind == "projection":
         record["m"] = 0.25
         return "sample projection 0.25 is not in the spin-0.5 multiplet"
@@ -405,9 +405,9 @@ def ref_w_from_samples(records, grid, j):
     shape = (len(ms), grid.n_theta, grid.n_phi)
     values = np.empty(shape)
     seen = np.zeros(shape, dtype=bool)
-    for sample in records:
+    for k, sample in enumerate(records):
         m1, theta, phi, w = (
-            _number(sample, field, f"sample {sample!r}") for field in ("m", "theta", "phi", "w")
+            _number(sample, field, f"'samples' entry [{k}]") for field in ("m", "theta", "phi", "w")
         )
         if m1 not in ms:
             raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
@@ -689,10 +689,10 @@ def test_non_finite_input_documents_exit_2(capsys, validator, tmp_path):
     table[1]["im"] = float("nan")
     triple = {"wx_plus": 0.5, "wy_plus": float("inf"), "wz_plus": 0.5}
     cases = [
-        ("verify", {"p_table": table}, "not finite"),
-        ("from-p", {"p_table": table}, "not finite"),
-        ("verify", {"w_axes": triple}, "'w_axes' values must be finite"),
-        ("from-w-axes", {"w_axes": triple}, "'w_axes' values must be finite"),
+        ("verify", {"p_table": table}, "'p_table' entry [1] field 'im' must be finite, got nan"),
+        ("from-p", {"p_table": table}, "'p_table' entry [1] field 'im' must be finite, got nan"),
+        ("verify", {"w_axes": triple}, "'w_axes' field 'wy_plus' must be finite, got inf"),
+        ("from-w-axes", {"w_axes": triple}, "'w_axes' field 'wy_plus' must be finite, got inf"),
     ]
     for verb, obj, message in cases:
         payload = tmp_path / "non_finite.json"
@@ -946,13 +946,14 @@ _REFUSED_INPUTS = {
     "infinite-vertex": (
         json.dumps({"p_table": _p_table_entries(c=1e400)}).encode().replace(b"Infinity", b"1e400"),
         ("verify",),
-        "table entry {'c': inf, 'b': 1, 'a': 1, 're': 0.125, 'im': 0.0} needs the integer 1 or -1 as 'c'",
+        "'p_table' entry [0] needs the integer 1 or -1 as 'c'",
     ),
-    # An integer beyond the float range reads as an infinity.
+    # An integer beyond the float range reads as an infinity; the refusal
+    # quotes it cut short.
     "huge-integer-triple": (
         b'{"w_axes": {"wx_plus": 1' + b"0" * 400 + b', "wy_plus": 0.5, "wz_plus": 0.5}}',
         ("reconstruct", "--mode", "from-w-axes"),
-        "'w_axes' values must be finite",
+        "'w_axes' field 'wx_plus' must be finite, got 1" + "0" * 23 + "... (401 characters)\n",
     ),
     "huge-integer-sample": (
         b'{"j": 0.5, "samples": [{"m": 0.5, "theta": 0.1, "phi": 0.0, "w": 1'
@@ -988,7 +989,7 @@ def _with_sample(field, value):
     and the refusal of it."""
     samples = json.loads(json.dumps(_grid_samples(np.eye(2) / 2, 0.5)))
     samples[0][field] = value
-    return {"j": 0.5, "samples": samples}, f"sample {samples[0]!r} needs a number {field!r}"
+    return {"j": 0.5, "samples": samples}, f"'samples' entry [0] needs a number {field!r}"
 
 
 # Each field of a p_table entry, a w_axes object, a rho cell or a sample
@@ -1045,17 +1046,17 @@ _NOT_NUMBERS = {
     "table re string": (
         "from-p",
         {"p_table": _p_table_entries(re="0.125")},
-        "table entry {'c': 1, 'b': 1, 'a': 1, 're': '0.125', 'im': 0.0} needs a number 're'",
+        "'p_table' entry [0] needs a number 're'",
     ),
     "verify table im true": (
         "verify",
         {"p_table": _p_table_entries(im=False)},
-        "table entry {'c': 1, 'b': 1, 'a': 1, 're': 0.125, 'im': False} needs a number 'im'",
+        "'p_table' entry [0] needs a number 'im'",
     ),
     "table entry list": (
         "verify",
         {"p_table": [[1, 1, 1, 0.125, 0.0]] + _p_table_entries()[1:]},
-        "table entry [1, 1, 1, 0.125, 0.0] needs the integer 1 or -1 as 'c'",
+        "'p_table' entry [0] needs the integer 1 or -1 as 'c'",
     ),
     "sample w string": ("from-w-integral", *_with_sample("w", "0.5")),
     "sample m true": ("from-w-integral", *_with_sample("m", True)),
@@ -1067,7 +1068,7 @@ _NOT_NUMBERS = {
 # earlier entry.
 def _bad_label(key, label):
     entries = _p_table_entries(**{key: label})
-    return entries, f"table entry {entries[0]!r} needs the integer 1 or -1 as {key!r}"
+    return entries, f"'p_table' entry [0] needs the integer 1 or -1 as {key!r}"
 
 
 _BAD_LABELS = {
@@ -1079,7 +1080,7 @@ _BAD_LABELS = {
     "label missing": _bad_label("b", None),
     "repeated vertex": (
         _p_table_entries() + _p_table_entries()[:1],
-        f"table entry {_p_table_entries()[0]!r} repeats the vertex (c, b, a) = (1, 1, 1)",
+        "'p_table' entry [8] repeats the vertex (c, b, a) = (1, 1, 1)",
     ),
 }
 

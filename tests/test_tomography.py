@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -237,3 +238,37 @@ def test_finite_angles_are_taken_as_floats():
     d = Direction(theta=np.float64(1.0), phi=-0.0)
     assert (d.theta, d.phi) == (1.0, 0.0)
     assert all(type(a) is float for a in (d.theta, d.phi))
+    # Inside the canonical ranges, where only exact floats skip the fold.
+    for value in (np.float64(1.0), np.float32(1.0), np.int64(1), 1, True):
+        d = Direction(theta=value, phi=value)
+        assert (d.theta, d.phi) == (1.0, 1.0)
+        assert all(type(a) is float for a in (d.theta, d.phi))
+
+
+def _bits(*values):
+    return tuple(struct.pack("<d", v) for v in values)
+
+
+# Zeros of both signs, pi, 2pi and -2pi with their neighbours on either side,
+# a huge angle, a subnormal, and interior values, where the Direction
+# constructor skips canonicalization.
+_EDGE_ANGLES = [
+    x
+    for edge in (0.0, -0.0, math.pi, 2.0 * math.pi, -2.0 * math.pi)
+    for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))
+] + [1e300, 5e-324, 0.5, math.pi / 2.0, 4.0]
+
+
+def test_edge_angles_take_the_bits_of_canonical_angles():
+    from spintomo.tomography import _canonical_angles
+
+    for theta in _EDGE_ANGLES:
+        for phi in _EDGE_ANGLES:
+            u = Direction(theta=theta, phi=phi)
+            want = _canonical_angles(phi, theta, 0.0)
+            assert _bits(u.phi, u.theta) == _bits(*want[:2])
+            assert type(u.theta) is float and type(u.phi) is float
+            for psi in _EDGE_ANGLES:
+                e = EulerAngles(phi=phi, theta=theta, psi=psi)
+                assert _bits(e.phi, e.theta, e.psi) == _bits(*_canonical_angles(phi, theta, psi))
+
