@@ -8,6 +8,7 @@ the density-matrix axioms (hermiticity, unit trace, positivity).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +184,17 @@ def _reports(a, b, c, d, tol: float = TOL) -> ValidationReport:
     return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
 
 
-def _entries(matrix):
-    """``matrix`` as a complex array, and its four entries as Python complex."""
+def _matrix(matrix) -> np.ndarray:
+    """``matrix`` as a complex array, checked to be 2x2."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    return m
+
+
+def _entries(matrix):
+    """``matrix`` as a complex array, and its four entries as Python complex."""
+    m = _matrix(matrix)
     (a, b), (c, d) = m.tolist()
     return m, (a, b, c, d)
 
@@ -202,10 +209,33 @@ def validate_density(matrix, tol: float = TOL) -> ValidationReport:
     return _report(_entries(matrix)[1], tol)
 
 
+class _Passed(threading.local):
+    """The last matrix that ``_require`` passed in this thread: the key
+    ``(bytes, tol)`` and the entries, as one pair.  A refusal is never stored."""
+
+    last = (None, None)
+
+
+_PASSED = _Passed()
+
+
 def _require(matrix, tol: float):
-    """Validate ``matrix`` once; return the complex array and its entries."""
-    m, entries = _entries(matrix)
-    _check(entries, tol)
+    """Validate ``matrix``; return the complex array and its entries.
+
+    A matrix with the bytes and ``tol`` (a float) of the last one passed in
+    this thread is not checked again, so one state handed to a chain of maps
+    is validated once.  Its entries are the ones ``tolist`` gives, since the
+    bytes are the same.
+    """
+    m = _matrix(matrix)
+    key = (m.tobytes(), tol) if type(tol) is float else None
+    last_key, entries = _PASSED.last
+    if key is None or key != last_key:
+        (a, b), (c, d) = m.tolist()
+        entries = (a, b, c, d)
+        _check(entries, tol)
+        if key is not None:
+            _PASSED.last = key, entries
     return m, entries
 
 

@@ -20,6 +20,13 @@ from .spin_core import AXES, TOL, _bloch_vector, _check, _entries, _frozen, requ
 _TWO_PI = 2.0 * math.pi
 
 
+def _azimuth(angle: float) -> float:
+    """``angle`` folded into [0, 2pi).  ``%`` rounds a tiny negative angle up
+    to 2pi itself, which is the angle 0."""
+    angle = angle % _TWO_PI
+    return 0.0 if angle == _TWO_PI else angle
+
+
 def _canonical_angles(phi: float, theta: float, psi: float):
     """Fold angles into phi, psi in [0, 2pi) and theta in [0, pi].
 
@@ -37,7 +44,7 @@ def _canonical_angles(phi: float, theta: float, psi: float):
         theta = _TWO_PI - theta
         phi = phi + math.pi
         psi = psi + math.pi
-    return phi % _TWO_PI, theta, psi % _TWO_PI
+    return _azimuth(phi), theta, _azimuth(psi)
 
 
 def _finite_angle(name: str, value) -> float:

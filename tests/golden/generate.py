@@ -243,6 +243,12 @@ def build_cases() -> list:
         add(f"w single {spec}", ["w", "--state", spec, "--theta", "1", "--phi", "0.5"])
         add(f"w single axes {spec}", ["w", "--state", spec, "--theta", "-7.5", "--phi", "100", "--axes"])
         add(f"w single csv {spec}", ["w", "--state", spec, "--theta", "2", "--phi", "-1", "--format", "csv"])
+    # A tiny negative azimuth folds to 0.0, not to 2pi.
+    for spec in ("up_y", "bloch=0.1,-0.2,0.3"):
+        for phi in ("-1e-17", "-1e-300"):
+            add(f"w single {spec} phi {phi}", ["w", "--state", spec, "--theta", "1", f"--phi={phi}"])
+            add(f"w single csv {spec} phi {phi}",
+                ["w", "--state", spec, "--theta", "1", f"--phi={phi}", "--format", "csv"])
     for n in (1, 2, 3, 8, 17, 33):
         add(f"w grid {n}", ["w", "--state", "bloch=0.1,-0.2,0.3", "--grid", str(n)], kind="numeric")
         add(f"w grid {n} axes", ["w", "--state", "up_y", "--grid", str(n), "--axes"], kind="numeric")

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,18 +9,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spintomo import (
+    TOL,
+    Direction,
     NonPhysicalStateError,
     bloch_from_density,
+    check_admissibility,
     density_from_bloch,
     density_from_mean_values,
+    density_from_p,
+    density_from_w_axes,
     eigenket,
     overlap,
     overlap_triple,
+    p_from_density,
+    p_from_w,
+    p_oracle,
     pauli_matrix,
     purity,
+    random_density_matrices,
     require_density,
     validate_density,
+    verify_radon_consistency,
+    w_axes,
+    w_value,
 )
+from spintomo import spin_core
 
 SIGNS = (1, -1)
 
@@ -221,3 +236,121 @@ def test_non_finite_entry_fails_validation():
     assert not report.passed
     assert np.isnan(report.hermiticity_deviation)
     assert not validate_density(np.array([[0.5, np.inf], [0.0, 0.5]])).passed
+
+
+# A matrix ``_require`` refuses: its minimum eigenvalue is about -0.06.
+_NOT_A_STATE = np.array([[0.9, 0.4], [0.4, 0.1]])
+
+
+def _entry_bits(entries):
+    return [(z.real.hex(), z.imag.hex()) for z in entries]
+
+
+def test_matrix_mutated_after_validation_is_refused():
+    m = density_from_bloch([0.1, 0.2, 0.3])
+    p_from_density(m)
+    m[:] = _NOT_A_STATE
+    for public_map in (require_density, p_from_density, p_oracle, purity, w_axes):
+        with pytest.raises(NonPhysicalStateError):
+            public_map(m)
+    with pytest.raises(NonPhysicalStateError):
+        w_value(m, Direction(theta=1.0, phi=0.5))
+
+
+def test_refusal_raises_with_its_report_every_time():
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NonPhysicalStateError) as excinfo:
+            require_density(_NOT_A_STATE)
+        raised.append(excinfo.value)
+    assert raised[0].report is not None and raised[0].report.min_eigenvalue < 0
+    assert raised[1].report == raised[0].report
+    assert str(raised[1]) == str(raised[0])
+
+
+def test_same_bytes_are_checked_again_at_a_tighter_tol():
+    m = np.array([[0.5, 0.1 + 1e-12], [0.1, 0.5]], dtype=complex)
+    assert 1e-13 < validate_density(m).hermiticity_deviation < 1e-11
+    for _ in range(2):
+        require_density(m, 1e-10)
+        with pytest.raises(NonPhysicalStateError, match="hermiticity_deviation=1.000e-12 "):
+            require_density(m, 0.0)
+    # Tolerances that are not Python floats take the check every time.
+    for tol in (0, np.float64(0.0)):
+        require_density(m, 1e-10)
+        with pytest.raises(NonPhysicalStateError):
+            require_density(m, tol)
+
+
+def test_every_form_of_one_matrix_gives_its_entries():
+    m = random_density_matrices(1, seed=19)[0]
+    read_only = m.view()
+    read_only.flags.writeable = False
+    strided = np.zeros((4, 4), dtype=complex)
+    strided[::2, ::2] = m
+    want = _entry_bits(m.ravel().tolist())
+    for form in (m.tolist(), np.asfortranarray(m), read_only, strided[::2, ::2]):
+        for last in (m, np.eye(2) / 2):
+            require_density(last)
+            got_m, entries = spin_core._require(form, TOL)
+            assert _entry_bits(entries) == want
+            assert _entry_bits(got_m.ravel().tolist()) == want
+
+
+def test_threads_each_get_their_own_outcome():
+    states = random_density_matrices(2, seed=23)
+    refused = [_NOT_A_STATE, np.array([[0.5, 0.0], [0.0, 0.6]])]
+    wrong = []
+    start = threading.Barrier(2)
+
+    def run(good, bad):
+        want = _entry_bits(good.ravel().tolist())
+        start.wait()
+        for _ in range(10_000):
+            if _entry_bits(spin_core._require(good, TOL)[1]) != want:
+                wrong.append("entries")
+            try:
+                spin_core._require(bad, TOL)
+            except NonPhysicalStateError:
+                pass
+            else:
+                wrong.append("passed")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=pair) for pair in zip(states, refused)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_one_state_through_the_maps_is_validated_once(monkeypatch):
+    # The maps of one op of the half-maps benchmark, on one state.  Only the
+    # first map that validates rho runs the check; density_from_p,
+    # density_from_w_axes and check_admissibility check matrices of their own.
+    require_density(np.eye(2) / 2)
+    calls = []
+    deviations = spin_core._deviations
+
+    def counted(*entries):
+        calls.append(entries)
+        return deviations(*entries)
+
+    monkeypatch.setattr(spin_core, "_deviations", counted)
+    rho = density_from_bloch([0.1, -0.2, 0.3])
+    table = p_from_density(rho)
+    check_admissibility(table)
+    density_from_p(table)
+    for k in range(8):
+        w_value(rho, Direction(theta=0.3 * k + 0.1, phi=0.7 * k + 0.2))
+    triple = w_axes(rho)
+    density_from_w_axes(triple)
+    p_from_w(triple)
+    p_oracle(rho)
+    verify_radon_consistency(rho)
+    assert len(calls) == 4

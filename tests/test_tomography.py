@@ -272,3 +272,38 @@ def test_edge_angles_take_the_bits_of_canonical_angles():
                 e = EulerAngles(phi=phi, theta=theta, psi=psi)
                 assert _bits(e.phi, e.theta, e.psi) == _bits(*_canonical_angles(phi, theta, psi))
 
+
+
+def _multiples(*edges):
+    return sorted({sign * k * edge for edge in edges for sign in (1.0, -1.0) for k in (1, 2, 3, 7)})
+
+
+# Zeros of both signs, tiny angles that ``%`` rounds to 2pi, pi and 2pi, and
+# their multiples.
+_FOLD_ANGLES = _multiples(0.0, 1e-300, 1e-17, math.pi, 2.0 * math.pi) + [-0.0]
+
+
+def test_canonical_angles_are_fixed_points_of_the_constructors():
+    rng = np.random.default_rng(20)
+    for theta in _FOLD_ANGLES:
+        for phi in _FOLD_ANGLES:
+            d = Direction(theta=theta, phi=phi)
+            assert 0.0 <= d.theta <= math.pi and 0.0 <= d.phi < 2.0 * math.pi
+            again = Direction(theta=d.theta, phi=d.phi)
+            assert _bits(again.theta, again.phi) == _bits(d.theta, d.phi)
+    for phi, theta, psi in rng.choice(_FOLD_ANGLES, size=(3000, 3)).tolist():
+        e = EulerAngles(phi=phi, theta=theta, psi=psi)
+        assert 0.0 <= e.theta <= math.pi and 0.0 <= e.phi < 2.0 * math.pi and 0.0 <= e.psi < 2.0 * math.pi
+        again = EulerAngles(phi=e.phi, theta=e.theta, psi=e.psi)
+        assert _bits(again.phi, again.theta, again.psi) == _bits(e.phi, e.theta, e.psi)
+
+
+def test_tiny_negative_azimuth_folds_to_zero():
+    assert _bits(Direction(theta=1.0, phi=-1e-17).phi) == _bits(0.0)
+    e = EulerAngles(phi=-1e-17, theta=1.0, psi=-1e-300)
+    assert _bits(e.phi, e.theta, e.psi) == _bits(0.0, 1.0, 0.0)
+    # A tiny negative polar angle mirrors to 0 with the azimuths advanced by pi.
+    e = EulerAngles(phi=0.0, theta=-1e-17, psi=0.0)
+    assert _bits(e.phi, e.theta, e.psi) == _bits(math.pi, 0.0, math.pi)
+    rho = density_from_bloch([0.1, -0.2, 0.3])
+    assert w_value(rho, Direction(theta=1.0, phi=-1e-17)) == w_value(rho, Direction(theta=1.0, phi=0.0))
