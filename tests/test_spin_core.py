@@ -300,12 +300,12 @@ def test_every_form_of_one_matrix_gives_its_entries():
 def test_threads_each_get_their_own_outcome():
     states = random_density_matrices(2, seed=23)
     refused = [_NOT_A_STATE, np.array([[0.5, 0.0], [0.0, 0.6]])]
-    wrong = []
+    wrong, finished = [], []
     start = threading.Barrier(2)
 
     def run(good, bad):
         want = _entry_bits(good.ravel().tolist())
-        start.wait()
+        start.wait(timeout=60)
         for _ in range(10_000):
             if _entry_bits(spin_core._require(good, TOL)[1]) != want:
                 wrong.append("entries")
@@ -315,6 +315,7 @@ def test_threads_each_get_their_own_outcome():
                 pass
             else:
                 wrong.append("passed")
+        finished.append(True)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -323,9 +324,11 @@ def test_threads_each_get_their_own_outcome():
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert len(finished) == 2
     assert wrong == []
 
 
