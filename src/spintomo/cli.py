@@ -25,6 +25,7 @@ import argparse
 import gc
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -73,7 +74,7 @@ from .tomography import (
 SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
-# ``sweep --trials 100000`` takes about 1.3 s and peaks at about 175 MB.
+# ``sweep --trials 100000`` takes about 0.4 s and peaks at about 145 MB.
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
 # from a ``rho`` peaks at about 126 MiB: 66 MiB is two arrays of the
 # (2j+1) x n_theta x n_phi sample size, the samples and the scratch array
@@ -607,7 +608,7 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
     flat = states.reshape(len(states), 4)
     table = np.stack(_table_values(*flat.T), axis=1)
     from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
-    w = _w_axes_values(states).T
+    w = _w_axes_values(tuple(flat.T))
     triple = AxisTriple(*w)
     from_w_axes = np.stack(_density_entries(triple), axis=1)
     in_ball = ~_outside_unit_ball(triple, tol)
@@ -805,8 +806,28 @@ def _emit(payload: str, args) -> None:
         sys.stdout.write(payload)
 
 
+# argparse takes a token after a flag for an option, not for the flag's
+# value, when it starts with "-" and is not of the form -1 or -1.5: so
+# "--phi -1e-17" is refused.  Joined to its flag, "--phi=-1e-17", it is read.
+_NUMBER_FLAGS = ("--theta", "--phi", "--tol")
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _join_negative_numbers(argv: list) -> list:
+    """``argv`` with each negative number that follows a number flag joined
+    to it with "="."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMBER_FLAGS and _NEGATIVE_NUMBER.fullmatch(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_numbers(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

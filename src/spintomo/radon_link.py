@@ -84,8 +84,8 @@ class ConsistencyReport:
 
 def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
-    m, entries = _require(rho, tol)
-    wx, wy, wz = _w_axes_values(m).tolist()
+    entries = _require(rho, tol)[1]
+    wx, wy, wz = _w_axes_values(entries)
     triple = _frozen(AxisTriple, wx_plus=wx, wy_plus=wy, wz_plus=wz)
     gaps = zip(p_from_w(triple, tol)._entries, _table_values(*entries))
     delta = _nanmax(*np.abs(np.array([p - q for p, q in gaps])).tolist())

@@ -5,6 +5,10 @@ A measurement direction is encoded either as a unit vector (polar angle
 frame rotation.  The probability of outcome +-1/2 along the rotated axis
 is the corresponding diagonal element of the rotated density matrix, and
 it never depends on the third Euler angle psi.
+
+Those diagonal elements are computed in closed form, in real float
+arithmetic (``_w_pair``), never as the matrix product D rho D^dagger: so
+psi drops out exactly, and no tomogram depends on how BLAS multiplies.
 """
 
 from __future__ import annotations
@@ -15,7 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .spin_core import AXES, TOL, _bloch_vector, _check, _entries, _frozen, require_density
+from .spin_core import (
+    AXES,
+    TOL,
+    _bloch_vector,
+    _check,
+    _entries,
+    _frozen,
+    _require,
+    require_density,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -160,18 +173,6 @@ def _rotation(phi: float, theta: float, psi: float) -> np.ndarray:
     ).reshape(2, 2)
 
 
-# The rotations onto the x, y and z axes, stacked in the order of ``AXES``,
-# and their adjoints, built once and read-only.  Each adjoint is the
-# transposed view of the conjugate, as ``d.conj().T`` is, so that the stacked
-# ``R @ m @ R^dagger`` runs the 2x2 matrix products of one axis at a time.
-_AXIS_ROTATIONS = np.array(
-    [_rotation(AXIS_DIRECTIONS[a].phi, AXIS_DIRECTIONS[a].theta, 0.0) for a in AXES]
-)
-_AXIS_ROTATIONS.flags.writeable = False
-_AXIS_ADJOINTS = _AXIS_ROTATIONS.conj().swapaxes(-1, -2)
-_AXIS_ADJOINTS.flags.writeable = False
-
-
 def rotation_matrix(u: EulerAngles) -> np.ndarray:
     """2x2 unitary for the Euler rotation (phi, theta, psi).
 
@@ -189,18 +190,36 @@ def rotate_density(rho, u: EulerAngles, tol: float = TOL) -> np.ndarray:
     return d @ m @ d.conj().T
 
 
-def _w_of(m: np.ndarray, u) -> Tomogram:
-    """Tomogram of an already validated matrix ``m`` along ``u``."""
-    if isinstance(u, Direction):
-        # A Direction is canonical: it is also the direction that its Euler
-        # angles (phi, theta, 0) give back.
-        direction, d = u, _rotation(u.phi, u.theta, 0.0)
-    else:
-        direction, d = Direction(theta=u.theta, phi=u.phi), _rotation(u.phi, u.theta, u.psi)
-    # The matrix product, not a scalar formula for the diagonal: the two
-    # differ in the last bit on most inputs.  ``dot`` calls the zgemm that
-    # ``@`` calls on these layouts, with less dispatch.
-    (w_plus, _), (_, w_minus) = d.dot(m).dot(d.conj().T).real.tolist()
+def _factors(theta: float, phi: float):
+    """cos and sin of theta/2 and of phi, from ``math``: the factors of the
+    direction (theta, phi) in ``_w_pair``."""
+    half = 0.5 * theta
+    return math.cos(half), math.sin(half), math.cos(phi), math.sin(phi)
+
+
+def _w_pair(entries, cos_t, sin_t, cos_p, sin_p):
+    """(w_plus, w_minus) of the matrix [[a, b], [c, d]] of ``entries`` along
+    the direction with ``_factors`` (cos_t, sin_t, cos_p, sin_p).
+
+    The real part of the diagonal of D m D^dagger, expanded: for any matrix,
+    not only Hermitian ones.  Only real + - *, so Python floats and float
+    arrays, which broadcast, give the same bits (no fused multiply-add).
+    """
+    a, b, c, d = entries
+    a_re, d_re = a.real, d.real
+    cos2, sin2 = cos_t * cos_t, sin_t * sin_t
+    cross = (cos_t * sin_t) * (
+        (cos_p * b.real - sin_p * b.imag) + (cos_p * c.real + sin_p * c.imag)
+    )
+    return cos2 * a_re + sin2 * d_re + cross, sin2 * a_re + cos2 * d_re - cross
+
+
+def _w_of(entries, u) -> Tomogram:
+    """Tomogram along ``u`` of the already validated matrix of ``entries``."""
+    # A Direction is canonical: it is also the direction that its Euler
+    # angles (phi, theta, psi) give back, whatever psi is.
+    direction = u if isinstance(u, Direction) else Direction(theta=u.theta, phi=u.phi)
+    w_plus, w_minus = _w_pair(entries, *_factors(direction.theta, direction.phi))
     return _frozen(Tomogram, w_plus=w_plus, w_minus=w_minus, direction=direction)
 
 
@@ -210,22 +229,16 @@ def _w_grid(m: np.ndarray, thetas, phis):
 
     The angles must lie in the canonical ranges (theta in [0, pi], phi in
     [0, 2pi)).  Each value then has the bits of ``_w_of`` along
-    ``Direction(theta, phi)``: the half-angle cos/sin come from ``math``, once
-    per node; the rotation entries are the products ``_rotation`` forms (a
-    real array times a complex one is the Python float-complex product); and
-    the stacked ``d @ m @ d^dagger`` runs the same 2x2 matrix products.
+    ``Direction(theta, phi)``: ``_factors`` come from ``math``, once per
+    node (numpy's vectorised cos and sin differ from libm's), and
+    ``_w_pair`` runs on them as arrays.
     """
     half = [0.5 * theta for theta in thetas]
-    c = np.array([math.cos(h) for h in half])[:, None]
-    s = np.array([math.sin(h) for h in half])[:, None]
-    e = np.array([complex(math.cos(h), math.sin(h)) for h in [0.5 * phi + 0.0 for phi in phis]])
-    d = np.empty((len(half), len(e), 2, 2), dtype=complex)
-    d[..., 0, 0] = c * e
-    d[..., 0, 1] = s * e.conj()
-    d[..., 1, 0] = -s * e
-    d[..., 1, 1] = c * e.conj()
-    rotated = d @ m @ d.conj().swapaxes(-1, -2)
-    return rotated[..., 0, 0].real, rotated[..., 1, 1].real
+    cos_t = np.array([math.cos(h) for h in half])[:, None]
+    sin_t = np.array([math.sin(h) for h in half])[:, None]
+    cos_p = np.array([math.cos(phi) for phi in phis])
+    sin_p = np.array([math.sin(phi) for phi in phis])
+    return _w_pair(m.ravel().tolist(), cos_t, sin_t, cos_p, sin_p)
 
 
 def w_value(rho, u, tol: float = TOL) -> Tomogram:
@@ -235,7 +248,7 @@ def w_value(rho, u, tol: float = TOL) -> Tomogram:
     the pair of diagonal elements of the rotated density matrix, which is
     independent of psi.
     """
-    return _w_of(require_density(rho, tol), u)
+    return _w_of(_require(rho, tol)[1], u)
 
 
 def w_from_bloch(b, direction: Direction, tol: float = TOL) -> Tomogram:
@@ -250,15 +263,20 @@ def mean_from_w(tomogram: Tomogram) -> float:
     return 2.0 * tomogram.w_plus - 1.0
 
 
-def _w_axes_values(m: np.ndarray) -> np.ndarray:
-    """Up-probabilities along x, y, z of a validated 2x2 ``m``, or of each of an
-    ``(N, 2, 2)`` stack, with the bits of ``_w_of`` along ``AXIS_DIRECTIONS``."""
-    return (_AXIS_ROTATIONS @ m[..., None, :, :] @ _AXIS_ADJOINTS)[..., 0, 0].real
+# ``_factors`` of the x, y and z axes, in the order of ``AXES``.
+_AXIS_FACTORS = tuple(_factors(AXIS_DIRECTIONS[a].theta, AXIS_DIRECTIONS[a].phi) for a in AXES)
+
+
+def _w_axes_values(entries):
+    """Up-probabilities (wx, wy, wz) of a validated matrix's ``entries``, as
+    floats or, for four arrays of entries, arrays, with the bits of ``_w_of``
+    along ``AXIS_DIRECTIONS``."""
+    return tuple(_w_pair(entries, *factors)[0] for factors in _AXIS_FACTORS)
 
 
 def w_axes(rho, tol: float = TOL) -> AxisTriple:
     """Up-probabilities of ``rho`` along the three fixed axes."""
-    wx, wy, wz = _w_axes_values(require_density(rho, tol)).tolist()
+    wx, wy, wz = _w_axes_values(_require(rho, tol)[1])
     return _frozen(AxisTriple, wx_plus=wx, wy_plus=wy, wz_plus=wz)
 
 

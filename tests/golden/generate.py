@@ -13,8 +13,11 @@ Usage, from the root of the repository:
 
 How a replay is compared with the corpus (``compare``):
 
-* ``exact`` cases, whose numbers are Python floats and 2x2 products, match
-  stdout's hash, the output file's hash and stderr exactly.
+* ``exact`` cases match stdout's hash, the output file's hash and stderr
+  exactly.  Their numbers are real float arithmetic on Python floats or,
+  term for term, on numpy arrays; the spin-1/2 tomograms among them have a
+  closed form with no matrix product.  The one BLAS product left is
+  ``p_oracle``'s, of a 2x2 matrix and a real x ket, which ``sweep`` runs.
 * ``numeric`` cases print numbers whose rounding may differ on another
   CPU: spin-j reconstructions, from the kernel's BLAS sums and LAPACK's
   eigenvalues, and ``w --grid`` tomograms, whose theta nodes come from
@@ -220,7 +223,7 @@ def build_cases() -> list:
     add("non-integer --trials", ["sweep", "--trials", "1e3"], kind="argparse")
 
     # -- --tol
-    for tol in ("nan", "inf", "-inf", "-1", "-0.0"):
+    for tol in ("nan", "inf", "-inf", "-1", "-0.0", "-1e-3", "-1E-300"):
         add(f"--tol {tol}", ["p-table", "--state", "up_z", "--tol", tol])
 
     # -- p-table on every kind of state specification
@@ -249,6 +252,11 @@ def build_cases() -> list:
             add(f"w single {spec} phi {phi}", ["w", "--state", spec, "--theta", "1", f"--phi={phi}"])
             add(f"w single csv {spec} phi {phi}",
                 ["w", "--state", spec, "--theta", "1", f"--phi={phi}", "--format", "csv"])
+    # A negative number with an exponent is the value of the flag before it.
+    add("w single up_y phi -1e-17 spaced", ["w", "--state", "up_y", "--theta", "1", "--phi", "-1e-17"])
+    add("w single csv up_x theta -2.5e+1 phi -1E3 spaced",
+        ["w", "--state", "up_x", "--theta", "-2.5e+1", "--phi", "-1E3", "--format", "csv"])
+    add("w single axes up_z phi -1. spaced", ["w", "--state", "up_z", "--theta", "1", "--phi", "-1.", "--axes"])
     for n in (1, 2, 3, 8, 17, 33):
         add(f"w grid {n}", ["w", "--state", "bloch=0.1,-0.2,0.3", "--grid", str(n)], kind="numeric")
         add(f"w grid {n} axes", ["w", "--state", "up_y", "--grid", str(n), "--axes"], kind="numeric")

@@ -3,6 +3,9 @@
 The scalar core computes on Python complex numbers.  The references below
 keep the array formulas it replaced, and every comparison is on the bytes of
 the float64 values, so a last-bit difference or a flipped zero sign fails.
+The tomograms are the one exception: their reference is the closed formula
+for the diagonal of d m d^dagger on float64 arrays, and the matrix product
+itself stays as an oracle, to 1e-15.
 The other way round, the array twins of the scalar maps, and the CLI's
 array paths for ``sweep`` and ``w --grid`` that use them, give bit for bit
 what the scalar functions give state by state and direction by direction.
@@ -56,7 +59,7 @@ from spintomo.quasiprob import (
 )
 from spintomo.radon_link import ConsistencyReport
 from spintomo.spin_core import AXES, ValidationReport, _reports
-from spintomo.tomography import _AXIS_ADJOINTS, _AXIS_ROTATIONS, _w_grid
+from spintomo.tomography import _w_grid
 
 from conftest import NAMED_STATES
 
@@ -132,24 +135,39 @@ def ref_rotation(u):
     )
 
 
-def ref_w_value(m, u):
+def ref_w_product(m, u):
+    """(w_plus, w_minus) as the diagonal of the matrix product d m d^dagger:
+    an oracle, which rounds differently from the closed formula."""
     angles = u.euler() if isinstance(u, Direction) else u
     d = ref_rotation(angles)
     rotated = d @ m @ d.conj().T
-    return Tomogram(
-        w_plus=float(rotated[0, 0].real),
-        w_minus=float(rotated[1, 1].real),
-        direction=Direction(theta=angles.theta, phi=angles.phi),
-    )
+    return float(rotated[0, 0].real), float(rotated[1, 1].real)
 
 
-def ref_w_axes(m):
-    axes = [
-        Direction(theta=math.pi / 2, phi=0.0),
-        Direction(theta=math.pi / 2, phi=math.pi / 2),
-        Direction(theta=0.0, phi=0.0),
-    ]
-    return AxisTriple(*(ref_w_value(m, d).w_plus for d in axes))
+def ref_w_closed(matrices, directions):
+    """(w_plus, w_minus) of each matrix along each (canonical) direction, as
+    arrays: the diagonal of d m d^dagger expanded in real float arithmetic,
+    with cos and sin of theta/2 and of phi from ``math``."""
+    m = np.array(matrices, dtype=complex)
+    re, im = m.real, m.imag
+    half = [0.5 * u.theta for u in directions]
+    cos_t = np.array([math.cos(h) for h in half])
+    sin_t = np.array([math.sin(h) for h in half])
+    cos_p = np.array([math.cos(u.phi) for u in directions])
+    sin_p = np.array([math.sin(u.phi) for u in directions])
+    b = cos_p * re[:, 0, 1] - sin_p * im[:, 0, 1]
+    c = cos_p * re[:, 1, 0] + sin_p * im[:, 1, 0]
+    cross = (cos_t * sin_t) * (b + c)
+    a, d = re[:, 0, 0], re[:, 1, 1]
+    cos2, sin2 = cos_t * cos_t, sin_t * sin_t
+    return cos2 * a + sin2 * d + cross, sin2 * a + cos2 * d - cross
+
+
+def ref_w_axes(matrices):
+    """The triple of each matrix: ``ref_w_closed`` along x, y and z."""
+    n = len(matrices)
+    plus = [ref_w_closed(matrices, [AXIS_DIRECTIONS[axis]] * n)[0].tolist() for axis in AXES]
+    return [AxisTriple(*w) for w in zip(*plus)]
 
 
 def ref_p_from_w(triple):
@@ -311,64 +329,59 @@ def _axis_states():
 
 
 def test_w_value_matches_array_form():
-    # The reference forms d @ m @ d^dagger; w_value chains ndarray.dot.  Raw
-    # angles mostly lie outside the canonical ranges, so a Direction of the
-    # folded angles, which lie inside, takes the constructor's short path.
+    # Raw angles mostly lie outside the canonical ranges, so a Direction of
+    # the folded angles, which lie inside, takes the constructor's short path.
     states = _axis_states()
+    cases = []
     for rho, theta, phi, psi in zip(states, *_directions(len(states))):
         raw = Direction(theta=theta, phi=phi)
         euler = EulerAngles(phi=phi, theta=theta, psi=psi)
         inside = Direction(theta=theta % math.pi, phi=phi % (2.0 * math.pi))
-        for u in (raw, euler, inside):
-            got, ref = w_value(rho, u), ref_w_value(rho, u)
-            assert bits(got.w_plus, got.w_minus) == bits(ref.w_plus, ref.w_minus)
-            assert bits(got.direction.theta, got.direction.phi) == bits(
-                ref.direction.theta, ref.direction.phi
-            )
+        cases += [(rho, raw), (rho, euler), (rho, inside)]
+    ref_plus, ref_minus = ref_w_closed(*zip(*cases))
+    for (rho, u), ref in zip(cases, zip(ref_plus.tolist(), ref_minus.tolist())):
+        got = w_value(rho, u)
+        assert bits(got.w_plus, got.w_minus) == bits(*ref)
+        assert bits(got.direction.theta, got.direction.phi) == bits(u.theta, u.phi)
+        product = ref_w_product(rho, u)
+        assert abs(got.w_plus - product[0]) <= 1e-15
+        assert abs(got.w_minus - product[1]) <= 1e-15
 
 
 def test_w_axes_and_radon_link_match_array_form():
-    for rho in _axis_states():
-        triple, ref = w_axes(rho), ref_w_axes(rho)
-        assert bits(triple.wx_plus, triple.wy_plus, triple.wz_plus) == bits(
-            ref.wx_plus, ref.wy_plus, ref.wz_plus
-        )
+    states = _axis_states()
+    for rho, ref in zip(states, ref_w_axes(states)):
+        triple = w_axes(rho)
+        got = (triple.wx_plus, triple.wy_plus, triple.wz_plus)
+        assert bits(*got) == bits(ref.wx_plus, ref.wy_plus, ref.wz_plus)
+        for w, axis in zip(got, AXES):
+            assert abs(w - ref_w_product(rho, AXIS_DIRECTIONS[axis])[0]) <= 1e-15
         assert table_bits(p_from_w(triple)) == table_bits(ref_p_from_w(ref))
         delta = np.abs(ref_p_from_w(ref).to_array() - ref_table_from_matrix(rho).to_array())
-        assert bits(verify_radon_consistency(rho).max_abs_delta) == bits(float(np.max(delta)))
-
-
-def test_axis_rotation_stack_is_the_per_axis_rotations():
-    assert _AXIS_ROTATIONS.shape == _AXIS_ADJOINTS.shape == (3, 2, 2)
-    for k, axis in enumerate(AXES):
-        u = AXIS_DIRECTIONS[axis]
-        d = rotation_matrix(u.euler())
-        assert _AXIS_ROTATIONS[k].tobytes() == d.tobytes()
-        assert _AXIS_ADJOINTS[k].tobytes() == d.conj().T.tobytes()
-        assert _AXIS_ADJOINTS[k].strides == d.conj().T.strides
-    for stack in (_AXIS_ROTATIONS, _AXIS_ADJOINTS):
-        assert not stack.flags.writeable
-        with pytest.raises(ValueError):
-            stack[0, 0, 0] = 0.0
+        report = verify_radon_consistency(rho)
+        assert bits(report.max_abs_delta) == bits(float(np.max(delta)))
+        assert report.axis_triple == triple
 
 
 def test_w_value_direction_and_euler_angles_agree():
-    # The Euler angles (phi, theta, 0) of a Direction's own, canonical angles.
-    # Raw angles with theta folded from (pi, 2pi) are a different triple: the
-    # fold moves pi into psi, and the rounding may then differ.
-    theta, phi, _ = _directions(N_STATES)
+    # The Euler angles (phi, theta, 0) of a Direction's own, canonical angles,
+    # and the raw angles with a random psi: psi never enters w, also when
+    # theta is folded from (pi, 2pi), which moves pi into phi and psi.
+    theta, phi, psi = _directions(N_STATES)
     signed = [0.0, -0.0, math.pi / 2, math.pi, 3 * math.pi, -math.pi]
-    angles = list(zip(theta, phi)) + [(t, p) for t in signed for p in signed]
+    angles = list(zip(theta, phi, psi)) + [(t, p, 1.0) for t in signed for p in signed]
+    assert sum(math.pi < t % (2.0 * math.pi) for t in theta) > N_STATES // 3
     states = _axis_states()
-    for k, (theta, phi) in enumerate(angles):
+    for k, (theta, phi, psi) in enumerate(angles):
         rho = states[k % len(states)]
         u = Direction(theta=theta, phi=phi)
         by_direction = w_value(rho, u)
-        by_euler = w_value(rho, EulerAngles(phi=u.phi, theta=u.theta, psi=0.0))
-        assert bits(by_direction.w_plus, by_direction.w_minus) == bits(
-            by_euler.w_plus, by_euler.w_minus
-        )
-        assert by_direction.direction == by_euler.direction
+        for euler in (EulerAngles(phi=u.phi, theta=u.theta), EulerAngles(phi, theta, psi)):
+            by_euler = w_value(rho, euler)
+            assert bits(by_direction.w_plus, by_direction.w_minus) == bits(
+                by_euler.w_plus, by_euler.w_minus
+            )
+            assert by_direction.direction == by_euler.direction
 
 
 def test_density_from_bloch_matches_array_form():

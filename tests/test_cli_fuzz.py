@@ -142,6 +142,27 @@ def test_w_flag_faults(flags):
     _w(flags)
 
 
+@pytest.mark.parametrize("value", ["-1e-17", "-1E3", "-2.5e+1", "-.5e-300", "-1."])
+@pytest.mark.parametrize("flag", ["--theta", "--phi", "--tol"])
+def test_negative_number_with_exponent_is_the_flags_value(flag, value):
+    # argparse alone reads these as unknown options when they follow a space;
+    # they must give what the form joined with "=" gives.
+    runs = []
+    for spelled in ([flag, value], [f"{flag}={value}"]):
+        flags = {name: W_SINGLE[name] for name in W_SINGLE if name != flag}
+        argv = ["w", "--state", "up_x", *spelled, *(part for item in flags.items() for part in item)]
+        assert check_contract(*argv) in (0, 2)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runs.append((main(argv), out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    code, _, err = runs[0]
+    if flag == "--tol":
+        assert (code, err) == (2, f"error: --tol must be non-negative, got {float(value)!r}\n")
+    else:
+        assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("flags", [W_SINGLE, W_GRID], ids=["single", "grid"])
 @pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "missing-parent"])
 def test_w_unwritable_output(tmp_path, flags, target):
