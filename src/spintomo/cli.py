@@ -608,7 +608,7 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
     flat = states.reshape(len(states), 4)
     table = np.stack(_table_values(*flat.T), axis=1)
     from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
-    w = _w_axes_values(tuple(flat.T))
+    w = _w_axes_values(flat.T)
     triple = AxisTriple(*w)
     from_w_axes = np.stack(_density_entries(triple), axis=1)
     in_ball = ~_outside_unit_ball(triple, tol)
