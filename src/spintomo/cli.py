@@ -9,7 +9,8 @@ Verbs:
 * ``sweep``       the same checks over seeded random states
 
 Every verb takes ``--tol`` and ``--output``; ``w --format csv`` writes its
-tomograms as CSV rows instead of a document.
+tomograms as CSV rows instead of a document.  ``w`` takes one direction as a
+1 x 1 grid, and ``sweep`` its batch checks from ``radon_link``.
 
 Exit codes: 0 success, 2 unusable input (bad flags or flags that do not
 combine, non-finite numbers, requests above the size bounds, unparsable
@@ -44,31 +45,19 @@ from .general_inversion import (
 from .quasiprob import (
     QuasiProbTable,
     _admissibility_maxima,
-    _batch_admissibility_maxima,
-    _matrix_entries,
-    _p_oracles,
-    _table_values,
     check_admissibility,
     density_from_p,
     p_from_density,
 )
-from .radon_link import (
-    _outside_unit_ball,
-    _w_table_values,
-    p_from_w,
-    verify_radon_consistency,
-)
+from .radon_link import _sweep_deviations, p_from_w
 from .sampling import random_density_matrices
-from .spin_core import TOL, _reports, density_from_bloch, require_density, validate_density
+from .spin_core import TOL, density_from_bloch, require_density, validate_density
 from .tomography import (
     AxisTriple,
-    EulerAngles,
-    _density_entries,
-    _w_axes_values,
+    Direction,
     _w_grid,
     density_from_w_axes,
     w_axes,
-    w_value,
 )
 
 SCHEMA_VERSION = "1"
@@ -360,8 +349,9 @@ def cmd_w(args):
     if single:
         if args.theta is None or args.phi is None:
             raise CliError("--theta and --phi must be given together")
-        t = w_value(rho, EulerAngles(phi=args.phi, theta=args.theta), args.tol)
-        rows = [(t.direction.theta, t.direction.phi, t.w_plus, t.w_minus)]
+        # The 1 x 1 grid of the direction's canonical angles.
+        direction = Direction(theta=args.theta, phi=args.phi)
+        thetas, phis = [direction.theta], [direction.phi]
     else:
         if args.grid < 1:
             raise CliError(f"--grid must be at least 1, got {args.grid}")
@@ -371,15 +361,15 @@ def cmd_w(args):
         # Already canonical, so these are the directions' own angles.
         thetas = grid.theta_nodes.tolist()
         phis = grid.phi_nodes.tolist()
-        w_plus, w_minus = _w_grid(require_density(rho, args.tol), thetas, phis)
-        rows = list(
-            zip(
-                np.repeat(thetas, args.grid).tolist(),
-                phis * args.grid,
-                w_plus.ravel().tolist(),
-                w_minus.ravel().tolist(),
-            )
+    w_plus, w_minus = _w_grid(require_density(rho, args.tol), thetas, phis)
+    rows = list(
+        zip(
+            np.repeat(thetas, len(phis)).tolist(),
+            phis * len(thetas),
+            w_plus.ravel().tolist(),
+            w_minus.ravel().tolist(),
         )
+    )
     doc = _envelope("w", args.tol)
     doc["state"] = _state_obj(kind, args.state, rho)
     doc["tomograms"] = [dict(zip(_TOMOGRAM_FIELDS, row)) for row in rows]
@@ -401,7 +391,7 @@ def _spin_from_doc(data) -> float:
         raise CliError(f"'j' must be a number, got {j!r}")
     try:
         spin = float(j)
-        twice = _twice(spin) if math.isfinite(spin) else -1
+        twice = _twice(spin)
     except (OverflowError, ValueError):
         twice = -1
     if twice < 0:
@@ -586,51 +576,6 @@ def _check_obj(name: str, deviation: float, tol: float) -> dict:
     }
 
 
-def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
-    """The five ``sweep`` deviations of each of the ``(N, 2, 2)`` states, as
-    arrays of shape ``(N,)``.
-
-    Each array has the bits that the scalar route gives state by state:
-    ``p_from_density`` -> ``density_from_p``, ``w_axes`` ->
-    ``density_from_w_axes``, ``verify_radon_consistency``, ``p_oracle`` and
-    ``check_admissibility``, whose arithmetic, or its array twin, runs on all
-    states at once.  The first state that fails a check goes through the
-    scalar functions, which raise its error.
-    """
-
-    def passes(entries):
-        # validate_density of each row of an (N, 4) array of matrix entries
-        return _reports(*entries.T, tol).passed
-
-    def largest_gap(a, b):
-        return np.abs(a - b).max(axis=1)
-
-    flat = states.reshape(len(states), 4)
-    table = np.stack(_table_values(*flat.T), axis=1)
-    from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
-    w = _w_axes_values(flat.T)
-    triple = AxisTriple(*w)
-    from_w_axes = np.stack(_density_entries(triple), axis=1)
-    in_ball = ~_outside_unit_ball(triple, tol)
-    failed = ~(passes(flat) & passes(from_p) & passes(from_w_axes) & in_ball)
-    if failed.any():
-        rho = states[int(failed.argmax())]
-        density_from_p(p_from_density(rho, tol), tol)
-        density_from_w_axes(w_axes(rho, tol), tol)
-        verify_radon_consistency(rho, tol)
-        raise AssertionError(
-            f"sweep state {int(failed.argmax())} fails an array check that its "
-            "scalar route passes"
-        )
-    return {
-        "p_round_trip": largest_gap(from_p, flat),
-        "w_axes_round_trip": largest_gap(from_w_axes, flat),
-        "radon_consistency": largest_gap(np.stack(_w_table_values(*w), axis=1), table),
-        "oracle_equivalence": largest_gap(_p_oracles(states), table),
-        "admissibility": np.maximum.reduce([*_batch_admissibility_maxima(table).values()]),
-    }
-
-
 def cmd_verify(args):
     data = _load_json(args.input)
     if not isinstance(data, dict):
@@ -808,9 +753,10 @@ def _emit(payload: str, args) -> None:
 
 # argparse takes a token after a flag for an option, not for the flag's
 # value, when it starts with "-" and is not of the form -1 or -1.5: so
-# "--phi -1e-17" is refused.  Joined to its flag, "--phi=-1e-17", it is read.
+# "--phi -1e-17" or "--phi -inf" is refused.  Joined to its flag,
+# "--phi=-1e-17", it is read.  Any case, as ``float`` reads it.
 _NUMBER_FLAGS = ("--theta", "--phi", "--tol")
-_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)", re.I)
 
 
 def _join_negative_numbers(argv: list) -> list:

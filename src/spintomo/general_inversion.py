@@ -91,7 +91,11 @@ except ImportError:
 
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
-    doubled = 2 * x
+    # A numpy float doubles as a Python float, without numpy's overflow
+    # warning; the result is compared, as math.isfinite overflows on a huge int.
+    doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
+    if doubled != doubled or abs(doubled) == math.inf:
+        raise ValueError(f"{x!r} doubled is not finite")
     nearest = round(doubled)
     if abs(doubled - nearest) > 1e-9:
         raise ValueError(f"{x!r} is not a multiple of 1/2")
@@ -131,8 +135,6 @@ def _w3j_twice(tj1, tj2, tj3, tm1, tm2, tm3) -> float:
     f = _half_factorial
     tkmin = max(0, tj2 - tj3 - tm1, tj1 - tj3 + tm2)
     tkmax = min(tj1 + tj2 - tj3, tj1 - tm1, tj2 + tm2)
-    if tkmin > tkmax:
-        return 0.0
     total = Fraction(0)
     for tk in range(tkmin, tkmax + 1, 2):
         denom = (

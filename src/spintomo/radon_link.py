@@ -6,6 +6,10 @@ For a physical triple this agrees with the composed route
 ``p_from_density(density_from_w_axes(...))``; the map itself is defined for
 arbitrary real triples, and its entries always sum to 1 because the
 additive constants cancel.
+
+``verify_radon_consistency`` checks the map against the composed route for
+one state; ``_sweep_deviations``, the batch route of the CLI's ``sweep``, for
+many at once, and replays the first state it refuses through the scalar route.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalStateError
-from .quasiprob import _MINUS, _PLUS, QuasiProbTable, _table_values
-from .spin_core import TOL, _frozen, _nanmax, _require
-from .tomography import AxisTriple, _w_axes_values
+from .quasiprob import (
+    _MINUS, _PLUS, QuasiProbTable, _batch_admissibility_maxima, _matrix_entries, _p_oracles,
+    _table_values, density_from_p, p_from_density,
+)
+from .spin_core import TOL, _frozen, _nanmax, _outside_unit_ball, _reports, _require
+from .tomography import AxisTriple, _density_entries, _w_axes_values, density_from_w_axes, w_axes
 
 
 def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> QuasiProbTable:
@@ -30,25 +37,20 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
     affine map as-is, which is useful for checking its structural identities
     on arbitrary triples.
     """
-    # Python floats, so that the entries are Python complex numbers.
+    # Python floats, so that the entries are Python complex numbers and the
+    # unit-ball test squares without numpy's overflow warning.
     wx, wy, wz = float(triple.wx_plus), float(triple.wy_plus), float(triple.wz_plus)
     if validate:
         if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
             raise NonPhysicalStateError(
                 f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
             )
-        if _outside_unit_ball(triple, tol):
+        if _outside_unit_ball(2.0 * wx - 1.0, 2.0 * wy - 1.0, 2.0 * wz - 1.0, tol):
             raise NonPhysicalStateError(
                 f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
                 "describe a physical state"
             )
     return QuasiProbTable._trusted(_w_table_values(wx, wy, wz))
-
-
-def _outside_unit_ball(triple: AxisTriple, tol: float):
-    # Elementwise for a triple of arrays.
-    mx, my, mz = triple.mean_values()
-    return mx * mx + my * my + mz * mz > 1.0 + tol
 
 
 def _w_table_values(wx, wy, wz):
@@ -90,3 +92,48 @@ def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     gaps = zip(p_from_w(triple, tol)._entries, _table_values(*entries))
     delta = _nanmax(*np.abs(np.array([p - q for p, q in gaps])).tolist())
     return _frozen(ConsistencyReport, axis_triple=triple, max_abs_delta=delta, tol=tol)
+
+
+def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
+    """The five ``sweep`` deviations of each of the ``(N, 2, 2)`` states, as
+    arrays of shape ``(N,)``.
+
+    Each array has the bits that the scalar route gives state by state:
+    ``p_from_density`` -> ``density_from_p``, ``w_axes`` ->
+    ``density_from_w_axes``, ``verify_radon_consistency``, ``p_oracle`` and
+    ``check_admissibility``, whose arithmetic, or its array twin, runs on all
+    states at once.  The first state that fails a check goes through the
+    scalar functions, which raise its error.
+    """
+
+    def passes(entries):
+        # validate_density of each row of an (N, 4) array of matrix entries
+        return _reports(*entries.T, tol).passed
+
+    def largest_gap(a, b):
+        return np.abs(a - b).max(axis=1)
+
+    flat = states.reshape(len(states), 4)
+    table = np.stack(_table_values(*flat.T), axis=1)
+    from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
+    w = _w_axes_values(flat.T)
+    triple = AxisTriple(*w)
+    from_w_axes = np.stack(_density_entries(triple), axis=1)
+    in_ball = ~_outside_unit_ball(*triple.mean_values(), tol)
+    failed = ~(passes(flat) & passes(from_p) & passes(from_w_axes) & in_ball)
+    if failed.any():
+        rho = states[int(failed.argmax())]
+        density_from_p(p_from_density(rho, tol), tol)
+        density_from_w_axes(w_axes(rho, tol), tol)
+        verify_radon_consistency(rho, tol)
+        raise AssertionError(
+            f"sweep state {int(failed.argmax())} fails an array check that its "
+            "scalar route passes"
+        )
+    return {
+        "p_round_trip": largest_gap(from_p, flat),
+        "w_axes_round_trip": largest_gap(from_w_axes, flat),
+        "radon_consistency": largest_gap(np.stack(_w_table_values(*w), axis=1), table),
+        "oracle_equivalence": largest_gap(_p_oracles(states), table),
+        "admissibility": np.maximum.reduce([*_batch_admissibility_maxima(table).values()]),
+    }

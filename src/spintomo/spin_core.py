@@ -294,13 +294,20 @@ def bloch_from_density(rho, tol: float = TOL) -> np.ndarray:
     )
 
 
+def _outside_unit_ball(mx, my, mz, tol: float):
+    # For Python floats, which square without numpy's overflow warning, or
+    # elementwise for float64 arrays.
+    return mx * mx + my * my + mz * mz > 1.0 + tol
+
+
 def density_from_mean_values(mx: float, my: float, mz: float, tol: float = TOL) -> np.ndarray:
     """Density matrix with Pauli mean values Tr(rho sigma_k) = (mx, my, mz).
 
     Physical inputs satisfy mx^2 + my^2 + mz^2 <= 1; the corresponding
     Bloch vector is half the mean-value vector.
     """
-    if mx * mx + my * my + mz * mz > 1.0 + tol:
+    mx, my, mz = float(mx), float(my), float(mz)
+    if _outside_unit_ball(mx, my, mz, tol):
         raise NonPhysicalStateError(
             f"mean values ({mx:.6g}, {my:.6g}, {mz:.6g}) lie outside the unit ball"
         )

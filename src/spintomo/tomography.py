@@ -156,23 +156,6 @@ class AxisTriple:
         )
 
 
-def _rotation(phi: float, theta: float, psi: float) -> np.ndarray:
-    half = 0.5 * theta
-    c = math.cos(half)
-    s = math.sin(half)
-    # exp(i angle / 2), with the bits of np.exp(0.5j * angle): adding 0.0 turns
-    # -0.0 into 0.0, as forming 0.5j * angle does.  So with psi = 0, where
-    # phi + psi and phi - psi differ at most in the sign of a zero, e_diff = e_sum.
-    angle = 0.5 * (phi + psi) + 0.0
-    e_sum = e_diff = complex(math.cos(angle), math.sin(angle))
-    if psi != 0.0:
-        angle = 0.5 * (phi - psi) + 0.0
-        e_diff = complex(math.cos(angle), math.sin(angle))
-    return np.array(
-        (c * e_sum, s * e_diff.conjugate(), -s * e_diff, c * e_sum.conjugate())
-    ).reshape(2, 2)
-
-
 def rotation_matrix(u: EulerAngles) -> np.ndarray:
     """2x2 unitary for the Euler rotation (phi, theta, psi).
 
@@ -180,7 +163,13 @@ def rotation_matrix(u: EulerAngles) -> np.ndarray:
     gives the amplitude of outcome +1/2 along the direction (theta, phi),
     and psi only contributes opposite phases to the two rows.
     """
-    return _rotation(u.phi, u.theta, u.psi)
+    c = math.cos(0.5 * u.theta)
+    s = math.sin(0.5 * u.theta)
+    e_sum = np.exp(0.5j * (u.phi + u.psi))
+    e_diff = np.exp(0.5j * (u.phi - u.psi))
+    return np.array(
+        [[c * e_sum, s * np.conj(e_diff)], [-s * e_diff, c * np.conj(e_sum)]], dtype=complex
+    )
 
 
 def rotate_density(rho, u: EulerAngles, tol: float = TOL) -> np.ndarray:

@@ -267,6 +267,8 @@ def build_cases() -> list:
     add("w grid 257", ["w", "--state", "up_x", "--grid", "257"])
     add("w theta nan", ["w", "--state", "up_x", "--theta", "nan", "--phi", "0"])
     add("w phi inf", ["w", "--state", "up_x", "--theta", "0", "--phi", "inf"])
+    add("w phi -inf spaced", ["w", "--state", "up_x", "--theta", "1", "--phi", "-inf"])
+    add("w theta -NaN spaced", ["w", "--state", "up_x", "--theta", "-NaN", "--phi", "0"])
     add("w axes csv", ["w", "--state", "up_x", "--grid", "2", "--axes", "--format", "csv"])
     add("w single and grid", ["w", "--state", "up_x", "--theta", "1", "--phi", "0", "--grid", "2"])
     add("w no direction", ["w", "--state", "up_x"])

@@ -48,7 +48,6 @@ from spintomo import (
     w_axes,
     w_value,
 )
-from spintomo.cli import _sweep_deviations
 from spintomo.quasiprob import (
     AdmissibilityReport,
     MarginalCheck,
@@ -57,7 +56,7 @@ from spintomo.quasiprob import (
     _p_oracles,
     _table_values,
 )
-from spintomo.radon_link import ConsistencyReport
+from spintomo.radon_link import ConsistencyReport, _sweep_deviations
 from spintomo.spin_core import AXES, ValidationReport, _reports
 from spintomo.tomography import _w_grid
 
@@ -481,10 +480,10 @@ def test_sweep_refuses_as_scalar_route():
 def test_sweep_disagreement_raises(monkeypatch):
     # A state that an array check refuses and the scalar route accepts must
     # fail the sweep loudly, not let it report on the batch.
-    from spintomo import cli
+    from spintomo import radon_link
 
     for name in ("density_from_p", "density_from_w_axes", "verify_radon_consistency"):
-        monkeypatch.setattr(cli, name, lambda *args: None)
+        monkeypatch.setattr(radon_link, name, lambda *args: None)
     with pytest.raises(AssertionError, match=r"sweep state \d+ fails an array check"):
         _sweep_deviations(random_density_matrices(3, seed=3), 0.0)
 

@@ -142,7 +142,10 @@ def test_w_flag_faults(flags):
     _w(flags)
 
 
-@pytest.mark.parametrize("value", ["-1e-17", "-1E3", "-2.5e+1", "-.5e-300", "-1."])
+@pytest.mark.parametrize(
+    "value",
+    ["-1e-17", "-1E3", "-2.5e+1", "-.5e-300", "-1.", "-inf", "-Infinity", "-INF", "-nan", "-NaN"],
+)
 @pytest.mark.parametrize("flag", ["--theta", "--phi", "--tol"])
 def test_negative_number_with_exponent_is_the_flags_value(flag, value):
     # argparse alone reads these as unknown options when they follow a space;
@@ -157,7 +160,9 @@ def test_negative_number_with_exponent_is_the_flags_value(flag, value):
             runs.append((main(argv), out.getvalue(), err.getvalue()))
     assert runs[0] == runs[1]
     code, _, err = runs[0]
-    if flag == "--tol":
+    if not math.isfinite(float(value)):
+        assert (code, err) == (2, f"error: {flag} must be finite, got {float(value)!r}\n")
+    elif flag == "--tol":
         assert (code, err) == (2, f"error: --tol must be non-negative, got {float(value)!r}\n")
     else:
         assert (code, err) == (0, "")

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -36,6 +37,16 @@ def test_m_values():
     assert m_values(1.5) == (1.5, 0.5, -0.5, -1.5)
     with pytest.raises(ValueError):
         m_values(-1)
+    # A value whose double is not finite is refused with its name, not with
+    # an OverflowError from rounding it.
+    for value in (math.inf, -math.inf, math.nan, 1e308, np.float64(1e308)):
+        message = re.escape(f"{value!r} doubled is not finite")
+        with pytest.raises(ValueError, match=message):
+            m_values(value)
+        with pytest.raises(ValueError, match=message):
+            build_quadrature(value)
+        with pytest.raises(ValueError, match=message):
+            wigner_3j(value, 1, 1, 0, 0, 0)
 
 
 # Closed-form values; the last two were evaluated exactly with an

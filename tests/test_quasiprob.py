@@ -66,6 +66,9 @@ def test_table_requires_exactly_eight_vertices():
         QuasiProbTable({v: 0.125 for v in VERTEX_ORDER[:-1]})
     with pytest.raises(ValueError):
         QuasiProbTable({**entries, (0, 1, 1): 0.0})
+    for values in ([0.125] * 7, np.full((2, 4), 0.125)):
+        with pytest.raises(ValueError, match="expected 8 entries, got shape"):
+            QuasiProbTable.from_array(values)
 
 
 def test_table_is_immutable():
@@ -78,6 +81,12 @@ def test_array_round_trip():
     table = GOLDEN_TABLES["up_y"]
     rebuilt = QuasiProbTable.from_array([table[v] for v in VERTEX_ORDER])
     assert np.allclose(rebuilt.to_array(), QuasiProbTable(table).to_array())
+    assert list(rebuilt) == list(VERTEX_ORDER)
+    assert repr(QuasiProbTable(GOLDEN_TABLES["up_z"])) == (
+        "QuasiProbTable((1, 1, 1): 0.25+0.25j, (-1, 1, 1): 0.25-0.25j, "
+        "(1, -1, 1): 0.25-0.25j, (-1, -1, 1): 0.25+0.25j, (1, 1, -1): 0+0j, "
+        "(-1, 1, -1): 0+0j, (1, -1, -1): 0+0j, (-1, -1, -1): 0+0j)"
+    )
 
 
 def test_oracle_equals_closed_form(named_states, random_states):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spintomo import (
     TOL,
+    AxisTriple,
     Direction,
     NonPhysicalStateError,
     bloch_from_density,
@@ -154,6 +155,9 @@ def test_bloch_round_trip_random(b):
 def test_bloch_vector_too_long_rejected():
     with pytest.raises(NonPhysicalStateError):
         density_from_bloch(np.array([0.6, 0.0, 0.0]))
+    for b in ([0.1, 0.2], np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="expected a length-3 Bloch vector, got shape"):
+            density_from_bloch(b)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +180,23 @@ def test_mean_values_are_twice_bloch():
     assert np.allclose(bloch_from_density(rho), [0.1, -0.2, 0.3], atol=1e-15)
     with pytest.raises(NonPhysicalStateError):
         density_from_mean_values(0.9, 0.9, 0.9)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: density_from_mean_values(np.float32(1e38), 0, 0),
+        lambda: p_from_w(AxisTriple(np.float32(1e38), 0.5, 0.5)),
+    ],
+    ids=["density_from_mean_values", "p_from_w"],
+)
+def test_float32_outside_unit_ball_refused_without_warning(refuse):
+    # Squared in float32, 1e38 overflows with numpy's RuntimeWarning; the
+    # unit-ball test squares Python floats, so only the refusal is raised.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPhysicalStateError, match="1e\\+38"):
+            refuse()
 
 
 def test_purity_extremes(named_states):
