@@ -64,6 +64,7 @@ Conventions, fixed once and verified by round trips at machine precision:
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -89,13 +90,23 @@ except ImportError:
     _eigvalsh_lo = None
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
     # A numpy float doubles as a Python float, without numpy's overflow
     # warning; the result is compared, as math.isfinite overflows on a huge int.
     doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
-    if doubled != doubled or abs(doubled) == math.inf:
+    size = abs(doubled)
+    if doubled != doubled or size == math.inf:
         raise ValueError(f"{x!r} doubled is not finite")
+    if size > _FLOAT_MAX:
+        # An exact int, say 10**400, that no float holds: named by its
+        # magnitude, not by all of its digits.
+        from decimal import Decimal
+
+        raise ValueError(f"{Decimal(round(doubled)) / 2:.3e} doubled lies beyond the float range")
     nearest = round(doubled)
     if abs(doubled - nearest) > 1e-9:
         raise ValueError(f"{x!r} is not a multiple of 1/2")

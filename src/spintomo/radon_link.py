@@ -41,16 +41,22 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
     # unit-ball test squares without numpy's overflow warning.
     wx, wy, wz = float(triple.wx_plus), float(triple.wy_plus), float(triple.wz_plus)
     if validate:
-        if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
-            raise NonPhysicalStateError(
-                f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
-            )
-        if _outside_unit_ball(2.0 * wx - 1.0, 2.0 * wy - 1.0, 2.0 * wz - 1.0, tol):
-            raise NonPhysicalStateError(
-                f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
-                "describe a physical state"
-            )
+        _refuse_unphysical(wx, wy, wz, tol)
     return QuasiProbTable._trusted(_w_table_values(wx, wy, wz))
+
+
+def _refuse_unphysical(wx: float, wy: float, wz: float, tol: float):
+    """Raise ``NonPhysicalStateError`` unless the up-probabilities, Python
+    floats, are finite and their mean values lie inside the unit ball."""
+    if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
+        raise NonPhysicalStateError(
+            f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
+        )
+    if _outside_unit_ball(2.0 * wx - 1.0, 2.0 * wy - 1.0, 2.0 * wz - 1.0, tol):
+        raise NonPhysicalStateError(
+            f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
+            "describe a physical state"
+        )
 
 
 def _w_table_values(wx, wy, wz):
@@ -87,10 +93,14 @@ class ConsistencyReport:
 def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
     entries = _require(rho, tol)[1]
-    wx, wy, wz = _w_axes_values(entries)
+    wx, wy, wz = _w_axes_values(entries)  # Python floats, as p_from_w takes them
+    _refuse_unphysical(wx, wy, wz, tol)
+    p0, p1, p2, p3, p4, p5, p6, p7 = _w_table_values(wx, wy, wz)
+    q0, q1, q2, q3, q4, q5, q6, q7 = _table_values(*entries)
+    gaps = [p0 - q0, p1 - q1, p2 - q2, p3 - q3, p4 - q4, p5 - q5, p6 - q6, p7 - q7]
+    # numpy's |z|, whose last bit differs from Python's abs.
+    delta = _nanmax(*np.abs(np.array(gaps)).tolist())
     triple = _frozen(AxisTriple, wx_plus=wx, wy_plus=wy, wz_plus=wz)
-    gaps = zip(p_from_w(triple, tol)._entries, _table_values(*entries))
-    delta = _nanmax(*np.abs(np.array([p - q for p, q in gaps])).tolist())
     return _frozen(ConsistencyReport, axis_triple=triple, max_abs_delta=delta, tol=tol)
 
 

@@ -203,21 +203,12 @@ def _w_pair(entries, cos_t, sin_t, cos_p, sin_p):
     return cos2 * a_re + sin2 * d_re + cross, sin2 * a_re + cos2 * d_re - cross
 
 
-def _w_of(entries, u) -> Tomogram:
-    """Tomogram along ``u`` of the already validated matrix of ``entries``."""
-    # A Direction is canonical: it is also the direction that its Euler
-    # angles (phi, theta, psi) give back, whatever psi is.
-    direction = u if isinstance(u, Direction) else Direction(theta=u.theta, phi=u.phi)
-    w_plus, w_minus = _w_pair(entries, *_factors(direction.theta, direction.phi))
-    return _frozen(Tomogram, w_plus=w_plus, w_minus=w_minus, direction=direction)
-
-
 def _w_grid(m: np.ndarray, thetas, phis):
     """``(w_plus, w_minus)`` of an already validated ``m`` at every direction
     of a product grid, as arrays of shape ``(len(thetas), len(phis))``.
 
     The angles must lie in the canonical ranges (theta in [0, pi], phi in
-    [0, 2pi)).  Each value then has the bits of ``_w_of`` along
+    [0, 2pi)).  Each value then has the bits of ``w_value`` along
     ``Direction(theta, phi)``: ``_factors`` come from ``math``, once per
     node (numpy's vectorised cos and sin differ from libm's), and
     ``_w_pair`` runs on them as arrays.
@@ -237,7 +228,12 @@ def w_value(rho, u, tol: float = TOL) -> Tomogram:
     the pair of diagonal elements of the rotated density matrix, which is
     independent of psi.
     """
-    return _w_of(_require(rho, tol)[1], u)
+    entries = _require(rho, tol)[1]
+    # A Direction is canonical: it is also the direction that its Euler
+    # angles (phi, theta, psi) give back, whatever psi is.
+    direction = u if isinstance(u, Direction) else Direction(theta=u.theta, phi=u.phi)
+    w_plus, w_minus = _w_pair(entries, *_factors(direction.theta, direction.phi))
+    return _frozen(Tomogram, w_plus=w_plus, w_minus=w_minus, direction=direction)
 
 
 def w_from_bloch(b, direction: Direction, tol: float = TOL) -> Tomogram:
@@ -248,7 +244,12 @@ def w_from_bloch(b, direction: Direction, tol: float = TOL) -> Tomogram:
 
 
 def mean_from_w(tomogram: Tomogram) -> float:
-    """Pauli mean value along the tomogram's direction: 2 w_plus - 1."""
+    """Pauli mean value along the tomogram's direction: 2 w_plus - 1.
+
+    Anything but a :class:`Tomogram` raises ``TypeError`` naming its type.
+    """
+    if not isinstance(tomogram, Tomogram):
+        raise TypeError(f"mean_from_w takes a Tomogram, got {type(tomogram).__name__}")
     return 2.0 * tomogram.w_plus - 1.0
 
 
@@ -258,9 +259,10 @@ _AXIS_FACTORS = tuple(_factors(AXIS_DIRECTIONS[a].theta, AXIS_DIRECTIONS[a].phi)
 
 def _w_axes_values(entries):
     """Up-probabilities (wx, wy, wz) of a validated matrix's ``entries``, as
-    floats or, for four arrays of entries, arrays, with the bits of ``_w_of``
+    floats or, for four arrays of entries, arrays, with the bits of ``w_value``
     along ``AXIS_DIRECTIONS``."""
-    return tuple(_w_pair(entries, *factors)[0] for factors in _AXIS_FACTORS)
+    x, y, z = _AXIS_FACTORS
+    return _w_pair(entries, *x)[0], _w_pair(entries, *y)[0], _w_pair(entries, *z)[0]
 
 
 def w_axes(rho, tol: float = TOL) -> AxisTriple:

@@ -6,8 +6,9 @@ the float64 values, so a last-bit difference or a flipped zero sign fails.
 The tomograms are the one exception: their reference is the closed formula
 for the diagonal of d m d^dagger on float64 arrays, and the matrix product
 itself stays as an oracle, to 1e-15.
-The other way round, the array twins of the scalar maps, and the CLI's
-array paths for ``sweep`` and ``w --grid`` that use them, give bit for bit
+The other way round, the array twins of the scalar maps, and the array
+paths that use them, ``radon_link._sweep_deviations`` behind the CLI's
+``sweep`` and ``tomography._w_grid`` behind ``w --grid``, give bit for bit
 what the scalar functions give state by state and direction by direction.
 """
 
@@ -285,7 +286,15 @@ def test_check_admissibility_matches_array_form():
         QuasiProbTable.from_array(rng.normal(size=8) + 1j * rng.normal(size=8))
         for _ in range(N_MATRICES)
     ]
-    tables = [p_from_density(rho) for rho in STATES] + random_tables
+    # Entries with zero parts of either sign, all zero or mixed with nonzero
+    # ones: sum() starts from the int 0, so an all -0.0 marginal reads +0.0.
+    signed = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    zero_tables = [QuasiProbTable.from_array([z] * 8) for z in signed]
+    zero_tables += [
+        QuasiProbTable.from_array(rng.choice(signed + [0.25, -0.5j, 1.0 - 0.0j], size=8))
+        for _ in range(200)
+    ]
+    tables = [p_from_density(rho) for rho in STATES] + random_tables + zero_tables
     batch = _batch_admissibility_maxima(np.array([table.to_array() for table in tables]))
     for i, table in enumerate(tables):
         report = check_admissibility(table)
@@ -319,11 +328,27 @@ def test_rotation_matrix_matches_array_form():
         assert rotation_matrix(u).tobytes() == ref_rotation(u).tobytes()
 
 
+def _signed_zero_states():
+    """Density matrices whose zero parts take either sign, as in ``_matrices``."""
+    out = []
+    for re in (0.0, -0.0):
+        for im in (0.0, -0.0):
+            z = complex(re, im)
+            out.append(np.array([[complex(1.0, im), z], [z, z]]))
+            out.append(np.array([[z, z], [z, complex(1.0, re)]]))
+            half = complex(0.5, im)
+            out.append(np.array([[half, complex(re, 0.5)], [complex(re, -0.5), complex(0.5, re)]]))
+            out.append(np.array([[half, complex(0.25, re)], [complex(0.25, im), half]]))
+    return out
+
+
 def _axis_states():
     # Random and named states; Bloch states with signed zero components, the
-    # unpolarized state among them; pure states on the sphere; and
-    # transposed views, which are density matrices in a strided layout.
-    states = STATES + _signed_zero_bloch_states() + list(_pure_states(200, 11))
+    # unpolarized state among them; states with signed zero parts; pure
+    # states on the sphere; and transposed views, which are density matrices
+    # in a strided layout.
+    states = STATES + _signed_zero_bloch_states() + _signed_zero_states()
+    states += list(_pure_states(200, 11))
     return states + [rho.T for rho in STATES[:100]]
 
 

@@ -37,16 +37,21 @@ def test_m_values():
     assert m_values(1.5) == (1.5, 0.5, -0.5, -1.5)
     with pytest.raises(ValueError):
         m_values(-1)
-    # A value whose double is not finite is refused with its name, not with
-    # an OverflowError from rounding it.
-    for value in (math.inf, -math.inf, math.nan, 1e308, np.float64(1e308)):
-        message = re.escape(f"{value!r} doubled is not finite")
-        with pytest.raises(ValueError, match=message):
-            m_values(value)
-        with pytest.raises(ValueError, match=message):
-            build_quadrature(value)
-        with pytest.raises(ValueError, match=message):
-            wigner_3j(value, 1, 1, 0, 0, 0)
+    # A value whose double is not finite, or is an exact int beyond the float
+    # range, is refused with its name, not with an OverflowError from
+    # rounding or dividing it; a huge int by its magnitude, not its digits.
+    refusals = [
+        (value, f"{value!r} doubled is not finite")
+        for value in (math.inf, -math.inf, math.nan, 1e308, np.float64(1e308))
+    ]
+    refusals += [
+        (10**400, "1.000e+400 doubled lies beyond the float range"),
+        (-10**400, "-1.000e+400 doubled lies beyond the float range"),
+    ]
+    for value, message in refusals:
+        for call in (m_values, build_quadrature, lambda j: wigner_3j(j, 1, 1, 0, 0, 0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
 
 
 # Closed-form values; the last two were evaluated exactly with an

@@ -177,6 +177,11 @@ def test_incompatible_axis_triple_rejected():
         density_from_w_axes(AxisTriple(wx_plus=1.0, wy_plus=1.0, wz_plus=1.0))
     assert excinfo.value.report is not None
     assert excinfo.value.report.min_eigenvalue < 0
+    # mean_from_w takes one direction's Tomogram, not a triple or a bare
+    # probability, and names what it got.
+    for value in (AxisTriple(wx_plus=0.5, wy_plus=0.5, wz_plus=0.5), 0.5):
+        with pytest.raises(TypeError, match=f"got {type(value).__name__}$"):
+            mean_from_w(value)
 
 
 def test_w_from_bloch_rejects_long_vector():
