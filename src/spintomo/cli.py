@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import AdmissibilityError, NonPhysicalStateError
 from .general_inversion import (
+    _DEFAULT_OVERSAMPLE,
     _product_grid,
-    _twice,
+    _twice_spin,
     build_quadrature,
     m_values,
     reconstruct_density_j,
@@ -251,8 +252,7 @@ def _triple_from_obj(obj) -> AxisTriple:
     return AxisTriple(*_finite_numbers(obj, _TRIPLE_FIELDS, "'w_axes'"))
 
 
-def _admissibility_obj(report) -> dict:
-    maxima = _admissibility_maxima(report)
+def _admissibility_obj(report, maxima: dict) -> dict:
     return {
         "passed": report.passed,
         "total_deviation": float(report.total_deviation),
@@ -321,16 +321,13 @@ def cmd_p_table(args):
     doc = _envelope("p-table", args.tol)
     doc["state"] = _state_obj(kind, args.state, rho)
     doc["p_table"] = _table_obj(table)
-    doc["total"] = _complex_obj(table.total())
+    doc["total"] = _complex_obj(report.total)
     doc["marginals"] = [
         {"axis": m.axis, "sign": m.sign, "value": _complex_obj(m.value)}
         for m in report.marginals
     ]
-    doc["admissibility"] = _admissibility_obj(report)
-    return doc, 0, None
-
-
-_TOMOGRAM_FIELDS = ("theta", "phi", "w_plus", "w_minus")
+    doc["admissibility"] = _admissibility_obj(report, _admissibility_maxima(report))
+    return doc, 0
 
 
 def cmd_w(args):
@@ -362,28 +359,28 @@ def cmd_w(args):
         thetas = grid.theta_nodes.tolist()
         phis = grid.phi_nodes.tolist()
     w_plus, w_minus = _w_grid(require_density(rho, args.tol), thetas, phis)
-    rows = list(
-        zip(
-            np.repeat(thetas, len(phis)).tolist(),
-            phis * len(thetas),
-            w_plus.ravel().tolist(),
-            w_minus.ravel().tolist(),
-        )
+    rows = zip(
+        np.repeat(thetas, len(phis)).tolist(),
+        phis * len(thetas),
+        w_plus.ravel().tolist(),
+        w_minus.ravel().tolist(),
     )
+    if args.format == "csv":
+        lines = "".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+        return "theta,phi,w_plus,w_minus\n" + lines, 0
     doc = _envelope("w", args.tol)
     doc["state"] = _state_obj(kind, args.state, rho)
-    doc["tomograms"] = [dict(zip(_TOMOGRAM_FIELDS, row)) for row in rows]
+    doc["tomograms"] = [
+        {"theta": theta, "phi": phi, "w_plus": plus, "w_minus": minus}
+        for theta, phi, plus, minus in rows
+    ]
     if args.axes:
         doc["w_axes"] = _w_axes_obj(w_axes(rho, args.tol))
-    csv_text = None
-    if args.format == "csv":
-        lines = ["theta,phi,w_plus,w_minus"]
-        lines.extend("%.17g,%.17g,%.17g,%.17g" % row for row in rows)
-        csv_text = "\n".join(lines) + "\n"
-    return doc, 0, csv_text
+    return doc, 0
 
 
-def _spin_from_doc(data) -> float:
+def _spin_from_doc(data) -> tuple:
+    """The spin of an integral reconstruction document, and twice it."""
     if "j" not in data:
         raise CliError("input document needs a 'j' field for integral reconstruction")
     j = data["j"]
@@ -391,14 +388,12 @@ def _spin_from_doc(data) -> float:
         raise CliError(f"'j' must be a number, got {j!r}")
     try:
         spin = float(j)
-        twice = _twice(spin)
-    except (OverflowError, ValueError):
-        twice = -1
-    if twice < 0:
-        raise CliError(f"'j' must be a non-negative multiple of 1/2, got {j!r}")
+        tj = _twice_spin(spin)
+    except (OverflowError, ValueError) as exc:
+        raise CliError(f"'j' must be a non-negative multiple of 1/2, got {j!r}") from exc
     if spin > MAX_SPIN:
         raise CliError(f"'j' must be at most {MAX_SPIN}, got {j!r}")
-    return spin
+    return spin, tj
 
 
 _SAMPLE_FIELDS = ("m", "theta", "phi", "w")
@@ -407,15 +402,11 @@ _MATCH_TOL = 1e-9
 
 
 def _nearest(nodes: np.ndarray, values: np.ndarray):
-    """Index of the node of the ascending ``nodes`` nearest to each value (the
-    lower one on a tie, as ``argmin``), and the distance to it (NaN for NaN)."""
-    above = np.searchsorted(nodes, values)
-    lower = np.clip(above - 1, 0, len(nodes) - 1)
-    upper = np.minimum(above, len(nodes) - 1)
-    to_lower = np.abs(nodes[lower] - values)
-    to_upper = np.abs(nodes[upper] - values)
-    take_upper = to_upper < to_lower
-    return np.where(take_upper, upper, lower), np.where(take_upper, to_upper, to_lower)
+    """Index of the node of the ascending ``nodes`` nearest to each value, and
+    the distance to it (NaN for NaN).  A value halfway between two nodes lies
+    far off both, whichever it is given."""
+    index = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), values)
+    return index, np.abs(nodes[index] - values)
 
 
 def _w_from_samples(data, grid, j) -> np.ndarray:
@@ -528,29 +519,27 @@ def cmd_reconstruct(args):
             doc["error"] = {"type": "AdmissibilityError", "message": str(exc)}
             if exc.report is not None:
                 doc["validation"] = _validation_obj(exc.report)
-            return doc, 3, None
+            return doc, 3
         doc["rho"] = _matrix_obj(rho)
         doc["validation"] = _validation_obj(validate_density(rho, args.tol))
-        return doc, 0, None
-    oversample = 2 if args.oversample is None else args.oversample
+        return doc, 0
+    oversample = _DEFAULT_OVERSAMPLE if args.oversample is None else args.oversample
     if oversample < 1:
         raise CliError(f"--oversample must be at least 1, got {oversample}")
     if oversample > MAX_OVERSAMPLE:
         raise CliError(f"--oversample must be at most {MAX_OVERSAMPLE}, got {oversample}")
-    j = _spin_from_doc(data)
+    j, tj = _spin_from_doc(data)
     doc["j"] = j
     grid = build_quadrature(j, oversample=oversample)
     if "samples" in data:
         w = _w_from_samples(data, grid, j)
     elif "rho" in data:
         matrix = _matrix_from_obj(data["rho"])
-        if len(matrix) != _twice(j) + 1:
-            raise CliError(
-                f"'rho' has dimension {len(matrix)} but spin {j} needs {_twice(j) + 1}"
-            )
+        if len(matrix) != tj + 1:
+            raise CliError(f"'rho' has dimension {len(matrix)} but spin {j} needs {tj + 1}")
         w = w_callable_from_density(matrix, args.tol)
     elif "state" in data:
-        if _twice(j) != 1:
+        if tj != 1:
             raise CliError("'state' specifications are only defined for j = 1/2")
         _, source = parse_state(str(data["state"]), args.tol)
         w = w_callable_from_density(source, args.tol)
@@ -563,7 +552,7 @@ def cmd_reconstruct(args):
     report = validate_density_j(rho, args.tol)
     doc["rho"] = _matrix_obj(rho)
     doc["validation"] = _validation_obj(report)
-    return doc, 0 if report.passed else 3, None
+    return doc, 0 if report.passed else 3
 
 
 def _check_obj(name: str, deviation: float, tol: float) -> dict:
@@ -589,9 +578,10 @@ def cmd_verify(args):
     if "p_table" in data:
         table = _table_from_obj(data["p_table"])
         report = check_admissibility(table, args.tol)
+        maxima = _admissibility_maxima(report)
         doc["p_table"] = _table_obj(table)
-        doc["admissibility"] = _admissibility_obj(report)
-        for name, deviation in _admissibility_maxima(report).items():
+        doc["admissibility"] = _admissibility_obj(report, maxima)
+        for name, deviation in maxima.items():
             checks.append(_check_obj(f"table-{name}", deviation, args.tol))
     if "w_axes" in data:
         triple = _triple_from_obj(data["w_axes"])
@@ -610,7 +600,7 @@ def cmd_verify(args):
     doc["checks"] = checks
     passed = all(check["passed"] for check in checks)
     doc["passed"] = passed
-    return doc, 0 if passed else 3, None
+    return doc, 0 if passed else 3
 
 
 def cmd_sweep(args):
@@ -631,7 +621,7 @@ def cmd_sweep(args):
     doc["seed"] = args.seed
     doc["max_deviations"] = {name: maxima[name] for name in sorted(maxima)}
     doc["passed"] = passed
-    return doc, 0 if passed else 3, None
+    return doc, 0 if passed else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -697,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oversample",
         type=int,
         help="quadrature refinement factor, for --mode from-w-integral only "
-        f"(1 to {MAX_OVERSAMPLE}, default 2)",
+        f"(1 to {MAX_OVERSAMPLE}, default {_DEFAULT_OVERSAMPLE})",
     )
 
     v = sub.add_parser(
@@ -785,9 +775,8 @@ def main(argv=None) -> int:
         print(f"error: --tol must be non-negative, got {args.tol!r}", file=sys.stderr)
         return 2
     try:
-        doc, code, csv_text = _COMMANDS[args.command](args)
-        payload = csv_text if csv_text is not None else _json_payload(doc)
-        _emit(payload, args)
+        payload, code = _COMMANDS[args.command](args)
+        _emit(payload if isinstance(payload, str) else _json_payload(payload), args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -74,9 +74,10 @@ import numpy as np
 
 from .errors import NonPhysicalStateError
 from .spin_core import TOL, ValidationReport
-from .tomography import EulerAngles, _finite_angle
+from .tomography import _TWO_PI, EulerAngles, _finite_angle
 
-_TWO_PI = 2.0 * math.pi
+# The grid refinement used when none is given, by the library and the CLI.
+_DEFAULT_OVERSAMPLE = 2
 
 # A warm small-spin reconstruction spends most of its time in numpy's
 # Python-level wrappers, so a private entry point stands in for a public
@@ -233,7 +234,8 @@ _ANGLE_CACHE_SIZE = 256
 # stay cached.
 _GRID_CACHE_SIZE = 16
 # Distinct spins whose J_y eigenvectors stay cached; a kernel for spin j
-# reads those of j and of every integer spin up to 2j.
+# reads those of the integer spins 0..2j only, and ``_small_d_matrix``
+# those of spin j itself.
 _SPIN_CACHE_SIZE = 64
 
 
@@ -425,7 +427,7 @@ class QuadratureGrid:
         return len(self.phi_nodes)
 
 
-def build_quadrature(j, oversample: int = 2) -> QuadratureGrid:
+def build_quadrature(j, oversample: int = _DEFAULT_OVERSAMPLE) -> QuadratureGrid:
     """Quadrature grid sized for reconstructing a spin-``j`` state.
 
     Azimuthal node counts grow like 4j + 2 so all phases exp(i m3 phi) with
@@ -708,7 +710,7 @@ def reconstruct_density_j(
     """
     tj = _twice_spin(j)
     if grid is None:
-        grid = _quadrature(tj, 2)
+        grid = _quadrature(tj, _DEFAULT_OVERSAMPLE)
     # The kernel is looked up once, and only after every refusal that does
     # not need it, so that a refused request builds nothing.
     if isinstance(w, DensityTomogram):

@@ -122,6 +122,28 @@ def test_w_csv_format(capsys):
     assert w_minus == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("state", ["up_y", "bloch=0.1,-0.2,0.3"])
+@pytest.mark.parametrize(
+    "where",
+    [("--theta", "1.0471975511965976", "--phi", "0.25")]
+    + [("--grid", str(n)) for n in (1, 2, 24, 64)],
+)
+def test_w_csv_rows_are_the_document_tomograms(capsys, state, where):
+    argv = ("w", "--state", state, *where)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    tomograms = strict_json(out)["tomograms"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.endswith("\n")
+    header, *rows = out.splitlines()
+    assert header == "theta,phi,w_plus,w_minus"
+    # %.17g reads back as the very float the document holds.
+    assert [[float(field) for field in row.split(",")] for row in rows] == [
+        [t["theta"], t["phi"], t["w_plus"], t["w_minus"]] for t in tomograms
+    ]
+
+
 def test_csv_rejected_elsewhere(capsys):
     code, _, err = run_cli(capsys, "p-table", "--state", "up_z", "--format", "csv")
     assert code == 2
@@ -462,12 +484,29 @@ _RECORD_FAULTS = [
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
 def test_sample_ingestion_matches_record_loop(j):
     from spintomo import build_quadrature, random_density_j
-    from spintomo.cli import CliError, _w_from_samples
+    from spintomo.cli import _MATCH_TOL, CliError, _w_from_samples
 
     rng = np.random.default_rng(int(2 * j))
     grid = build_quadrature(j, oversample=1)
     clean = json.loads(json.dumps(_grid_samples(random_density_j(int(2 * j) + 1, 1, 3)[0], j, 1)))
     documents = [clean, clean[::-1], [clean[i] for i in rng.permutation(len(clean))], []]
+    # Edges of the node search, each in a record on the phi node 0.0:
+    # halfway between two nodes, _MATCH_TOL from a node and one float step
+    # beyond, an azimuth just below 2pi, and an infinite theta.
+    thetas, phis = grid.theta_nodes, grid.phi_nodes
+    k = next(i for i, r in enumerate(clean) if r["phi"] == 0.0 and r["theta"] == thetas[1])
+    for field, value in [
+        ("theta", 0.5 * (thetas[1] + thetas[2])),
+        ("phi", 0.5 * (phis[0] + phis[1])),
+        ("phi", _MATCH_TOL),
+        ("phi", np.nextafter(_MATCH_TOL, 1.0)),
+        ("phi", np.nextafter(2 * np.pi, 0.0)),
+        ("theta", np.inf),
+        ("theta", -np.inf),
+    ]:
+        records = [dict(r) for r in clean]
+        records[k][field] = float(value)
+        documents.append(records)
     for _ in range(150):
         records = [dict(r) for r in clean]
         for _ in range(rng.integers(1, 4)):
