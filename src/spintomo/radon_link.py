@@ -24,39 +24,36 @@ from .quasiprob import (
     _MINUS, _PLUS, QuasiProbTable, _batch_admissibility_maxima, _matrix_entries, _p_oracles,
     _table_values, density_from_p, p_from_density,
 )
-from .spin_core import TOL, _frozen, _nanmax, _outside_unit_ball, _reports, _require
+from .spin_core import TOL, _frozen, _nanmax, _physical_bloch, _reports, _require
 from .tomography import AxisTriple, _density_entries, _w_axes_values, density_from_w_axes, w_axes
 
 
 def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> QuasiProbTable:
     """Quasiprobability table from three-axis up-probabilities.
 
-    With ``validate`` (the default) the triple must correspond to a physical
-    state: its probabilities have to be finite and its mean values have to
-    lie inside the unit ball.  Passing ``validate=False`` evaluates the
-    affine map as-is, which is useful for checking its structural identities
-    on arbitrary triples.
+    With ``validate`` (the default) the triple must be finite and physical:
+    b = w - 1/2, half the mean values, must have |b| <= 1/2 + tol, which is
+    ``validate_density``'s positivity test and which a NaN ``tol`` fails.
+    ``validate=False`` evaluates the affine map as-is, which is useful for
+    checking its structural identities on arbitrary triples.  Anything but
+    an :class:`AxisTriple` raises ``TypeError`` naming its type.
     """
+    if not isinstance(triple, AxisTriple):
+        raise TypeError(f"p_from_w takes an AxisTriple, got {type(triple).__name__}")
     # Python floats, so that the entries are Python complex numbers and the
-    # unit-ball test squares without numpy's overflow warning.
+    # Bloch-ball test squares without numpy's overflow warning.
     wx, wy, wz = float(triple.wx_plus), float(triple.wy_plus), float(triple.wz_plus)
     if validate:
-        _refuse_unphysical(wx, wy, wz, tol)
+        if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
+            raise NonPhysicalStateError(
+                f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
+            )
+        if not _physical_bloch(wx - 0.5, wy - 0.5, wz - 0.5, tol):
+            raise NonPhysicalStateError(
+                f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
+                "describe a physical state"
+            )
     return QuasiProbTable._trusted(_w_table_values(wx, wy, wz))
-
-
-def _refuse_unphysical(wx: float, wy: float, wz: float, tol: float):
-    """Raise ``NonPhysicalStateError`` unless the up-probabilities, Python
-    floats, are finite and their mean values lie inside the unit ball."""
-    if not (math.isfinite(wx) and math.isfinite(wy) and math.isfinite(wz)):
-        raise NonPhysicalStateError(
-            f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
-        )
-    if _outside_unit_ball(2.0 * wx - 1.0, 2.0 * wy - 1.0, 2.0 * wz - 1.0, tol):
-        raise NonPhysicalStateError(
-            f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
-            "describe a physical state"
-        )
 
 
 def _w_table_values(wx, wy, wz):
@@ -94,7 +91,6 @@ def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
     entries = _require(rho, tol)[1]
     wx, wy, wz = _w_axes_values(entries)  # Python floats, as p_from_w takes them
-    _refuse_unphysical(wx, wy, wz, tol)
     p0, p1, p2, p3, p4, p5, p6, p7 = _w_table_values(wx, wy, wz)
     q0, q1, q2, q3, q4, q5, q6, q7 = _table_values(*entries)
     gaps = [p0 - q0, p1 - q1, p2 - q2, p3 - q3, p4 - q4, p5 - q5, p6 - q6, p7 - q7]
@@ -127,15 +123,12 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
     table = np.stack(_table_values(*flat.T), axis=1)
     from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
     w = _w_axes_values(flat.T)
-    triple = AxisTriple(*w)
-    from_w_axes = np.stack(_density_entries(triple), axis=1)
-    in_ball = ~_outside_unit_ball(*triple.mean_values(), tol)
-    failed = ~(passes(flat) & passes(from_p) & passes(from_w_axes) & in_ball)
+    from_w_axes = np.stack(_density_entries(AxisTriple(*w)), axis=1)
+    failed = ~(passes(flat) & passes(from_p) & passes(from_w_axes))
     if failed.any():
         rho = states[int(failed.argmax())]
         density_from_p(p_from_density(rho, tol), tol)
         density_from_w_axes(w_axes(rho, tol), tol)
-        verify_radon_consistency(rho, tol)
         raise AssertionError(
             f"sweep state {int(failed.argmax())} fails an array check that its "
             "scalar route passes"

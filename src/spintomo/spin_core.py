@@ -247,6 +247,17 @@ def require_density(matrix, tol: float = TOL) -> np.ndarray:
     return _require(matrix, tol)[0]
 
 
+def _bloch_norm(x: float, y: float, z: float) -> float:
+    # |b| of Python floats: inf once b . b overflows, with no numpy warning.
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _physical_bloch(x: float, y: float, z: float, tol: float) -> bool:
+    """|b| <= 1/2 + tol, for Python floats: ``validate_density``'s positivity
+    test, as the least eigenvalue is 1/2 - |b|.  A NaN ``tol`` refuses."""
+    return _bloch_norm(x, y, z) <= 0.5 + tol
+
+
 def _bloch_vector(b, tol: float) -> np.ndarray:
     """``b`` as a float array, checked to be a finite vector with |b| <= 1/2."""
     v = np.asarray(b, dtype=float)
@@ -255,15 +266,8 @@ def _bloch_vector(b, tol: float) -> np.ndarray:
     values = v.tolist()
     if not all(map(math.isfinite, values)):
         raise NonPhysicalStateError(f"Bloch vector {values} is not finite")
-    # What np.linalg.norm computes for a vector, without its dispatch.  Below
-    # 1e150 a component cannot overflow the sum of squares; above, numpy
-    # would print an overflow warning, and the norm is inf if it overflows.
-    if max(map(abs, values)) < 1e150:
-        norm = math.sqrt(v.dot(v))
-    else:
-        with np.errstate(over="ignore"):
-            norm = math.sqrt(v.dot(v))
-    if norm > 0.5 + tol:
+    if not _physical_bloch(*values, tol):
+        norm = _bloch_norm(*values)
         raise NonPhysicalStateError(
             f"Bloch vector norm {norm:.6g} exceeds 1/2; state would not be positive"
         )
@@ -294,24 +298,20 @@ def bloch_from_density(rho, tol: float = TOL) -> np.ndarray:
     )
 
 
-def _outside_unit_ball(mx, my, mz, tol: float):
-    # For Python floats, which square without numpy's overflow warning, or
-    # elementwise for float64 arrays.
-    return mx * mx + my * my + mz * mz > 1.0 + tol
-
-
 def density_from_mean_values(mx: float, my: float, mz: float, tol: float = TOL) -> np.ndarray:
     """Density matrix with Pauli mean values Tr(rho sigma_k) = (mx, my, mz).
 
-    Physical inputs satisfy mx^2 + my^2 + mz^2 <= 1; the corresponding
-    Bloch vector is half the mean-value vector.
+    The Bloch vector b is half the mean values and must have |b| <= 1/2 + tol,
+    ``validate_density``'s positivity test, which a NaN ``tol`` fails.
     """
     mx, my, mz = float(mx), float(my), float(mz)
-    if _outside_unit_ball(mx, my, mz, tol):
+    b = [0.5 * mx, 0.5 * my, 0.5 * mz]
+    # A NaN mean value is left to density_from_bloch, which names it not finite.
+    if not (_physical_bloch(*b, tol) or any(map(math.isnan, b))):
         raise NonPhysicalStateError(
             f"mean values ({mx:.6g}, {my:.6g}, {mz:.6g}) lie outside the unit ball"
         )
-    return density_from_bloch(np.array([0.5 * mx, 0.5 * my, 0.5 * mz]), tol=tol)
+    return density_from_bloch(b, tol=tol)
 
 
 def purity(rho, tol: float = TOL) -> float:

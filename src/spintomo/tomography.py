@@ -284,7 +284,10 @@ def density_from_w_axes(triple: AxisTriple, tol: float = TOL) -> np.ndarray:
     The diagonal is (wz_plus, 1 - wz_plus) and the off-diagonal collects the
     x and y probabilities; the result is validated and an
     :class:`AdmissibilityError` is raised for incompatible triples.
+    Anything but an :class:`AxisTriple` raises ``TypeError`` naming its type.
     """
+    if not isinstance(triple, AxisTriple):
+        raise TypeError(f"density_from_w_axes takes an AxisTriple, got {type(triple).__name__}")
     rho_pp, rho_pm, rho_mp, rho_mm = _density_entries(triple)
     m, entries = _entries(np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex))
     _check(entries, tol, AdmissibilityError, "axis probabilities do not describe a physical state")

@@ -43,6 +43,7 @@ from spintomo import (
     p_oracle,
     random_bloch_vectors,
     random_density_matrices,
+    require_density,
     rotation_matrix,
     validate_density,
     verify_radon_consistency,
@@ -479,7 +480,7 @@ def _pure_states(n, seed):
 
 
 def test_sweep_refuses_as_scalar_route():
-    # At these tolerances some states fail some check, pure states all four
+    # At these tolerances some states fail some check, pure states all three
     # kinds: the array path must raise the error of the first failing state,
     # for its first failing check.
     kinds = set()
@@ -498,8 +499,32 @@ def test_sweep_refuses_as_scalar_route():
         "not a physical densi",
         "table does not descr",
         "axis probabilities d",
-        "axis probabilities (",
     }
+
+
+def test_radon_consistency_reports_every_validated_state():
+    # The triple of a state that require_density accepts is not judged again
+    # by a rule of its own: verify_radon_consistency reports on every such
+    # state, pure states at tiny tolerances and states just past |b| = 1/2.
+    cases = [
+        (rho, tol)
+        for tol in (0.0, 1e-17, 6e-17, 4e-16)
+        for seed in range(15)
+        for rho in _pure_states(10, seed)
+    ]
+    edge = [np.diag([1.0 + eps / 2, -eps / 2]) for eps in (0.8e-10, 1.6e-10)]
+    for rho in edge:
+        require_density(rho, 1e-10)  # accepted, so never skipped below
+    cases += [(rho, 1e-10) for rho in edge]
+    accepted = 0
+    for rho, tol in cases:
+        try:
+            require_density(rho, tol)
+        except NonPhysicalStateError:
+            continue
+        assert isinstance(verify_radon_consistency(rho, tol), ConsistencyReport)
+        accepted += 1
+    assert accepted > len(cases) // 2
 
 
 def test_sweep_disagreement_raises(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -32,6 +33,7 @@ from spintomo import (
     validate_density,
     verify_radon_consistency,
     w_axes,
+    w_from_bloch,
     w_value,
 )
 from spintomo import spin_core
@@ -164,8 +166,8 @@ def test_bloch_vector_too_long_rejected():
     "b", [[1e149, -3e149, 2e149], [5e153, 0.0, -4e153], [1e154, 1e154, 1e154], [1e308, 1e308, 0.0]]
 )
 def test_long_bloch_vector_norm_without_warning(b):
-    # The reported norm is sqrt(b . b) as numpy forms it, inf once the sum of
-    # squares overflows, and numpy's overflow warning is never raised.
+    # The reported norm is sqrt(b . b), summed over Python floats, which give
+    # inf once the sum of squares overflows and never numpy's overflow warning.
     v = np.array(b)
     with np.errstate(over="ignore"):
         expected = np.sqrt(v.dot(v))
@@ -197,6 +199,51 @@ def test_float32_outside_unit_ball_refused_without_warning(refuse):
         warnings.simplefilter("error")
         with pytest.raises(NonPhysicalStateError, match="1e\\+38"):
             refuse()
+
+
+def _unchecked_density(b):
+    # 1/2 (I + 2 b . sigma), built without any check.
+    return 0.5 * np.eye(2) + sum(c * pauli_matrix(a) for c, a in zip(b, "xyz"))
+
+
+# Each spin-1/2 input form of the Bloch vector b, and the map that judges it.
+_BLOCH_INPUTS = {
+    "density_from_bloch": lambda b, tol: density_from_bloch(b, tol),
+    "w_from_bloch": lambda b, tol: w_from_bloch(b, Direction(theta=0.3, phi=0.2), tol),
+    "density_from_mean_values": lambda b, tol: density_from_mean_values(*(2.0 * b), tol=tol),
+    "p_from_w": lambda b, tol: p_from_w(AxisTriple(*(0.5 + b)), tol),
+    "density_from_w_axes": lambda b, tol: density_from_w_axes(AxisTriple(*(0.5 + b)), tol),
+    "require_density": lambda b, tol: require_density(_unchecked_density(b), tol),
+}
+
+
+def _boundary_inputs(tol, offset):
+    # Bloch vectors of norm 1/2 + tol + offset along 200 seeded directions.
+    v = np.random.default_rng(24).normal(size=(200, 3))
+    return (0.5 + tol + offset) * v / np.linalg.norm(v, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-3])
+@pytest.mark.parametrize("name", sorted(_BLOCH_INPUTS))
+def test_spin_half_inputs_share_the_bloch_ball_edge(name, tol):
+    # One rule, |b| <= 1/2 + tol, for the vector, mean-value, triple and
+    # matrix inputs alike: each accepts just inside the edge and refuses just
+    # outside it.
+    judge = _BLOCH_INPUTS[name]
+    for b in _boundary_inputs(tol, -1e-15):
+        judge(b, tol)
+    for b in _boundary_inputs(tol, 1e-15):
+        with pytest.raises(NonPhysicalStateError):
+            judge(b, tol)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCH_INPUTS))
+@pytest.mark.parametrize("b", [[0.1, -0.2, 0.3], [10.0, 0.0, 0.0]], ids=["physical", "unphysical"])
+def test_nan_tol_refuses(name, b):
+    # Every comparison with a NaN tol is false, so a test written as the
+    # accepting comparison refuses whatever the input.
+    with pytest.raises(NonPhysicalStateError):
+        _BLOCH_INPUTS[name](np.array(b), math.nan)
 
 
 def test_purity_extremes(named_states):

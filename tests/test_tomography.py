@@ -16,6 +16,7 @@ from spintomo import (
     density_from_bloch,
     density_from_w_axes,
     mean_from_w,
+    p_from_w,
     rotate_density,
     rotation_matrix,
     w_axes,
@@ -182,6 +183,16 @@ def test_incompatible_axis_triple_rejected():
     for value in (AxisTriple(wx_plus=0.5, wy_plus=0.5, wz_plus=0.5), 0.5):
         with pytest.raises(TypeError, match=f"got {type(value).__name__}$"):
             mean_from_w(value)
+
+
+@pytest.mark.parametrize("value", [(0.5, 0.5, 1.0), [0.5, 0.5, 1.0], np.array([0.5, 0.5, 1.0]), 0.5])
+def test_axis_triple_maps_name_what_they_got(value):
+    # p_from_w and density_from_w_axes take an AxisTriple, as mean_from_w
+    # takes a Tomogram, and name anything else by its type.
+    maps = (p_from_w, lambda triple: p_from_w(triple, validate=False), density_from_w_axes)
+    for map_ in maps:
+        with pytest.raises(TypeError, match=f"takes an AxisTriple, got {type(value).__name__}$"):
+            map_(value)
 
 
 def test_w_from_bloch_rejects_long_vector():
