@@ -52,7 +52,7 @@ from .quasiprob import (
 )
 from .radon_link import _sweep_deviations, p_from_w
 from .sampling import random_density_matrices
-from .spin_core import TOL, density_from_bloch, require_density, validate_density
+from .spin_core import TOL, _bloch_excess, density_from_bloch, require_density, validate_density
 from .tomography import (
     AxisTriple,
     Direction,
@@ -586,12 +586,8 @@ def cmd_verify(args):
     if "w_axes" in data:
         triple = _triple_from_obj(data["w_axes"])
         doc["w_axes"] = _w_axes_obj(triple)
-        ws = (triple.wx_plus, triple.wy_plus, triple.wz_plus)
-        # Squares above the float range make the norm inf, which the
-        # document refuses, without numpy's overflow warning on stderr.
-        with np.errstate(over="ignore"):
-            deviation = max(0.0, float(np.linalg.norm(triple.mean_values())) - 1.0)
-        deviation = max(deviation, *(max(0.0, w - 1.0, -w) for w in ws))
+        b = (triple.wx_plus - 0.5, triple.wy_plus - 0.5, triple.wz_plus - 0.5)
+        deviation = max(0.0, _bloch_excess(*b))
         checks.append(_check_obj("triple-physicality", deviation, args.tol))
     if table is not None and triple is not None:
         direct = p_from_w(triple, args.tol, validate=False)

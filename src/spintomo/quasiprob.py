@@ -184,13 +184,20 @@ def _matrix_entries(p_ppp, p_mpp):
     return rho_pp, rho_pm, rho_pm.conjugate(), 1.0 - rho_pp
 
 
+def _check_table(name: str, table) -> None:
+    if not isinstance(table, QuasiProbTable):
+        raise TypeError(f"{name} takes a QuasiProbTable, got {type(table).__name__}")
+
+
 def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
     """Recover the density matrix from a table, or raise if none exists.
 
     Inverts the two defining entries p(1, 1, 1) and p(-1, 1, 1); the result
     is validated and an :class:`AdmissibilityError` carrying the report is
-    raised when the table does not come from a physical state.
+    raised when the table does not come from a physical state.  Anything but
+    a :class:`QuasiProbTable` raises ``TypeError`` naming its type.
     """
+    _check_table("density_from_p", table)
     entries = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
     _check(entries, tol, AdmissibilityError, "table does not describe a physical state")
     return np.array(entries).reshape(2, 2)
@@ -200,8 +207,10 @@ def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
     """Sum of the four entries whose ``axis`` label equals ``sign``.
 
     For a physical table this is the (real) probability of outcome ``sign``
-    when measuring the spin projection along ``axis``.
+    when measuring the spin projection along ``axis``.  Anything but a
+    :class:`QuasiProbTable` raises ``TypeError`` naming its type.
     """
+    _check_table("marginal", table)
     positions = _MARGINAL_VERTICES[_check_axis(axis), _check_sign(sign)]
     return complex(sum(map(table._entries.__getitem__, positions)))
 
@@ -250,7 +259,11 @@ class AdmissibilityReport:
 
 
 def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> AdmissibilityReport:
-    """Report every physicality condition on a table without raising."""
+    """Report every physicality condition on a table without raising.
+
+    Anything but a :class:`QuasiProbTable` raises ``TypeError`` naming its type.
+    """
+    _check_table("check_admissibility", table)
     e0, e1, e2, e3, e4, e5, e6, e7 = table._entries
     # The sums of ``total`` and ``marginal``: left to right from sum()'s
     # start, the int 0, which reads an all -0.0 sum as +0.0.  The z+ marginal

@@ -24,7 +24,7 @@ from .quasiprob import (
     _MINUS, _PLUS, QuasiProbTable, _batch_admissibility_maxima, _matrix_entries, _p_oracles,
     _table_values, density_from_p, p_from_density,
 )
-from .spin_core import TOL, _frozen, _nanmax, _physical_bloch, _reports, _require
+from .spin_core import TOL, _bloch_excess, _frozen, _nanmax, _reports, _require
 from .tomography import AxisTriple, _density_entries, _w_axes_values, density_from_w_axes, w_axes
 
 
@@ -32,7 +32,7 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
     """Quasiprobability table from three-axis up-probabilities.
 
     With ``validate`` (the default) the triple must be finite and physical:
-    b = w - 1/2, half the mean values, must have |b| <= 1/2 + tol, which is
+    b = w - 1/2, half the mean values, must have |b| - 1/2 <= tol, which is
     ``validate_density``'s positivity test and which a NaN ``tol`` fails.
     ``validate=False`` evaluates the affine map as-is, which is useful for
     checking its structural identities on arbitrary triples.  Anything but
@@ -48,7 +48,7 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
             raise NonPhysicalStateError(
                 f"axis probabilities ({wx!r}, {wy!r}, {wz!r}) are not finite"
             )
-        if not _physical_bloch(wx - 0.5, wy - 0.5, wz - 0.5, tol):
+        if not _bloch_excess(wx - 0.5, wy - 0.5, wz - 0.5) <= tol:
             raise NonPhysicalStateError(
                 f"axis probabilities ({wx:.6g}, {wy:.6g}, {wz:.6g}) do not "
                 "describe a physical state"

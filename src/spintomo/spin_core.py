@@ -247,15 +247,12 @@ def require_density(matrix, tol: float = TOL) -> np.ndarray:
     return _require(matrix, tol)[0]
 
 
-def _bloch_norm(x: float, y: float, z: float) -> float:
-    # |b| of Python floats: inf once b . b overflows, with no numpy warning.
-    return math.sqrt(x * x + y * y + z * z)
-
-
-def _physical_bloch(x: float, y: float, z: float, tol: float) -> bool:
-    """|b| <= 1/2 + tol, for Python floats: ``validate_density``'s positivity
-    test, as the least eigenvalue is 1/2 - |b|.  A NaN ``tol`` refuses."""
-    return _bloch_norm(x, y, z) <= 0.5 + tol
+def _bloch_excess(x: float, y: float, z: float) -> float:
+    """|b| - 1/2 for Python floats: inf once b . b overflows, with no numpy
+    warning.  The state is physical when this is <= tol, ``validate_density``'s
+    positivity test, as the least eigenvalue is 1/2 - |b| (exactly so for
+    |b| >= 1/4).  Callers write that accepting comparison, which a NaN tol fails."""
+    return math.sqrt(x * x + y * y + z * z) - 0.5
 
 
 def _bloch_vector(b, tol: float) -> np.ndarray:
@@ -266,10 +263,10 @@ def _bloch_vector(b, tol: float) -> np.ndarray:
     values = v.tolist()
     if not all(map(math.isfinite, values)):
         raise NonPhysicalStateError(f"Bloch vector {values} is not finite")
-    if not _physical_bloch(*values, tol):
-        norm = _bloch_norm(*values)
+    excess = _bloch_excess(*values)
+    if not excess <= tol:
         raise NonPhysicalStateError(
-            f"Bloch vector norm {norm:.6g} exceeds 1/2; state would not be positive"
+            f"Bloch vector norm {excess + 0.5:.6g} exceeds 1/2; state would not be positive"
         )
     return v
 
@@ -301,13 +298,13 @@ def bloch_from_density(rho, tol: float = TOL) -> np.ndarray:
 def density_from_mean_values(mx: float, my: float, mz: float, tol: float = TOL) -> np.ndarray:
     """Density matrix with Pauli mean values Tr(rho sigma_k) = (mx, my, mz).
 
-    The Bloch vector b is half the mean values and must have |b| <= 1/2 + tol,
+    The Bloch vector b is half the mean values and must have |b| - 1/2 <= tol,
     ``validate_density``'s positivity test, which a NaN ``tol`` fails.
     """
     mx, my, mz = float(mx), float(my), float(mz)
     b = [0.5 * mx, 0.5 * my, 0.5 * mz]
     # A NaN mean value is left to density_from_bloch, which names it not finite.
-    if not (_physical_bloch(*b, tol) or any(map(math.isnan, b))):
+    if not (_bloch_excess(*b) <= tol or any(map(math.isnan, b))):
         raise NonPhysicalStateError(
             f"mean values ({mx:.6g}, {my:.6g}, {mz:.6g}) lie outside the unit ball"
         )

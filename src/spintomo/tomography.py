@@ -226,12 +226,17 @@ def w_value(rho, u, tol: float = TOL) -> Tomogram:
 
     ``u`` may be a :class:`Direction` or :class:`EulerAngles`; the result is
     the pair of diagonal elements of the rotated density matrix, which is
-    independent of psi.
+    independent of psi.  Any other ``u`` raises ``TypeError`` naming its type.
     """
     entries = _require(rho, tol)[1]
     # A Direction is canonical: it is also the direction that its Euler
     # angles (phi, theta, psi) give back, whatever psi is.
-    direction = u if isinstance(u, Direction) else Direction(theta=u.theta, phi=u.phi)
+    if isinstance(u, Direction):
+        direction = u
+    elif isinstance(u, EulerAngles):
+        direction = Direction(theta=u.theta, phi=u.phi)
+    else:
+        raise TypeError(f"w_value takes a Direction or EulerAngles, got {type(u).__name__}")
     w_plus, w_minus = _w_pair(entries, *_factors(direction.theta, direction.phi))
     return _frozen(Tomogram, w_plus=w_plus, w_minus=w_minus, direction=direction)
 

@@ -340,6 +340,12 @@ def build_cases() -> list:
     add("verify inconsistent", ["verify", "--input", INPUT],
         doc={"p_table": UP_X_TABLE, "w_axes": triples["inside"]})
     add("verify neither", ["verify", "--input", INPUT], doc={"rho": []})
+    # Outside the Bloch ball by 7.5e-11, within tol: passes, as from-w-axes does.
+    add("verify triple within tol", ["verify", "--input", INPUT],
+        doc={"w_axes": {"wx_plus": 1.000000000075, "wy_plus": 0.5, "wz_plus": 0.5}})
+    # b . b = 1e308 is finite, so the refusal is a document.
+    add("verify triple large finite norm", ["verify", "--input", INPUT],
+        doc={"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e154}})
 
     # -- sweep
     for trials, seed in ((1, 0), (5, 3), (100, 0), (1000, 7)):

@@ -930,8 +930,9 @@ def test_overflowing_bloch_norm_prints_only_the_error(capsys):
 
 
 def test_overflowing_triple_norm_prints_only_the_error(capsys, tmp_path):
+    # b . b = 1e310 overflows to inf, which no document can carry.
     payload = tmp_path / "triple.json"
-    payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e154}}))
+    payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e155}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "verify", "--input", str(payload))
@@ -939,6 +940,26 @@ def test_overflowing_triple_norm_prints_only_the_error(capsys, tmp_path):
     assert err == (
         "error: the result has non-finite numbers; an input value is too large to process\n"
     )
+
+
+@pytest.mark.parametrize(
+    "verb", [("verify",), ("reconstruct", "--mode", "from-w-axes")], ids=lambda v: v[0]
+)
+def test_huge_triple_is_refused_with_a_document(capsys, validator, tmp_path, verb):
+    # b . b = 1e308 is still finite, so both verbs judge the triple and print
+    # the refusal with its finite deviation.
+    payload = tmp_path / "triple.json"
+    payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e154}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = run_doc(capsys, validator, *verb, "--input", str(payload))
+    assert (code, err) == (3, "")
+    if verb == ("verify",):
+        [check] = doc["checks"]
+        assert check["name"] == "triple-physicality"
+        assert check["deviation"] == 1e154
+    else:
+        assert doc["validation"]["min_eigenvalue"] == -1e154
 
 
 @pytest.mark.parametrize("off_diagonal", [(1e308, -1e308), (1e308, 1e308)])

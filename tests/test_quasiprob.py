@@ -188,6 +188,25 @@ def test_marginal_rejects_bad_labels():
         marginal(table, "x", 2)
 
 
+_UNPOLARIZED = dict(zip(VERTEX_ORDER, [0.125] * 8))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_UNPOLARIZED, tuple(_UNPOLARIZED.values()), np.full(8, 0.125 + 0j), 0.5],
+    ids=["dict", "tuple", "array", "float"],
+)
+def test_table_maps_name_what_they_got(value):
+    # The maps that take a QuasiProbTable name anything else by its type,
+    # a mapping of the eight vertices included.
+    maps = (
+        check_admissibility, density_from_p, lambda table: marginal(table, "x", 1),
+    )
+    for map_ in maps:
+        with pytest.raises(TypeError, match=f"takes a QuasiProbTable, got {type(value).__name__}$"):
+            map_(value)
+
+
 @pytest.mark.parametrize("vertex", [(1, 1, 1), (-1, 1, -1)])
 def test_admissibility_fails_on_non_finite_entry(vertex):
     entries = dict(p_from_density(np.eye(2) / 2).items())

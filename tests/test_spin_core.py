@@ -1,8 +1,12 @@
+import json
 import math
 import re
 import sys
+import tempfile
 import threading
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ from spintomo import (
     w_from_bloch,
     w_value,
 )
-from spintomo import spin_core
+from spintomo import cli, spin_core
 
 SIGNS = (1, -1)
 
@@ -206,6 +210,20 @@ def _unchecked_density(b):
     return 0.5 * np.eye(2) + sum(c * pauli_matrix(a) for c, a in zip(b, "xyz"))
 
 
+def _verify_triple(b, tol):
+    # The CLI's verify of the triple w = 1/2 + b, through cmd_verify, since
+    # main refuses a NaN --tol.
+    w = dict(zip(("wx_plus", "wy_plus", "wz_plus"), (0.5 + b).tolist()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "triple.json"
+        path.write_text(json.dumps({"w_axes": w}))
+        doc, _ = cli.cmd_verify(SimpleNamespace(input=str(path), tol=tol))
+    [check] = doc["checks"]
+    assert check["name"] == "triple-physicality"
+    if not check["passed"]:
+        raise NonPhysicalStateError(f"verify refuses {w}")
+
+
 # Each spin-1/2 input form of the Bloch vector b, and the map that judges it.
 _BLOCH_INPUTS = {
     "density_from_bloch": lambda b, tol: density_from_bloch(b, tol),
@@ -214,6 +232,7 @@ _BLOCH_INPUTS = {
     "p_from_w": lambda b, tol: p_from_w(AxisTriple(*(0.5 + b)), tol),
     "density_from_w_axes": lambda b, tol: density_from_w_axes(AxisTriple(*(0.5 + b)), tol),
     "require_density": lambda b, tol: require_density(_unchecked_density(b), tol),
+    "verify": _verify_triple,
 }
 
 
@@ -226,9 +245,9 @@ def _boundary_inputs(tol, offset):
 @pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-3])
 @pytest.mark.parametrize("name", sorted(_BLOCH_INPUTS))
 def test_spin_half_inputs_share_the_bloch_ball_edge(name, tol):
-    # One rule, |b| <= 1/2 + tol, for the vector, mean-value, triple and
-    # matrix inputs alike: each accepts just inside the edge and refuses just
-    # outside it.
+    # One rule, |b| - 1/2 <= tol, for the vector, mean-value, triple and
+    # matrix inputs and the CLI's verify alike: each accepts just inside the
+    # edge and refuses just outside it.
     judge = _BLOCH_INPUTS[name]
     for b in _boundary_inputs(tol, -1e-15):
         judge(b, tol)

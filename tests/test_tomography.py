@@ -195,6 +195,13 @@ def test_axis_triple_maps_name_what_they_got(value):
             map_(value)
 
 
+@pytest.mark.parametrize("value", [(1.0, 0.5), {"theta": 1.0, "phi": 0.5}, 0.5, None])
+def test_w_value_names_what_it_got(value):
+    # w_value takes a Direction or EulerAngles and names anything else by its type.
+    with pytest.raises(TypeError, match=f"takes a Direction or EulerAngles, got {type(value).__name__}$"):
+        w_value(np.eye(2) / 2, value)
+
+
 def test_w_from_bloch_rejects_long_vector():
     from spintomo import NonPhysicalStateError
 
