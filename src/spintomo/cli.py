@@ -52,10 +52,13 @@ from .quasiprob import (
 )
 from .radon_link import _sweep_deviations, p_from_w
 from .sampling import random_density_matrices
-from .spin_core import TOL, _bloch_excess, density_from_bloch, require_density, validate_density
+from .spin_core import (
+    TOL, _bloch_excess, _positive, _report, density_from_bloch, require_density, validate_density,
+)
 from .tomography import (
     AxisTriple,
     Direction,
+    _density_entries,
     _w_grid,
     density_from_w_axes,
     w_axes,
@@ -64,7 +67,7 @@ from .tomography import (
 SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
 # 256`` evaluates 65,536 directions (about 120 MB peak, a 10 MB document).
-# ``sweep --trials 100000`` takes about 0.4 s and peaks at about 145 MB.
+# ``sweep --trials 100000`` takes about 0.4 s and peaks at about 125 MB.
 # Integral reconstruction is tested up to spin 25; there, ``--oversample 4``
 # from a ``rho`` peaks at about 126 MiB: 66 MiB is two arrays of the
 # (2j+1) x n_theta x n_phi sample size, the samples and the scratch array
@@ -587,7 +590,12 @@ def cmd_verify(args):
         triple = _triple_from_obj(data["w_axes"])
         doc["w_axes"] = _w_axes_obj(triple)
         b = (triple.wx_plus - 0.5, triple.wy_plus - 0.5, triple.wz_plus - 0.5)
-        deviation = max(0.0, _bloch_excess(*b))
+        excess = _bloch_excess(*b)
+        if excess == math.inf:
+            # b . b overflowed: from-w-axes's least eigenvalue, the one number
+            # of its report that a finite triple can make non-finite (or NaN).
+            excess = -_report(_density_entries(triple), args.tol).min_eigenvalue
+        deviation = _positive(excess)
         checks.append(_check_obj("triple-physicality", deviation, args.tol))
     if table is not None and triple is not None:
         direct = p_from_w(triple, args.tol, validate=False)

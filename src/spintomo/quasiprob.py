@@ -5,13 +5,14 @@ triples (c, b, a) in {+1, -1}^3, where c, b, a label eigenvalues of the
 spin projections along x, y and z.  The entries sum to 1, their one-axis
 marginals are the six real measurement probabilities, and two entries
 already determine the density matrix; the remaining six are redundancy
-that an admissibility check can exploit.
+that an admissibility check can exploit.  The table, that check and the
+eigenket-overlap oracle are each written once, for one state's Python
+scalars and for the numpy arrays of many that the CLI's ``sweep`` passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator, Mapping, Tuple
 
 import numpy as np
@@ -23,11 +24,11 @@ from .spin_core import (
     _check,
     _check_axis,
     _check_sign,
+    _abs,
     _frozen,
-    _hypot,
-    _nanmax,
+    _max,
+    _positive,
     _report,
-    _reports,
     _require,
     eigenket,
     overlap,
@@ -80,7 +81,8 @@ class QuasiProbTable:
 
     @classmethod
     def _trusted(cls, values) -> "QuasiProbTable":
-        """Table of eight Python complex ``values`` in ``VERTEX_ORDER``, unchecked."""
+        """Table of eight Python complex ``values`` in ``VERTEX_ORDER``, unchecked;
+        or of eight arrays, whose maps give arrays (as in ``sweep``)."""
         table = object.__new__(cls)
         object.__setattr__(table, "_entries", tuple(values))
         return table
@@ -143,12 +145,34 @@ def p_from_density(rho, tol: float = TOL) -> QuasiProbTable:
     return QuasiProbTable._trusted(_table_values(*_require(rho, tol)[1]))
 
 
-# Per vertex (c, b, a) in VERTEX_ORDER: <c;x|b;y><b;y|a;z>, a and c.
-_ORACLE_TERMS = tuple(
-    (overlap("x", c, "y", b) * overlap("y", b, "z", a), a, c) for c, b, a in VERTEX_ORDER
-)
-_X_KETS = {c: eigenket("x", c) for c in (1, -1)}
-_Z_KETS = {a: eigenket("z", a) for a in (1, -1)}
+# The kets |1;x> and |-1;x>, and with each the bras <a;z| of the vertices
+# (c, b, a) of its c, in VERTEX_ORDER, as columns: VERTEX_ORDER alternates c
+# fastest.  The weights <c;x|b;y><b;y|a;z> are s (+-1 +- i), one s for the
+# real and imaginary parts of all eight, kept as s and the signs.
+_X_KETS = [eigenket("x", c) for c in (1, -1)]
+_Z_BRAS = [
+    np.array([eigenket("z", a).conj() for c_, b, a in VERTEX_ORDER if c_ == c]).T
+    for c in (1, -1)
+]
+_WEIGHTS = np.array([overlap("x", c, "y", b) * overlap("y", b, "z", a)
+                     for c, b, a in VERTEX_ORDER])
+_WEIGHT_SCALE = abs(_WEIGHTS[0].real)
+_WEIGHT_SIGNS = _WEIGHTS / _WEIGHT_SCALE
+
+
+def _oracle_values(m) -> np.ndarray:
+    """The table of ``p_oracle`` of a 2x2 matrix, or of each matrix of an
+    ``(N, 2, 2)`` stack, as an ``(..., 8)`` array in ``VERTEX_ORDER``.
+
+    The overlaps x = <a;z|m|c;x> are BLAS products.  Python forms a weight
+    s (p + iq) times x as (s p Re x - s q Im x, s p Im x + s q Re x), with
+    p, q = +-1: that is (s x)(p + iq), whose product by +-1 is exact, so
+    numpy's complex product rounds it alike, fused or not.
+    """
+    x = np.empty(m.shape[:-2] + (8,), dtype=complex)
+    for k, (ket, bras) in enumerate(zip(_X_KETS, _Z_BRAS)):
+        x[..., k::2] = (m @ ket).dot(bras)
+    return (x.view(float) * _WEIGHT_SCALE).view(complex) * _WEIGHT_SIGNS
 
 
 def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
@@ -157,23 +181,7 @@ def p_oracle(rho, tol: float = TOL) -> QuasiProbTable:
     p(c, b, a) = <c;x|b;y><b;y|a;z><a;z|rho|c;x>.  Numerically equivalent to
     :func:`p_from_density`; kept as an independent construction.
     """
-    m = _require(rho, tol)[0]
-    images = {c: m.dot(ket_c) for c, ket_c in _X_KETS.items()}
-    # <a;z|rho|c;x>, once for each of the four pairs (a, c).
-    elements = {(a, c): complex(np.vdot(_Z_KETS[a], images[c])) for a in _Z_KETS for c in images}
-    return QuasiProbTable._trusted([weight * elements[a, c] for weight, a, c in _ORACLE_TERMS])
-
-
-def _p_oracles(states: np.ndarray) -> np.ndarray:
-    """``p_oracle`` of an unchecked ``(N, 2, 2)`` stack, as an ``(N, 8)`` array.
-    Each weight's product is written out as Python forms it, for its bits."""
-    images = {c: states @ ket_c for c, ket_c in _X_KETS.items()}
-    out = np.empty((len(states), len(_ORACLE_TERMS)), dtype=complex)
-    for k, (weight, a, c) in enumerate(_ORACLE_TERMS):
-        x = images[c] @ _Z_KETS[a].conj()
-        out[:, k].real = weight.real * x.real - weight.imag * x.imag
-        out[:, k].imag = weight.real * x.imag + weight.imag * x.real
-    return out
+    return QuasiProbTable._trusted(_oracle_values(_require(rho, tol)[0]).tolist())
 
 
 def _matrix_entries(p_ppp, p_mpp):
@@ -279,24 +287,19 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
     checks = []
     for (axis, sign), value in zip(_MARGINAL_VERTICES, values):
         r = value.real
-        # max(0.0, -r, r - 1.0) by comparisons; a NaN, which none of them
-        # orders, takes _nanmax.
-        violation = (
-            -r if r < 0.0 else r - 1.0 if r > 1.0 else 0.0 if r == r
-            else _nanmax(0.0, -r, r - 1.0)
-        )
+        # max(0.0, -r, r - 1.0): at most one of the two terms is positive.
         checks.append(_frozen(
             MarginalCheck, axis=axis, sign=sign, value=value, imag_magnitude=abs(value.imag),
-            range_violation=violation,
+            range_violation=_positive(-r) + _positive(r - 1.0),
         ))
     entries = _matrix_entries(e0, e1)
     q0, q1, q2, q3, q4, q5, q6, q7 = _table_values(*entries)
-    redundancy = _nanmax(
-        abs(e0 - q0), abs(e1 - q1), abs(e2 - q2), abs(e3 - q3),
-        abs(e4 - q4), abs(e5 - q5), abs(e6 - q6), abs(e7 - q7),
+    redundancy = _max(
+        _abs(e0 - q0), _abs(e1 - q1), _abs(e2 - q2), _abs(e3 - q3),
+        _abs(e4 - q4), _abs(e5 - q5), _abs(e6 - q6), _abs(e7 - q7),
     )
     return _frozen(
-        AdmissibilityReport, total=total, total_deviation=abs(total - 1.0),
+        AdmissibilityReport, total=total, total_deviation=_abs(total - 1.0),
         marginals=tuple(checks), density_report=_report(entries, tol),
         redundancy_deviation=redundancy, tol=tol,
     )
@@ -304,46 +307,16 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
 
 def _admissibility_maxima(report: AdmissibilityReport) -> dict:
     """The largest deviation of each kind in an admissibility report, keyed
-    by the suffix of its ``verify`` check name."""
+    by the suffix of its ``verify`` check name; arrays for a report of arrays."""
     density = report.density_report
     return {
         "total": report.total_deviation,
-        "marginal-imag": max(m.imag_magnitude for m in report.marginals),
-        "marginal-range": max(m.range_violation for m in report.marginals),
-        "density": max(
+        "marginal-imag": _max(*(m.imag_magnitude for m in report.marginals)),
+        "marginal-range": _max(*(m.range_violation for m in report.marginals)),
+        "density": _max(
             density.hermiticity_deviation,
             density.trace_deviation,
-            max(0.0, -density.min_eigenvalue),
+            _positive(-density.min_eigenvalue),
         ),
         "redundancy": report.redundancy_deviation,
-    }
-
-
-def _batch_admissibility_maxima(tables: np.ndarray) -> dict:
-    """``_admissibility_maxima(check_admissibility(table))`` of each row of an
-    ``(N, 8)`` array of finite tables, as arrays of shape ``(N,)``.
-
-    Sums run left to right, ``_hypot`` is Python's ``abs``, and ``np.where``
-    is ``max(0.0, x)``, which np.maximum may return as -0.0.  The other terms
-    are +0.0 or positive, so np.maximum keeps the bits of Python's ``max``.
-    """
-
-    def column_sum(positions):
-        return reduce(np.add, (tables[:, k] for k in positions))
-
-    def positive_part(x):
-        return np.where(x > 0.0, x, 0.0)
-
-    entries = _matrix_entries(tables[:, 0], tables[:, 1])
-    d = _reports(*entries)
-    marginals = [column_sum(positions) for positions in _MARGINAL_VERTICES.values()]
-    ranges = [positive_part(x) for v in marginals for x in (-v.real, v.real - 1.0)]
-    return {
-        "total": _hypot(column_sum(range(len(VERTEX_ORDER))) - 1.0),
-        "marginal-imag": np.maximum.reduce([np.abs(v.imag) for v in marginals]),
-        "marginal-range": np.maximum.reduce(ranges),
-        "density": np.maximum.reduce(
-            [d.hermiticity_deviation, d.trace_deviation, positive_part(-d.min_eigenvalue)]
-        ),
-        "redundancy": _hypot(tables - np.stack(_table_values(*entries), axis=1)).max(axis=1),
     }

@@ -8,23 +8,25 @@ arbitrary real triples, and its entries always sum to 1 because the
 additive constants cancel.
 
 ``verify_radon_consistency`` checks the map against the composed route for
-one state; ``_sweep_deviations``, the batch route of the CLI's ``sweep``, for
-many at once, and replays the first state it refuses through the scalar route.
+one state.  ``_sweep_deviations``, the batch route of the CLI's ``sweep``,
+runs the same maps on arrays of many states at once, and replays the first
+state it refuses through the library's functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from .errors import NonPhysicalStateError
 from .quasiprob import (
-    _MINUS, _PLUS, QuasiProbTable, _batch_admissibility_maxima, _matrix_entries, _p_oracles,
-    _table_values, density_from_p, p_from_density,
+    _MINUS, _PLUS, QuasiProbTable, _admissibility_maxima, _matrix_entries, _oracle_values,
+    _table_values, check_admissibility, density_from_p, p_from_density,
 )
-from .spin_core import TOL, _bloch_excess, _frozen, _nanmax, _reports, _require
+from .spin_core import TOL, _bloch_excess, _frozen, _max, _numpy_abs, _report, _require
 from .tomography import AxisTriple, _density_entries, _w_axes_values, density_from_w_axes, w_axes
 
 
@@ -87,15 +89,17 @@ class ConsistencyReport:
         return self.max_abs_delta <= self.tol
 
 
+def _largest_gap(left, right):
+    """The largest numpy |z| of the entrywise differences of two sequences of
+    scalars (a numpy float) or of arrays (an array)."""
+    return np.maximum.reduce(_numpy_abs(np.array(list(map(sub, left, right)))))
+
+
 def verify_radon_consistency(rho, tol: float = TOL) -> ConsistencyReport:
     """Compare p_from_w(w_axes(rho)) against p_from_density(rho) entrywise."""
     entries = _require(rho, tol)[1]
     wx, wy, wz = _w_axes_values(entries)  # Python floats, as p_from_w takes them
-    p0, p1, p2, p3, p4, p5, p6, p7 = _w_table_values(wx, wy, wz)
-    q0, q1, q2, q3, q4, q5, q6, q7 = _table_values(*entries)
-    gaps = [p0 - q0, p1 - q1, p2 - q2, p3 - q3, p4 - q4, p5 - q5, p6 - q6, p7 - q7]
-    # numpy's |z|, whose last bit differs from Python's abs.
-    delta = _nanmax(*np.abs(np.array(gaps)).tolist())
+    delta = float(_largest_gap(_w_table_values(wx, wy, wz), _table_values(*entries)))
     triple = _frozen(AxisTriple, wx_plus=wx, wy_plus=wy, wz_plus=wz)
     return _frozen(ConsistencyReport, axis_triple=triple, max_abs_delta=delta, tol=tol)
 
@@ -104,27 +108,20 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
     """The five ``sweep`` deviations of each of the ``(N, 2, 2)`` states, as
     arrays of shape ``(N,)``.
 
-    Each array has the bits that the scalar route gives state by state:
+    Each array has the bits that the library gives state by state:
     ``p_from_density`` -> ``density_from_p``, ``w_axes`` ->
     ``density_from_w_axes``, ``verify_radon_consistency``, ``p_oracle`` and
-    ``check_admissibility``, whose arithmetic, or its array twin, runs on all
-    states at once.  The first state that fails a check goes through the
-    scalar functions, which raise its error.
+    ``check_admissibility``, whose maps run here on arrays of all states at
+    once.  The first state that fails a check goes through the library's
+    functions, which raise its error.
     """
-
-    def passes(entries):
-        # validate_density of each row of an (N, 4) array of matrix entries
-        return _reports(*entries.T, tol).passed
-
-    def largest_gap(a, b):
-        return np.abs(a - b).max(axis=1)
-
-    flat = states.reshape(len(states), 4)
-    table = np.stack(_table_values(*flat.T), axis=1)
-    from_p = np.stack(_matrix_entries(table[:, 0], table[:, 1]), axis=1)
-    w = _w_axes_values(flat.T)
-    from_w_axes = np.stack(_density_entries(AxisTriple(*w)), axis=1)
-    failed = ~(passes(flat) & passes(from_p) & passes(from_w_axes))
+    entries = tuple(states.reshape(len(states), 4).T)
+    table = _table_values(*entries)
+    from_p = _matrix_entries(table[0], table[1])
+    w = _w_axes_values(entries)
+    from_w_axes = _density_entries(AxisTriple(*w))
+    failed = ~(_report(entries, tol).passed & _report(from_p, tol).passed
+               & _report(from_w_axes, tol).passed)
     if failed.any():
         rho = states[int(failed.argmax())]
         density_from_p(p_from_density(rho, tol), tol)
@@ -134,9 +131,10 @@ def _sweep_deviations(states: np.ndarray, tol: float) -> dict:
             "scalar route passes"
         )
     return {
-        "p_round_trip": largest_gap(from_p, flat),
-        "w_axes_round_trip": largest_gap(from_w_axes, flat),
-        "radon_consistency": largest_gap(np.stack(_w_table_values(*w), axis=1), table),
-        "oracle_equivalence": largest_gap(_p_oracles(states), table),
-        "admissibility": np.maximum.reduce([*_batch_admissibility_maxima(table).values()]),
+        "p_round_trip": _largest_gap(from_p, entries),
+        "w_axes_round_trip": _largest_gap(from_w_axes, entries),
+        "radon_consistency": _largest_gap(_w_table_values(*w), table),
+        "oracle_equivalence": _largest_gap(_oracle_values(states).T, table),
+        "admissibility": _max(*_admissibility_maxima(
+            check_admissibility(QuasiProbTable._trusted(table), tol)).values()),
     }

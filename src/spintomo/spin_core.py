@@ -2,7 +2,8 @@
 
 Pauli matrices, the six eigenkets of the spin projections along x, y, z,
 Bloch-vector parametrization of 2x2 density matrices, and validation of
-the density-matrix axioms (hermiticity, unit trace, positivity).
+the density-matrix axioms (hermiticity, unit trace, positivity), written
+once for one matrix's Python scalars and for numpy arrays of many.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -104,7 +106,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        # ``&``, so that a report of arrays (see ``_reports``) passes elementwise.
+        # ``&``, so that a report of arrays (see ``_report``) passes elementwise.
         return (
             (self.hermiticity_deviation <= self.tol)
             & (self.trace_deviation <= self.tol)
@@ -120,36 +122,68 @@ class ValidationReport:
         )
 
 
-def _nanmax(*values: float) -> float:
-    """The largest value, or NaN if any is NaN (as numpy's max; ``max`` may drop it)."""
-    for value in values:
-        if value != value:
-            return math.nan
-    return max(values)
+# The three steps of the spin-1/2 maps whose bits depend on the form of the
+# input: |z|, a max and a positive part.  The maps are written once, in
+# + - * and these helpers, and take Python scalars, as the library passes
+# them, or numpy arrays of many inputs, as the CLI's ``sweep`` does.  Each
+# entry of an array gets the bits that its scalar gets.  ``_ARRAY`` spares
+# each call of the scalar maps an attribute lookup.
+_ARRAY = np.ndarray
 
 
-def _deviations(a: complex, b: complex, c: complex, d: complex):
+def _abs(z):
+    """|z| by libm hypot, which is Python's ``abs`` of a complex; numpy's own
+    |z| (``_numpy_abs``) differs from it in the last bit."""
+    return np.hypot(z.real, z.imag) if type(z) is _ARRAY else abs(z)
+
+
+def _hypot(x, y):
+    """libm hypot of two reals: ``_abs(complex(x, y))``."""
+    return np.hypot(x, y) if type(x) is _ARRAY else abs(complex(x, y))
+
+
+def _numpy_abs(z):
+    """numpy's vectorised |z|.  It equals libm hypot's when a part is zero,
+    as for any Hermitian input, and a scalar then skips numpy."""
+    if type(z) is _ARRAY:
+        return np.abs(z)
+    return abs(z) if z.real == 0.0 or z.imag == 0.0 else float(np.abs(np.array(z)))
+
+
+def _max(*values):
+    """The largest of ``values``, magnitudes that are all scalars or all arrays
+    (elementwise), and NaN if any is NaN, which Python's ``max`` may drop.  A
+    sum of magnitudes is NaN exactly when one of them is."""
+    if type(values[0]) is _ARRAY:
+        return reduce(np.maximum, values)
+    total = sum(values)
+    return max(values) if total == total else total
+
+
+def _positive(x):
+    """max(0.0, x), +0.0 for x = -0.0, and NaN for a NaN x."""
+    return np.where(x <= 0.0, 0.0, x) if type(x) is _ARRAY else 0.0 if x <= 0.0 else x
+
+
+def _deviations(a, b, c, d):
     """The hermiticity and trace deviations and the minimum eigenvalue of the
-    matrix [[a, b], [c, d]] of Python complex entries.
+    matrix [[a, b], [c, d]], as scalars or arrays.
 
-    Each step is the scalar form of the array expression it replaces
-    (m - m^dagger, m + m^dagger, ...), in the same order, so the values are
-    bit for bit the ones numpy gives: the hermiticity deviation keeps numpy's
-    vectorised |z|, and the eigenvalue radius libm hypot (Python's abs).  The
-    two disagree in the last bit on about a third of inputs, but not when a
-    part is zero, as for any Hermitian input.
+    The steps are those of the array expressions m - m^dagger, m + m^dagger,
+    ..., in order.  The hermiticity deviation keeps numpy's |z| of b - conj(c)
+    and the eigenvalue radius libm hypot, as those expressions did.
     """
     a_bar, c_bar, d_bar = a.conjugate(), c.conjugate(), d.conjugate()
-    z = b - c_bar
-    z_abs = abs(z) if z.real == 0.0 or z.imag == 0.0 else float(np.abs(np.array(z)))
-    herm_dev = _nanmax(z_abs, abs(a - a_bar), abs(d - d_bar))
+    herm_dev = _max(_numpy_abs(b - c_bar), _abs(a - a_bar), _abs(d - d_bar))
     h00 = (0.5 * (a + a_bar)).real
     h11 = (0.5 * (d + d_bar)).real
-    radius = abs(complex(0.5 * (h00 - h11), abs(0.5 * (b + c_bar))))
-    return herm_dev, abs(a + d - 1.0), 0.5 * (h00 + h11) - radius
+    radius = _hypot(0.5 * (h00 - h11), _abs(0.5 * (b + c_bar)))
+    return herm_dev, _abs(a + d - 1.0), 0.5 * (h00 + h11) - radius
 
 
 def _report(entries, tol: float) -> ValidationReport:
+    """``validate_density``'s report of the matrix of four ``entries``: array
+    entries give a report of array fields."""
     herm_dev, trace_dev, min_eig = _deviations(*entries)
     return _frozen(ValidationReport, hermiticity_deviation=herm_dev, trace_deviation=trace_dev,
                    min_eigenvalue=min_eig, tol=tol)
@@ -161,27 +195,6 @@ def _check(entries, tol: float, error=NonPhysicalStateError, what="not a physica
     if not (herm_dev <= tol and trace_dev <= tol and min_eig >= -tol):
         report = _report(entries, tol)
         raise error(f"{what} ({report.summary()})", report=report)
-
-
-def _hypot(z: np.ndarray) -> np.ndarray:
-    """Python's ``abs`` of each complex in ``z``: libm hypot, not numpy's |z|."""
-    return np.hypot(z.real, z.imag)
-
-
-def _reports(a, b, c, d, tol: float = TOL) -> ValidationReport:
-    """``_report`` of N matrices [[a, b], [c, d]] given as four complex arrays,
-    with array fields: its steps in order, with ``_hypot`` for Python's ``abs``
-    and np.maximum for ``_nanmax``, so each matrix gets ``_report``'s bits."""
-    herm_dev = np.maximum(
-        np.maximum(np.abs(b - c.conj()), _hypot(a - a.conj())), _hypot(d - d.conj())
-    )
-    trace_dev = _hypot(a + d - 1.0)
-    h00 = (0.5 * (a + a.conj())).real
-    h11 = (0.5 * (d + d.conj())).real
-    h01 = 0.5 * (b + c.conj())
-    mean = 0.5 * (h00 + h11)
-    radius = np.hypot(0.5 * (h00 - h11), _hypot(h01))
-    return ValidationReport(herm_dev, trace_dev, mean - radius, tol)
 
 
 def _matrix(matrix) -> np.ndarray:

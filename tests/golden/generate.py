@@ -16,8 +16,8 @@ How a replay is compared with the corpus (``compare``):
 * ``exact`` cases match stdout's hash, the output file's hash and stderr
   exactly.  Their numbers are real float arithmetic on Python floats or,
   term for term, on numpy arrays; the spin-1/2 tomograms among them have a
-  closed form with no matrix product.  The one BLAS product left is
-  ``p_oracle``'s, of a 2x2 matrix and a real x ket, which ``sweep`` runs.
+  closed form with no matrix product.  The BLAS products left are
+  ``p_oracle``'s eigenket overlaps, which ``sweep`` runs.
 * ``numeric`` cases print numbers whose rounding may differ on another
   CPU: spin-j reconstructions, from the kernel's BLAS sums and LAPACK's
   eigenvalues, and ``w --grid`` tomograms, whose theta nodes come from
@@ -346,6 +346,12 @@ def build_cases() -> list:
     # b . b = 1e308 is finite, so the refusal is a document.
     add("verify triple large finite norm", ["verify", "--input", INPUT],
         doc={"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e154}})
+    # b . b overflows, but the report of from-w-axes is finite: verify takes
+    # its deviation from that report, and both verbs print the refusal.
+    for name, argv in (("verify triple", ["verify", "--input", INPUT]),
+                       ("from-w-axes", reconstruct("from-w-axes"))):
+        add(f"{name} overflowing norm", argv,
+            doc={"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e155}})
 
     # -- sweep
     for trials, seed in ((1, 0), (5, 3), (100, 0), (1000, 7)):

@@ -1,15 +1,16 @@
 """The spin-1/2 maps give bit-for-bit the results of their numpy-array forms.
 
-The scalar core computes on Python complex numbers.  The references below
-keep the array formulas it replaced, and every comparison is on the bytes of
-the float64 values, so a last-bit difference or a flipped zero sign fails.
-The tomograms are the one exception: their reference is the closed formula
-for the diagonal of d m d^dagger on float64 arrays, and the matrix product
-itself stays as an oracle, to 1e-15.
-The other way round, the array twins of the scalar maps, and the array
-paths that use them, ``radon_link._sweep_deviations`` behind the CLI's
-``sweep`` and ``tomography._w_grid`` behind ``w --grid``, give bit for bit
-what the scalar functions give state by state and direction by direction.
+Each map is written once, for Python scalars and numpy arrays alike.  The
+references below keep the array formulas that the scalar maps replaced, and
+every comparison is on the bytes of the float64 values, so a last-bit
+difference or a flipped zero sign fails.  The tomograms are the one exception:
+their reference is the closed formula for the diagonal of d m d^dagger on
+float64 arrays, and the matrix product itself stays as an oracle, to 1e-15.
+The same maps run on arrays of many inputs, as ``radon_link._sweep_deviations``
+runs them behind the CLI's ``sweep`` and ``tomography._w_grid`` behind
+``w --grid``, and give bit for bit what they give input by input.  Inputs with
+parts from 1e-300 to 1e300, and subnormal ones, are where numpy's |z| and
+libm hypot differ, so they pin which of the two each step takes.
 """
 
 import dataclasses
@@ -53,13 +54,13 @@ from spintomo import (
 from spintomo.quasiprob import (
     AdmissibilityReport,
     MarginalCheck,
+    _WEIGHT_SIGNS,
     _admissibility_maxima,
-    _batch_admissibility_maxima,
-    _p_oracles,
+    _oracle_values,
     _table_values,
 )
 from spintomo.radon_link import ConsistencyReport, _sweep_deviations
-from spintomo.spin_core import AXES, ValidationReport, _reports
+from spintomo.spin_core import AXES, TOL, ValidationReport, _report
 from spintomo.tomography import _w_grid
 
 from conftest import NAMED_STATES
@@ -213,6 +214,7 @@ def ref_density_from_bloch(v):
 
 N_STATES = 2000
 N_MATRICES = 500
+N_WIDE = 2000
 
 
 def _states():
@@ -235,6 +237,27 @@ def _matrices():
     return out
 
 
+def _wide(rng, shape):
+    """Complex normals whose parts are scaled by 10^-300 to 10^300 each."""
+    scale = 10.0 ** rng.integers(-300, 301, size=(2,) + shape)
+    return rng.normal(size=shape) * scale[0] + 1j * rng.normal(size=shape) * scale[1]
+
+
+def _wide_matrices():
+    """Matrices with parts from 1e-300 to 1e300, and subnormal ones."""
+    rng = np.random.default_rng(1414)
+    subnormal = rng.integers(-2**20, 2**20, size=(200, 2, 2, 2)) * 5e-324
+    return list(_wide(rng, (N_WIDE, 2, 2))) + list(subnormal[..., 0] + 1j * subnormal[..., 1])
+
+
+def _wide_tables():
+    """Tables with parts from 1e-300 to 1e300, and subnormal ones."""
+    rng = np.random.default_rng(1732)
+    subnormal = rng.integers(-2**20, 2**20, size=(100, 8, 2)) * 5e-324
+    rows = list(_wide(rng, (N_WIDE // 2, 8))) + list(subnormal[..., 0] + 1j * subnormal[..., 1])
+    return [QuasiProbTable.from_array(row) for row in rows]
+
+
 def _directions(n):
     rng = np.random.default_rng(1618)
     theta = rng.uniform(-7.0, 13.0, size=n)
@@ -245,6 +268,7 @@ def _directions(n):
 
 STATES = _states()
 MATRICES = _matrices()
+WIDE_MATRICES = _wide_matrices()
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +276,8 @@ MATRICES = _matrices()
 
 
 def test_validate_density_matches_array_form():
-    matrices = STATES + MATRICES
-    batch = _reports(*np.array(matrices).reshape(-1, 4).T)
+    matrices = STATES + MATRICES + WIDE_MATRICES
+    batch = _report(tuple(np.array(matrices).reshape(-1, 4).T), TOL)
     for i, m in enumerate(matrices):
         report = validate_density(m)
         got = (report.hermiticity_deviation, report.trace_deviation, report.min_eigenvalue)
@@ -296,7 +320,9 @@ def test_check_admissibility_matches_array_form():
         for _ in range(200)
     ]
     tables = [p_from_density(rho) for rho in STATES] + random_tables + zero_tables
-    batch = _batch_admissibility_maxima(np.array([table.to_array() for table in tables]))
+    tables += _wide_tables()
+    columns = np.array([table.to_array() for table in tables]).T
+    batch = _admissibility_maxima(check_admissibility(QuasiProbTable._trusted(columns)))
     for i, table in enumerate(tables):
         report = check_admissibility(table)
         total, total_dev, marginals, density, redundancy = ref_admissibility(table)
@@ -312,7 +338,9 @@ def test_check_admissibility_matches_array_form():
 
 
 def test_p_oracle_matches_array_form():
-    batch = _p_oracles(np.array(STATES))
+    # The oracle multiplies by the weights' common scale, then by their signs.
+    assert set(_WEIGHT_SIGNS.real) | set(_WEIGHT_SIGNS.imag) == {1.0, -1.0}
+    batch = _oracle_values(np.array(STATES))
     for rho, row in zip(STATES, batch):
         ref = table_bits(ref_p_oracle(rho))
         assert table_bits(p_oracle(rho)) == ref

@@ -929,22 +929,27 @@ def test_overflowing_bloch_norm_prints_only_the_error(capsys):
     assert err == "error: Bloch vector norm inf exceeds 1/2; state would not be positive\n"
 
 
+_TRIPLE_VERBS = [("verify",), ("reconstruct", "--mode", "from-w-axes")]
+
+
 def test_overflowing_triple_norm_prints_only_the_error(capsys, tmp_path):
-    # b . b = 1e310 overflows to inf, which no document can carry.
+    # b . b and the eigenvalue radius of from-w-axes's report overflow, so
+    # neither verb has a finite number to print, and no document can carry
+    # an infinite one.
     payload = tmp_path / "triple.json"
-    payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": 1e155}}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "verify", "--input", str(payload))
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: the result has non-finite numbers; an input value is too large to process\n"
-    )
+    for wz in (1e308, -1e308):
+        payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": wz}}))
+        for verb in _TRIPLE_VERBS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *verb, "--input", str(payload))
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: the result has non-finite numbers; an input value is too large to process\n"
+            )
 
 
-@pytest.mark.parametrize(
-    "verb", [("verify",), ("reconstruct", "--mode", "from-w-axes")], ids=lambda v: v[0]
-)
+@pytest.mark.parametrize("verb", _TRIPLE_VERBS, ids=lambda v: v[0])
 def test_huge_triple_is_refused_with_a_document(capsys, validator, tmp_path, verb):
     # b . b = 1e308 is still finite, so both verbs judge the triple and print
     # the refusal with its finite deviation.
@@ -960,6 +965,29 @@ def test_huge_triple_is_refused_with_a_document(capsys, validator, tmp_path, ver
         assert check["deviation"] == 1e154
     else:
         assert doc["validation"]["min_eigenvalue"] == -1e154
+
+
+@pytest.mark.parametrize("verb", _TRIPLE_VERBS, ids=lambda v: v[0])
+@pytest.mark.parametrize("wz", [1e155, 1e300])
+def test_triple_whose_norm_overflows_is_refused_with_a_document(
+    capsys, validator, tmp_path, verb, wz
+):
+    # b . b overflows, but the least eigenvalue of from-w-axes's report,
+    # 1/2 - |b| = -wz in floats, does not: verify takes its deviation from
+    # that report, and both verbs print the refusal.
+    payload = tmp_path / "triple.json"
+    payload.write_text(json.dumps({"w_axes": {"wx_plus": 0.0, "wy_plus": 0.0, "wz_plus": wz}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = run_doc(capsys, validator, *verb, "--input", str(payload))
+    assert (code, err) == (3, "")
+    if verb == ("verify",):
+        [check] = doc["checks"]
+        assert (check["name"], check["deviation"], check["passed"]) == (
+            "triple-physicality", wz, False
+        )
+    else:
+        assert doc["validation"]["min_eigenvalue"] == -wz
 
 
 @pytest.mark.parametrize("off_diagonal", [(1e308, -1e308), (1e308, 1e308)])

@@ -483,6 +483,22 @@ def test_reconstruct_rejects_unnormalized_family():
     assert not validate_density_j(rho, tol=float("nan")).passed
 
 
+def test_sample_checks_accept_their_edges():
+    # Dyadic samples, so every bound and sum is exact.  One node pair at
+    # (-t, 1 + t) puts the minimum at -t and the maximum at 1 + t, with sums
+    # of 1; one at (1/2, 1/2 + t) a sum at 1 + t.  Each is accepted at tol = t,
+    # where its comparison holds with equality, and refused at t / 2.
+    grid = build_quadrature(0.5)
+    t = 2.0 ** -10
+    half = np.full((2, len(grid.theta_nodes), len(grid.phi_nodes)), 0.5)
+    for pair in ((-t, 1.0 + t), (0.5, 0.5 + t)):
+        values = half.copy()
+        values[:, 3, 5] = pair
+        reconstruct_density_j(values, 0.5, grid=grid, tol=t)
+        with pytest.raises(NonPhysicalStateError, match="normalized probability family"):
+            reconstruct_density_j(values, 0.5, grid=grid, tol=t / 2)
+
+
 def test_reconstruct_rejects_negative_probabilities():
     def negative(m1, theta, phi):
         return 1.5 if m1 > 0 else -0.5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from spintomo import (
     VERTEX_ORDER,
     AxisTriple,
     NonPhysicalStateError,
+    density_from_bloch,
     p_from_density,
     p_from_w,
     verify_radon_consistency,
@@ -43,6 +46,15 @@ def test_consistency_report(named_states, random_states):
         assert report.passed
         assert report.max_abs_delta < 1e-13
         assert 0.0 <= report.axis_triple.wz_plus <= 1.0
+
+
+def test_consistency_report_passes_at_its_own_delta():
+    # The accepting comparison holds with equality at tol = max_abs_delta.
+    report = verify_radon_consistency(density_from_bloch([0.1, -0.2, 0.3]))
+    delta = report.max_abs_delta
+    assert delta > 0.0
+    assert dataclasses.replace(report, tol=delta).passed
+    assert not dataclasses.replace(report, tol=delta / 2).passed
 
 
 @given(FINITE, FINITE, FINITE)

@@ -257,6 +257,13 @@ def test_spin_half_inputs_share_the_bloch_ball_edge(name, tol):
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCH_INPUTS))
+def test_pure_state_is_accepted_at_tol_zero(name):
+    # b = (0, 0, 1/2) has |b| - 1/2 = 0.0 exactly, so the accepting
+    # comparison holds with equality at tol = 0.
+    _BLOCH_INPUTS[name](np.array([0.0, 0.0, 0.5]), 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCH_INPUTS))
 @pytest.mark.parametrize("b", [[0.1, -0.2, 0.3], [10.0, 0.0, 0.0]], ids=["physical", "unphysical"])
 def test_nan_tol_refuses(name, b):
     # Every comparison with a NaN tol is false, so a test written as the
