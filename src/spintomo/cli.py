@@ -267,11 +267,15 @@ def _admissibility_obj(report, maxima: dict) -> dict:
 
 
 def _w_axes_obj(triple: AxisTriple) -> dict:
-    return {
-        "wx_plus": float(triple.wx_plus),
-        "wy_plus": float(triple.wy_plus),
-        "wz_plus": float(triple.wz_plus),
-    }
+    return {field: float(getattr(triple, field)) for field in _TRIPLE_FIELDS}
+
+
+def _bounded(flag: str, value: int, most: int) -> None:
+    """Refuse the integer option ``flag`` unless ``value`` is in 1..``most``."""
+    if value < 1:
+        raise CliError(f"{flag} must be at least 1, got {value}")
+    if value > most:
+        raise CliError(f"{flag} must be at most {most}, got {value}")
 
 
 def _envelope(command: str, tol: float) -> dict:
@@ -353,10 +357,7 @@ def cmd_w(args):
         direction = Direction(theta=args.theta, phi=args.phi)
         thetas, phis = [direction.theta], [direction.phi]
     else:
-        if args.grid < 1:
-            raise CliError(f"--grid must be at least 1, got {args.grid}")
-        if args.grid > MAX_GRID:
-            raise CliError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+        _bounded("--grid", args.grid, MAX_GRID)
         grid = _product_grid(args.grid, args.grid)
         # Already canonical, so these are the directions' own angles.
         thetas = grid.theta_nodes.tolist()
@@ -527,10 +528,7 @@ def cmd_reconstruct(args):
         doc["validation"] = _validation_obj(validate_density(rho, args.tol))
         return doc, 0
     oversample = _DEFAULT_OVERSAMPLE if args.oversample is None else args.oversample
-    if oversample < 1:
-        raise CliError(f"--oversample must be at least 1, got {oversample}")
-    if oversample > MAX_OVERSAMPLE:
-        raise CliError(f"--oversample must be at most {MAX_OVERSAMPLE}, got {oversample}")
+    _bounded("--oversample", oversample, MAX_OVERSAMPLE)
     j, tj = _spin_from_doc(data)
     doc["j"] = j
     grid = build_quadrature(j, oversample=oversample)
@@ -608,10 +606,7 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise CliError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    _bounded("--trials", args.trials, MAX_TRIALS)
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     states = random_density_matrices(args.trials, args.seed)
@@ -772,13 +767,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not math.isfinite(args.tol):
-        print(f"error: --tol must be finite, got {args.tol!r}", file=sys.stderr)
-        return 2
-    if args.tol < 0:
-        print(f"error: --tol must be non-negative, got {args.tol!r}", file=sys.stderr)
-        return 2
     try:
+        if not math.isfinite(args.tol):
+            raise CliError(f"--tol must be finite, got {args.tol!r}")
+        if args.tol < 0:
+            raise CliError(f"--tol must be non-negative, got {args.tol!r}")
         payload, code = _COMMANDS[args.command](args)
         _emit(payload if isinstance(payload, str) else _json_payload(payload), args)
     except CliError as exc:

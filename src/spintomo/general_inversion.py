@@ -22,8 +22,8 @@ How the numbers are computed:
   three-term recursion in j3 of Schulten & Gordon, J. Math. Phys. 16, 1961
   (1975), run for every (m1, m2) pair at once and normalized by
   orthogonality.  The tests hold them to 1e-14 of the exact symbols for
-  2j <= 24, and random states to 1e-10 of their reconstruction up to
-  j = 25.
+  2j <= 24, and, up to j = 25, the reconstruction of random mixed states
+  to 1e-13 and of pure states, |j, j> among them, to 1e-12.
 * Sampling and inversion are one chain of linear factors per spin and
   grid.  Sampling runs it forwards: the 3j couplings fold each diagonal
   M >= 0 of rho into one sum per j3, a phi synthesis and the
@@ -64,6 +64,7 @@ Conventions, fixed once and verified by round trips at machine precision:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import threading
 from dataclasses import dataclass, fields
@@ -71,6 +72,12 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
+# A warm small-spin reconstruction spends most of its time in numpy's
+# Python-level wrappers, so validation calls the LAPACK gufunc that
+# np.linalg.eigvalsh itself calls, without eigvalsh's input checks and
+# error-state setup: where LAPACK does not converge it returns NaN
+# eigenvalues and sets the invalid flag, where eigvalsh raises.
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .errors import NonPhysicalStateError
 from .spin_core import TOL, ValidationReport
@@ -79,23 +86,14 @@ from .tomography import _TWO_PI, EulerAngles, _finite_angle
 # The grid refinement used when none is given, by the library and the CLI.
 _DEFAULT_OVERSAMPLE = 2
 
-# A warm small-spin reconstruction spends most of its time in numpy's
-# Python-level wrappers, so a private entry point stands in for a public
-# one, with the public one as its fallback.
-try:
-    # The LAPACK gufunc behind np.linalg.eigvalsh, without its input checks
-    # and error-state setup: where LAPACK does not converge it returns NaN
-    # eigenvalues and sets the invalid flag, where eigvalsh raises.
-    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
-except ImportError:
-    _eigvalsh_lo = None
-
-
 _FLOAT_MAX = sys.float_info.max
 
 
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
+    # Python counts a bool as an int; numpy's bool is no numbers.Real.
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"expected a real multiple of 1/2, got {x!r}")
     # A numpy float doubles as a Python float, without numpy's overflow
     # warning; the result is compared, as math.isfinite overflows on a huge int.
     doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
@@ -283,17 +281,6 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     return np.exp(1j * ms * u.psi)[:, None] * d * np.exp(1j * ms * u.phi)[None, :]
 
 
-def _eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian ``h`` from its lower triangle,
-    all NaN where LAPACK does not converge (as for a non-finite entry)."""
-    if _eigvalsh_lo is not None:
-        return _eigvalsh_lo(h, signature="D->d")
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError:
-        return np.full(len(h), np.nan)
-
-
 def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
     """Validation report for a square density matrix of any dimension.
 
@@ -311,7 +298,9 @@ def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
         trace_dev = float(abs(m.trace() - 1.0))
         h = m + adjoint
         h *= 0.5
-        min_eig = float(_eigenvalues(h)[0])
+        # Ascending, from the lower triangle; all NaN where LAPACK does not
+        # converge (as for a non-finite entry).
+        min_eig = float(_eigvalsh_lo(h, signature="D->d")[0])
     # LAPACK reads only the real diagonal, and can return finite eigenvalues
     # for a non-finite one.  Any non-finite entry makes a deviation
     # non-finite, so a finite matrix skips the entry check.

@@ -595,6 +595,14 @@ def test_sweep(capsys, validator):
     assert all(v < 1e-12 for v in doc["max_deviations"].values())
 
 
+def test_sweep_passes_at_its_own_largest_deviation(capsys, validator):
+    # Each check accepts a deviation equal to the tol.
+    argv = ("sweep", "--trials", "25", "--seed", "11")
+    tol = max(run_doc(capsys, validator, *argv)[1]["max_deviations"].values())
+    code, doc, _ = run_doc(capsys, validator, *argv, "--tol", repr(tol))
+    assert (code, doc["passed"], max(doc["max_deviations"].values())) == (0, True, tol)
+
+
 def test_sweep_zero_tol_refuses_first_failing_state(capsys):
     code, out, err = run_cli(capsys, "sweep", "--trials", "3", "--seed", "3", "--tol", "0")
     assert code == 3

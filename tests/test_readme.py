@@ -4,6 +4,7 @@ The quick start is the chain of spin-1/2 maps that the benchmark's
 half-maps workload times once per state; later blocks reuse its names.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -27,3 +28,9 @@ def test_readme_python_blocks_run_in_order():
     w = namespace["w"]
     assert w.w_plus + w.w_minus == pytest.approx(1.0, abs=1e-15)
     assert np.abs(namespace["recovered"] - namespace["rho_j"]).max() < 1e-13
+
+
+def test_readme_counts_the_golden_corpus():
+    corpus = json.loads((README.parent / "tests" / "golden" / "corpus.json").read_text())
+    stated = re.search(r"records what (\d+) invocations print", README.read_text(encoding="utf-8"))
+    assert stated and int(stated.group(1)) == len(corpus["cases"])
