@@ -388,13 +388,13 @@ def _spin_from_doc(data) -> tuple:
     if "j" not in data:
         raise CliError("input document needs a 'j' field for integral reconstruction")
     j = data["j"]
-    if isinstance(j, bool) or not isinstance(j, (int, float)):
-        raise CliError(f"'j' must be a number, got {j!r}")
     try:
-        spin = float(j)
-        tj = _twice_spin(spin)
-    except (OverflowError, ValueError) as exc:
+        tj = _twice_spin(j)
+    except TypeError as exc:
+        raise CliError(f"'j' must be a number, got {j!r}") from exc
+    except ValueError as exc:
         raise CliError(f"'j' must be a non-negative multiple of 1/2, got {j!r}") from exc
+    spin = float(j)
     if spin > MAX_SPIN:
         raise CliError(f"'j' must be at most {MAX_SPIN}, got {j!r}")
     return spin, tj
@@ -445,8 +445,8 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     m1, theta, phi, w = rows.T
 
     ms = np.array(m_values(j)[::-1])
-    im = np.minimum(np.searchsorted(ms, m1), len(ms) - 1)
-    m_ok = ms[im] == m1
+    im, m_off = _nearest(ms, m1)
+    m_ok = m_off == 0
     w_ok = np.isfinite(w)
     it, theta_off = _nearest(grid.theta_nodes, theta)
     ip, phi_off = _nearest(grid.phi_nodes, phi)

@@ -360,10 +360,9 @@ class DensityTomogram:
         The cached inversion kernel of the spin and grid computes them by
         running its own factors in reverse (see ``_Kernel.sample``).  Like
         a single-node call, this reads the Hermitian part of rho.  The
-        result is a new array.
+        result is a copy of the kernel's scratch array.
         """
-        out = np.empty((self.tj + 1, grid.n_theta, grid.n_phi))
-        return _kernel(self.tj, grid).sample(self.rho, out)
+        return _kernel(self.tj, grid).sample(self.rho).copy()
 
 
 @lru_cache(maxsize=_SPIN_CACHE_SIZE)
@@ -561,11 +560,10 @@ class _Kernel:
         flat[self.entry_index] = entries
         return flat[:-1].view(complex).reshape(dim, dim)
 
-    def sample(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The samples of the Hermitian part h of ``rho`` on the kernel's
-        grid, written into ``out`` or, without it, into this thread's
-        scratch array, which the next call overwrites.  h is never formed:
-        rho_{i+M, i} and conj(rho_{i, i+M}) each take half."""
+    def sample(self, rho: np.ndarray) -> np.ndarray:
+        """The samples of the Hermitian part h of ``rho`` on the kernel's grid,
+        in this thread's scratch array, which the next call overwrites.  h is
+        never formed: rho_{i+M, i} and conj(rho_{i, i+M}) each take half."""
         dim = len(rho)
         volume, entries, sums, phased, samples = self.scratch.arrays
         # "wrap" reads rho_00 for the entries past the matrix, and, like
@@ -574,11 +572,9 @@ class _Kernel:
         np.matmul(self.entry_coupling, entries, out=sums)
         # Written in (j3, M, p) order for the theta product.
         np.matmul(sums, self.phi_synthesis, out=phased.transpose(1, 0, 2))
-        n_theta, n_phi = samples.shape[1:]
-        np.matmul(self.theta_synthesis, phased, out=volume.reshape(dim, n_theta, n_phi))
-        out = samples if out is None else out
-        np.matmul(self.m1_coupling.T, volume, out=out.reshape(dim, -1))
-        return out
+        np.matmul(self.theta_synthesis, phased, out=volume.reshape(samples.shape))
+        np.matmul(self.m1_coupling.T, volume, out=samples.reshape(dim, -1))
+        return samples
 
 
 def _coupling_families(tj: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import AdmissibilityError
 from .spin_core import (
     AXES,
     TOL,
+    _bloch_parts,
     _bloch_vector,
     _check,
     _entries,
@@ -242,10 +243,13 @@ def w_value(rho, u, tol: float = TOL) -> Tomogram:
 
 
 def w_from_bloch(b, direction: Direction, tol: float = TOL) -> Tomogram:
-    """Tomogram from a Bloch vector: w_+- = 1/2 +- b . n(theta, phi)."""
-    v = _bloch_vector(b, tol)
-    dot = float(v @ direction.unit_vector)
-    return Tomogram(w_plus=0.5 + dot, w_minus=0.5 - dot, direction=direction)
+    """Tomogram w_+- = 1/2 +- b . n of a Bloch vector, bit for bit as ``w_value`` gives it
+    for ``density_from_bloch(b)``.  A non-Direction raises ``TypeError`` naming its type."""
+    if not isinstance(direction, Direction):
+        raise TypeError(f"w_from_bloch takes a Direction, got {type(direction).__name__}")
+    entries = tuple(map(complex, *_bloch_parts(*_bloch_vector(b, tol).tolist())))
+    w_plus, w_minus = _w_pair(entries, *_factors(direction.theta, direction.phi))
+    return Tomogram(w_plus=w_plus, w_minus=w_minus, direction=direction)
 
 
 def mean_from_w(tomogram: Tomogram) -> float:

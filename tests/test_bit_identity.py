@@ -49,6 +49,7 @@ from spintomo import (
     validate_density,
     verify_radon_consistency,
     w_axes,
+    w_from_bloch,
     w_value,
 )
 from spintomo.quasiprob import (
@@ -60,7 +61,7 @@ from spintomo.quasiprob import (
     _table_values,
 )
 from spintomo.radon_link import ConsistencyReport, _sweep_deviations
-from spintomo.spin_core import AXES, TOL, ValidationReport, _report
+from spintomo.spin_core import AXES, TOL, ValidationReport, _positive, _report
 from spintomo.tomography import _w_grid
 
 from conftest import NAMED_STATES
@@ -443,6 +444,34 @@ def test_density_from_bloch_matches_array_form():
     vectors += [np.array([x, y, z]) for x in signed for y in signed for z in signed]
     for v in vectors:
         assert density_from_bloch(v).tobytes() == ref_density_from_bloch(v).tobytes()
+
+
+def test_w_from_bloch_matches_w_value():
+    # w_from_bloch runs w_value's formula on density_from_bloch's entries:
+    # the Bloch vectors of the random STATES along random raw directions,
+    # then vectors with signed zero components and vectors with |b| = 1/2
+    # along directions that fold from the edges of the canonical ranges.
+    vectors = list(random_bloch_vectors(N_STATES, seed=314))
+    cases = list(zip(vectors, map(Direction, *_directions(N_STATES)[:2])))
+    signed = [0.0, -0.0, 0.25, -0.25]
+    edge = [np.array([x, y, z]) for x in signed for y in signed for z in signed]
+    half = [0.5, -0.5]
+    edge += [np.roll([h, 0.0, -0.0], k) for h in half for k in range(3)]
+    edge += [0.5 * v / np.linalg.norm(v) for v in vectors[:20]]
+    angles = [0.0, -0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi, 3 * math.pi]
+    cases += [(b, Direction(theta=t, phi=p)) for b in edge for t in angles for p in angles]
+    for b, d in cases:
+        got = w_from_bloch(b, d)
+        ref = w_value(density_from_bloch(b), d)
+        assert bits(got.w_plus, got.w_minus) == bits(ref.w_plus, ref.w_minus)
+        assert got.direction is d
+
+
+def test_positive_matches_array_form():
+    # max(0.0, x) of a scalar has the bits of the array form: +0.0 for -0.0.
+    values = [-0.0, 0.0, -5e-324, 5e-324, -1.0, 1.0, -math.inf, math.inf, math.nan]
+    for x, ref in zip(values, _positive(np.array(values)).tolist()):
+        assert bits(_positive(x)) == bits(ref)
 
 
 @pytest.mark.parametrize("n", [0, 1, 1000])

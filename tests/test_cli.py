@@ -779,6 +779,35 @@ def test_reconstruct_integral_boolean_spin_exit_2(capsys, tmp_path):
     assert "'j' must be a number, got True" in err
 
 
+_MULTIPLE = "a non-negative multiple of 1/2"
+
+
+@pytest.mark.parametrize(
+    "j, rule",
+    [
+        ({}, "a number"),
+        (True, "a number"),
+        (None, "a number"),
+        ("1", "a number"),
+        ([1], "a number"),
+        # An exact int beyond the float range, one whose double lies beyond
+        # it, and a float whose double overflows.
+        (10**400, _MULTIPLE),
+        (int(1.5e308), _MULTIPLE),
+        (1e308, _MULTIPLE),
+        (float("nan"), _MULTIPLE),
+        (-0.5, _MULTIPLE),
+        (26, "at most 25"),
+    ],
+    ids=["object", "true", "null", "string", "array", "10**400", "int(1.5e308)", "1e308", "nan",
+         "-0.5", "26"],
+)
+def test_reconstruct_integral_spin_refusal_line(capsys, tmp_path, j, rule):
+    # Every JSON kind of 'j' is refused with exit 2 and one exact line.
+    code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": j, "state": "up_z"}))
+    assert (code, out, err) == (2, "", f"error: 'j' must be {rule}, got {j!r}\n")
+
+
 def _refuse_allocation(*args, **kwargs):
     raise AssertionError("a grid was built for a request above its size bound")
 

@@ -32,6 +32,19 @@ def test_bloch_vectors_fill_the_ball():
     assert radii.max() > 0.45
 
 
+def test_bloch_vectors_keep_the_sphere(monkeypatch):
+    # The ball is closed, as the Bloch ball of states is: a draw with
+    # |b| = 1/2 exactly, a pure state, is kept.
+    class Edge:
+        def uniform(self, low, high, size):
+            batch = np.full(size, 0.1)
+            batch[0] = [0.5, 0.0, 0.0]
+            return batch
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Edge())
+    assert random_bloch_vectors(1, seed=0).tolist() == [[0.5, 0.0, 0.0]]
+
+
 def test_density_matrices_valid():
     for rho in random_density_matrices(200, seed=9):
         assert validate_density(rho).passed
@@ -44,6 +57,7 @@ def test_density_j_valid_and_deterministic():
         assert np.array_equal(batch, again)
         for rho in batch:
             assert validate_density_j(rho).passed
+    assert random_density_j(3, 0, seed=12).shape == (0, 3, 3)
 
 
 def test_bad_arguments():

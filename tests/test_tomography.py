@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ def test_w_value_names_what_it_got(value):
         w_value(np.eye(2) / 2, value)
 
 
+@pytest.mark.parametrize("value", [EulerAngles(0.1, 0.2, 0.3), (1.0, 0.5), 0.5, None])
+def test_w_from_bloch_names_what_it_got(value):
+    # w_from_bloch takes a Direction only, and names anything else by its
+    # type before it reads the vector, a bad one included.
+    for b in ([0.0, 0.0, 0.5], [0.7, 0.0, 0.0], "b"):
+        with pytest.raises(TypeError, match=f"takes a Direction, got {type(value).__name__}$"):
+            w_from_bloch(b, value)
+
+
 def test_w_from_bloch_rejects_long_vector():
     from spintomo import NonPhysicalStateError
 
@@ -220,6 +230,17 @@ def test_direction_canonicalizes_theta():
         ]
     )
     assert np.allclose(d.unit_vector, raw, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "theta, phi", [(1, 0.5), (np.float64(1.0), 0.5), (Fraction(1), 0.5), (1.0, 1), (1, 2)]
+)
+def test_direction_stores_python_floats(theta, phi):
+    # Angles of any real type are stored as Python floats, also when they
+    # lie inside the canonical ranges already.
+    d = Direction(theta=theta, phi=phi)
+    assert type(d.theta) is float and type(d.phi) is float
+    assert (d.theta, d.phi) == (theta, phi)
 
 
 def test_w_from_bloch_rejects_non_finite_vector():
