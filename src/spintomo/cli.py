@@ -391,12 +391,12 @@ def _spin_from_doc(data) -> tuple:
     try:
         tj = _twice_spin(j)
     except TypeError as exc:
-        raise CliError(f"'j' must be a number, got {j!r}") from exc
+        raise CliError(f"'j' must be a number, got {_brief(j)}") from exc
     except ValueError as exc:
-        raise CliError(f"'j' must be a non-negative multiple of 1/2, got {j!r}") from exc
+        raise CliError(f"'j' must be a non-negative multiple of 1/2, got {_brief(j)}") from exc
     spin = float(j)
     if spin > MAX_SPIN:
-        raise CliError(f"'j' must be at most {MAX_SPIN}, got {j!r}")
+        raise CliError(f"'j' must be at most {MAX_SPIN}, got {_brief(j)}")
     return spin, tj
 
 
@@ -611,7 +611,7 @@ def cmd_sweep(args):
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     states = random_density_matrices(args.trials, args.seed)
     maxima = {
-        name: max(0.0, float(deviations.max()))
+        name: float(deviations.max())
         for name, deviations in _sweep_deviations(states, args.tol).items()
     }
     passed = all(value <= args.tol for value in maxima.values())

@@ -25,6 +25,7 @@ from .spin_core import (
     _check_axis,
     _check_sign,
     _abs,
+    _density_deviation,
     _frozen,
     _max,
     _positive,
@@ -242,7 +243,9 @@ class AdmissibilityReport:
     (imaginary parts and real parts outside [0, 1]), the validation report
     of the reconstructed density matrix, and the redundancy deviation: the
     largest mismatch between the given entries and the table regenerated
-    from the reconstructed matrix.
+    from the reconstructed matrix.  ``passed`` compares with ``tol`` each of
+    the five largest deviations that ``verify`` prints as its ``table-*``
+    checks (see ``_admissibility_maxima``), and fails on a NaN one.
     """
 
     total: complex
@@ -254,16 +257,7 @@ class AdmissibilityReport:
 
     @property
     def passed(self) -> bool:
-        marginals_ok = all(
-            m.imag_magnitude <= self.tol and m.range_violation <= self.tol
-            for m in self.marginals
-        )
-        return (
-            self.total_deviation <= self.tol
-            and marginals_ok
-            and self.density_report.passed
-            and self.redundancy_deviation <= self.tol
-        )
+        return all(value <= self.tol for value in _admissibility_maxima(self).values())
 
 
 def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> AdmissibilityReport:
@@ -308,15 +302,10 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
 def _admissibility_maxima(report: AdmissibilityReport) -> dict:
     """The largest deviation of each kind in an admissibility report, keyed
     by the suffix of its ``verify`` check name; arrays for a report of arrays."""
-    density = report.density_report
     return {
         "total": report.total_deviation,
         "marginal-imag": _max(*(m.imag_magnitude for m in report.marginals)),
         "marginal-range": _max(*(m.range_violation for m in report.marginals)),
-        "density": _max(
-            density.hermiticity_deviation,
-            density.trace_deviation,
-            _positive(-density.min_eigenvalue),
-        ),
+        "density": _density_deviation(report.density_report),
         "redundancy": report.redundancy_deviation,
     }

@@ -97,6 +97,9 @@ class ValidationReport:
 
     ``min_eigenvalue`` is computed on the Hermitian part of the candidate,
     so positivity is judged after symmetrizing away any tiny skew part.
+    ``passed`` compares one number with ``tol``: the largest of the
+    hermiticity and trace deviations and of max(0, -min_eigenvalue), NaN if
+    any is NaN.  A report of arrays (see ``_report``) passes elementwise.
     """
 
     hermiticity_deviation: float
@@ -106,12 +109,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        # ``&``, so that a report of arrays (see ``_report``) passes elementwise.
-        return (
-            (self.hermiticity_deviation <= self.tol)
-            & (self.trace_deviation <= self.tol)
-            & (self.min_eigenvalue >= -self.tol)
-        )
+        return _density_deviation(self) <= self.tol
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
@@ -165,6 +163,12 @@ def _positive(x):
     return np.where(x <= 0.0, 0.0, x) if type(x) is _ARRAY else 0.0 if x <= 0.0 else x
 
 
+def _density_deviation(report: ValidationReport):
+    """The one number that ``report.passed`` compares with its tol."""
+    return _max(report.hermiticity_deviation, report.trace_deviation,
+                _positive(-report.min_eigenvalue))
+
+
 def _deviations(a, b, c, d):
     """The hermiticity and trace deviations and the minimum eigenvalue of the
     matrix [[a, b], [c, d]], as scalars or arrays.
@@ -190,7 +194,8 @@ def _report(entries, tol: float) -> ValidationReport:
 
 
 def _check(entries, tol: float, error=NonPhysicalStateError, what="not a physical density matrix"):
-    """Raise ``error`` with a report unless the matrix of ``entries`` is valid."""
+    """Raise ``error`` with a report unless the matrix of ``entries`` is valid:
+    ``_report(entries, tol).passed``, written inline for the hot maps."""
     herm_dev, trace_dev, min_eig = _deviations(*entries)
     if not (herm_dev <= tol and trace_dev <= tol and min_eig >= -tol):
         report = _report(entries, tol)

@@ -783,29 +783,32 @@ _MULTIPLE = "a non-negative multiple of 1/2"
 
 
 @pytest.mark.parametrize(
-    "j, rule",
+    "j, rule, shown",
     [
-        ({}, "a number"),
-        (True, "a number"),
-        (None, "a number"),
-        ("1", "a number"),
-        ([1], "a number"),
+        ({}, "a number", "{}"),
+        (True, "a number", "True"),
+        (None, "a number", "None"),
+        ("1", "a number", "'1'"),
+        ([1], "a number", "[1]"),
+        # A repr of 40 characters is shown whole, and a longer one cut short.
+        ("j" * 38, "a number", repr("j" * 38)),
+        (list(range(100_000)), "a number", "[0, 1, 2, 3, 4, 5, 6, 7,... (688890 characters)"),
         # An exact int beyond the float range, one whose double lies beyond
         # it, and a float whose double overflows.
-        (10**400, _MULTIPLE),
-        (int(1.5e308), _MULTIPLE),
-        (1e308, _MULTIPLE),
-        (float("nan"), _MULTIPLE),
-        (-0.5, _MULTIPLE),
-        (26, "at most 25"),
+        (10**400, _MULTIPLE, "100000000000000000000000... (401 characters)"),
+        (int(1.5e308), _MULTIPLE, "150000000000000001646859... (309 characters)"),
+        (1e308, _MULTIPLE, "1e+308"),
+        (float("nan"), _MULTIPLE, "nan"),
+        (-0.5, _MULTIPLE, "-0.5"),
+        (26, "at most 25", "26"),
     ],
-    ids=["object", "true", "null", "string", "array", "10**400", "int(1.5e308)", "1e308", "nan",
-         "-0.5", "26"],
+    ids=["object", "true", "null", "string", "array", "40-characters", "long-array", "10**400",
+         "int(1.5e308)", "1e308", "nan", "-0.5", "26"],
 )
-def test_reconstruct_integral_spin_refusal_line(capsys, tmp_path, j, rule):
+def test_reconstruct_integral_spin_refusal_line(capsys, tmp_path, j, rule, shown):
     # Every JSON kind of 'j' is refused with exit 2 and one exact line.
     code, out, err = run_cli(capsys, *_integral_input(tmp_path, {"j": j, "state": "up_z"}))
-    assert (code, out, err) == (2, "", f"error: 'j' must be {rule}, got {j!r}\n")
+    assert (code, out, err) == (2, "", f"error: 'j' must be {rule}, got {shown}\n")
 
 
 def _refuse_allocation(*args, **kwargs):
