@@ -784,4 +784,12 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    # The process ends here.  Freezing moves every live object, among them
+    # the ~22,000 that importing numpy and spintomo made, to the permanent
+    # generation, which the collections at shutdown do not walk: teardown
+    # fell from about 25 ms to about 5.5 ms on a 2-vCPU Xeon VM.  Streams
+    # are still flushed and atexit handlers still run, which ``os._exit``
+    # would skip.  ``main`` does not freeze, since tests call it in process.
+    gc.freeze()
+    raise SystemExit(code)

@@ -650,6 +650,45 @@ def test_byte_stability_across_processes():
     assert runs[0].stdout.endswith(b"\n")
 
 
+# Run with ``python -c``: an atexit handler, then a refusal whose SystemExit
+# is caught, then a non-physical state that ends the process.
+_ENTRY_POINT_EXITS = """
+import atexit, sys
+from spintomo.cli import entry_point
+atexit.register(lambda: print("atexit ran", flush=True))
+sys.argv = ["spintomo", "w", "--state", "up_y", "--grid", "257"]
+try:
+    entry_point()
+except SystemExit as exc:
+    print("refused flag:", exc.code, flush=True)
+sys.argv = ["spintomo", "p-table", "--state", "w-axes=1,1,1"]
+entry_point()
+"""
+
+
+def test_entry_point_ends_the_process_as_main_returns(capsys, tmp_path):
+    # entry_point freezes the heap before it raises SystemExit: the document,
+    # piped or written with --output, is whole, each exit code and error line
+    # is main's, and an atexit handler still runs, as os._exit would not allow.
+    args = ("w", "--state", "up_y", "--grid", "64", "--axes")
+    _, document, _ = run_cli(capsys, *args)
+    _, _, refused_line = run_cli(capsys, "w", "--state", "up_y", "--grid", "257")
+    _, _, nonphysical_line = run_cli(capsys, "p-table", "--state", "w-axes=1,1,1")
+    assert refused_line.startswith("error: ") and nonphysical_line.startswith("error: ")
+    command = [sys.executable, "-m", "spintomo", *args]
+    piped = subprocess.run(command, capture_output=True, text=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, document, "")
+    strict_json(piped.stdout)
+    target = tmp_path / "w64.json"
+    written = subprocess.run([*command, "--output", str(target)], capture_output=True, text=True)
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    assert target.read_text() == document
+    ended = subprocess.run([sys.executable, "-c", _ENTRY_POINT_EXITS], capture_output=True, text=True)
+    assert ended.returncode == 3
+    assert ended.stdout == "refused flag: 2\natexit ran\n"
+    assert ended.stderr == refused_line + nonphysical_line
+
+
 def _integral_input(tmp_path, obj):
     payload = tmp_path / "integral.json"
     payload.write_text(json.dumps(obj))
@@ -816,10 +855,10 @@ def _refuse_allocation(*args, **kwargs):
 
 
 def test_size_bounds_exit_2_before_allocating(capsys, tmp_path, monkeypatch):
-    from spintomo import cli
+    from spintomo import cli, general_inversion
 
     assert (cli.MAX_GRID, cli.MAX_OVERSAMPLE, cli.MAX_SPIN) == (256, 4, 25)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _refuse_allocation)
+    monkeypatch.setattr(general_inversion, "_gauss_legendre", _refuse_allocation)
     monkeypatch.setattr(cli, "build_quadrature", _refuse_allocation)
     cases = [
         (("w", "--state", "up_z", "--grid", "257"), "--grid must be at most 256"),

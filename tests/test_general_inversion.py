@@ -932,6 +932,43 @@ def test_import_leaves_out_fractions():
     assert result.stdout.split() == ["False", "False"]
 
 
+def test_gauss_legendre_is_leggauss_bit_for_bit():
+    # The grid's nodes and weights are numpy's, computed by its steps without
+    # importing numpy.polynomial; here numpy.polynomial is the reference.
+    from spintomo.general_inversion import _gauss_legendre
+
+    sizes = {build_quadrature(tj / 2, oversample).n_theta for tj in range(51) for oversample in range(1, 5)}
+    for n in sorted(sizes | set(range(1, 65)) | {256}):
+        nodes, weights = _gauss_legendre(n)
+        reference_nodes, reference_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == reference_nodes.tobytes(), n
+        assert weights.tobytes() == reference_weights.tobytes(), n
+
+
+# Run with ``python -c`` and the paths of two output files and an input file.
+_GRIDS_WITHOUT_POLYNOMIAL = """
+import sys
+from spintomo.cli import main
+grid_out, integral_out, integral_in = sys.argv[1:]
+codes = [
+    main(["w", "--state", "up_x", "--grid", "8", "--output", grid_out]),
+    main(["reconstruct", "--mode", "from-w-integral", "--input", integral_in, "--output", integral_out]),
+]
+print(codes, "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_cli_grids_leave_out_numpy_polynomial(tmp_path):
+    # A grid costs one Gauss-Legendre rule; importing numpy.polynomial for it
+    # cost each fresh process 4-8 ms.
+    integral_in = tmp_path / "up_x.json"
+    integral_in.write_text('{"j": 0.5, "state": "up_x"}')
+    paths = [str(tmp_path / "grid.json"), str(tmp_path / "integral.json"), str(integral_in)]
+    result = subprocess.run([sys.executable, "-c", _GRIDS_WITHOUT_POLYNOMIAL, *paths], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[0, 0] False\n"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["phi", "theta", "psi"])
 def test_spin_j_rotations_refuse_non_finite_angle(name, value):
