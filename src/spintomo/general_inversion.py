@@ -17,22 +17,23 @@ How the numbers are computed:
   this module's convention (below), for every angle of a grid in one
   array expression (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307
   (2015)).  The tests hold it unitary to 1e-13 up to j = 50.
-* The kernel needs two 3j families, (j j j3; m1 -m2 m2-m1) and its
-  diagonal (j j j3; m -m 0), over all j3 = 0..2j.  Both come from the
-  three-term recursion in j3 of Schulten & Gordon, J. Math. Phys. 16, 1961
-  (1975), run for every (m1, m2) pair at once and normalized by
-  orthogonality.  The tests hold them to 1e-14 of the exact symbols for
-  2j <= 24, and, up to j = 25, the reconstruction of random mixed states
-  to 1e-13 and of pure states, |j, j> among them, to 1e-12.
+* The kernel needs one 3j table, (j j j3; m -m' M) for each entry
+  rho_{i+M, i} on or below the diagonal, m = j - i - M and m' = j - i,
+  over all j3 = 0..2j; its M = 0 slice is the (j j j3; m -m 0) family.
+  It comes from the three-term recursion in j3 of Schulten & Gordon,
+  J. Math. Phys. 16, 1961 (1975), run for every entry at once and
+  normalized by orthogonality.  The tests hold it to 1e-14 of the exact
+  symbols for 2j <= 24, and, up to j = 25, the reconstruction of random
+  mixed states to 1e-13 and of pure states, |j, j> among them, to 1e-12.
 * Sampling and inversion are one chain of linear factors per spin and
   grid.  Sampling runs it forwards: the 3j couplings fold each diagonal
   M >= 0 of rho into one sum per j3, a phi synthesis and the
   d^(j3)_{0, M}(theta) rows spread those sums over the grid, and the
-  diagonal 3j family maps j3 onto the outcomes m1.  The tests hold it to
-  1e-14 of a node-by-node evaluation with d^j from J_y up to j = 25.  The
-  inversion runs the transposed factors backwards, with the quadrature
-  weights, for the entries on and below the diagonal only: for real
-  samples the rest are their conjugates, as
+  couplings of the main diagonal, M = 0, map j3 onto the outcomes m1.
+  The tests hold it to 1e-14 of a node-by-node evaluation with d^j from
+  J_y up to j = 25.  The inversion runs the transposed factors
+  backwards, with the quadrature weights, for the entries on and below
+  the diagonal only: for real samples the rest are their conjugates, as
   D^(j3)_{0, -m3} = (-1)^m3 conj(D^(j3)_{0, m3}).
 * :func:`wigner_3j` evaluates single symbols with exact rational
   arithmetic and one final square root.  The kernel does not use it; the
@@ -552,21 +553,25 @@ class _Kernel:
     that carry the quadrature weights and the norm (2 j3 + 1)^2.
     """
 
-    # (2j+1, 2j+1) over (j3, m1): sign * (j j j3; m1 -m1 0)
+    # Each table's memory order is part of its bits' contract: matmul's
+    # sums over a same-valued copy in another order can round differently.
+    # (2j+1, 2j+1) over (j3, m1): entry_coupling[0], in C order
     m1_coupling: np.ndarray
     # (2j+1, 2j+1, 4) over (M, i, part): the position in the float view of
     # the flat rho of the real and imaginary parts of rho_{i+M, i} and of
     # rho_{i, i+M}; one past the matrix where i + M > 2j, whose coupling is
     # zero
     entry_index: np.ndarray
-    # (2j+1, 2j+1, 2j+1) over (M, j3, i): (-1)^i (j j j3; m -m' M) of the
-    # entry rho_{i+M, i}, m = j - i - M and m' = j - i; zero past the matrix
+    # (2j+1, 2j+1, 2j+1) over (M, j3, i), stored in (M, i, j3) order:
+    # (-1)^i (j j j3; m -m' M) of the entry rho_{i+M, i}, m = j - i - M and
+    # m' = j - i; zero past the matrix
     entry_coupling: np.ndarray
     # (2j+1, 4, n_phi) over (M, part, p): (f_M / 2) times cos(M phi_p),
     # sin(M phi_p), cos(M phi_p) and -sin(M phi_p), with f_0 = 1 and f_M = 2
     # for the conjugate pair of diagonals
     phi_synthesis: np.ndarray
-    # (2j+1, n_theta, 2j+1) over (j3, t, M): (2 j3 + 1) d^(j3)_{0, M}(theta_t)
+    # (2j+1, n_theta, 2j+1) over (j3, t, M), stored in (j3, M, t) order:
+    # (2 j3 + 1) d^(j3)_{0, M}(theta_t)
     theta_synthesis: np.ndarray
     # (2j+1, n_phi, 4) over (M, p, part): the phi weight c_p times
     # cos(M phi_p), sin(M phi_p), cos(M phi_p) and -sin(M phi_p)
@@ -617,40 +622,41 @@ class _Kernel:
 
 
 def _coupling_families(tj: int) -> np.ndarray:
-    """(j j j3; m1 -m2 m2-m1) over (j3, m1, m2): j3 = 0..2j, then m1 and m2
-    in descending order.  The diagonal m1 = m2 is the (j j j3; m -m 0)
-    family.
+    """The kernel's 3j table over (M, j3, i), stored in (M, i, j3) order:
+    (-1)^i (j j j3; m -m' M) for the entry rho_{i+M, i} inside the matrix,
+    m = j - i - M and m' = j - i in descending index i, and 0 past it.  Its
+    M = 0 slice holds the (j j j3; m -m 0) family.
 
-    For fixed (m1, m2) the symbols f(J), J = j3, obey the three-term
+    For a fixed entry the symbols f(J), J = j3, obey the three-term
     recursion of Schulten & Gordon, J. Math. Phys. 16, 1961 (1975), which
-    for j1 = j2 = j and M = m2 - m1 reads
-        J A(J+1) f(J+1) - (2J+1) J (J+1) (m1 + m2) f(J) + (J+1) A(J) f(J-1) = 0,
+    for j1 = j2 = j reads
+        J A(J+1) f(J+1) - (2J+1) J (J+1) (m + m') f(J) + (J+1) A(J) f(J-1) = 0,
         A(J) = sqrt(J^2 ((2j+1)^2 - J^2) (J^2 - M^2)).
-    It runs downward from J = 2j, where A(2j+1) = 0, to J = |M|, for every
-    pair at once.  Orthogonality, sum over J of (2J+1) f(J)^2 = 1, fixes the
+    It runs downward from J = 2j, where A(2j+1) = 0, to J = M, for every
+    entry at once.  Orthogonality, sum over J of (2J+1) f(J)^2 = 1, fixes the
     scale, and the sign of the stretched symbol at J = 2j, (-1)^M, fixes
     the sign.
     """
     dim = tj + 1
-    tm = tj - 2 * np.arange(dim)
-    m_sum = (tm[:, None] + tm[None, :]) // 2
-    m3 = (tm[None, :] - tm[:, None]) // 2
-    big_j = np.arange(tj + 2.0)[:, None, None]
+    # The (M, i) of each entry, diagonal by diagonal.
+    diagonal, i = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) <= tj)
+    big_j = np.arange(tj + 2.0)[:, None]
     a = np.sqrt(
-        np.maximum(big_j**2 * ((tj + 1.0) ** 2 - big_j**2) * (big_j**2 - m3**2), 0.0)
+        np.maximum(big_j**2 * ((tj + 1.0) ** 2 - big_j**2) * (big_j**2 - diagonal**2), 0.0)
     )
-    b = -(2.0 * big_j + 1.0) * big_j * (big_j + 1.0) * m_sum
-    lowest = np.abs(m3)
-    f = np.zeros((tj + 2, dim, dim))
+    b = -(2.0 * big_j + 1.0) * big_j * (big_j + 1.0) * (tj - 2 * i - diagonal)
+    f = np.zeros((tj + 2, len(i)))
     f[tj] = 1.0
     for k in range(tj, 0, -1):
-        live = k > lowest
+        live = k > diagonal
         step = -(b[k] * f[k] + k * a[k + 1] * f[k + 1]) / np.where(live, (k + 1) * a[k], 1.0)
         f[k - 1] = np.where(live, step, 0.0)
     f = f[:dim]
-    norm = np.sqrt(np.einsum("k,kab->ab", 2.0 * np.arange(dim) + 1.0, f * f))
-    sign = np.where(m3 % 2, -1.0, 1.0)
-    return f * (sign / norm)
+    norm = np.sqrt(np.einsum("k,ke->e", 2.0 * np.arange(dim) + 1.0, f * f))
+    # (-1)^M, the stretched symbol's sign, times the kernel's (-1)^i
+    table = np.zeros((dim, dim, dim))
+    table[diagonal, i] = (f * (np.where((diagonal + i) % 2, -1.0, 1.0) / norm)).T
+    return table.transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -663,30 +669,24 @@ def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     for j3 in range(dim):
         # Row mp = 0 of d^(j3), its columns m = j3..-j3 read from m = 0 up.
         rows[j3, : j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, j3::-1].T
-    families = _coupling_families(tj)
-    # (-1)^(j - m) at descending index i, m = j - i: the two factors of the
-    # sign (-1)^(m2' - m1) = (-1)^(j - m1) (-1)^(j - m2')
-    sign = np.where(index % 2, -1.0, 1.0)
+    entry_coupling = _coupling_families(tj)
     # (M, i) -> i + M, the row of the entry rho_{i+M, i} on diagonal M
     shifted = index[:, None] + index
-    inside = shifted <= tj
     lower = 2 * (shifted * dim + index)
     upper = 2 * (index * dim + shifted)
     entry_index = np.where(
-        inside[..., None], np.stack([lower, lower + 1, upper, upper + 1], -1), 2 * dim * dim
-    )
-    entry_coupling = np.where(
-        inside[:, None], sign * families[:, np.minimum(shifted, tj), index].transpose(1, 0, 2), 0.0
+        (shifted <= tj)[..., None], np.stack([lower, lower + 1, upper, upper + 1], -1), 2 * dim * dim
     )
     phase = np.multiply.outer(index, grid.phi_nodes)
     cos, sin = np.cos(phase), np.sin(phase)
     parts = np.stack([cos, sin, cos, -sin], axis=1)
     return _Kernel(
-        m1_coupling=sign * families.diagonal(axis1=1, axis2=2),
+        m1_coupling=entry_coupling[0].copy(),
         entry_index=entry_index,
         entry_coupling=entry_coupling,
         phi_synthesis=np.where(index == 0, 0.5, 1.0)[:, None, None] * parts,
-        theta_synthesis=(2.0 * index[:, None, None] + 1.0) * rows.transpose(0, 2, 1),
+        # Stored in (j3, M, t) order, the order of the rows.
+        theta_synthesis=((2.0 * index[:, None, None] + 1.0) * rows).transpose(0, 2, 1),
         phi_analysis=(grid.phi_weights * parts).transpose(0, 2, 1).copy(),
         theta_analysis=(2.0 * index[:, None, None] + 1.0) ** 2 * rows * grid.theta_weights,
         scratch=_Scratch(

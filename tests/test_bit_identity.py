@@ -657,3 +657,34 @@ def test_fast_constructor_matches_public_constructor(cls):
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(fast, name)
     assert fast == public
+
+
+# Each table of the spin-j kernel, by the order of its axes in memory, from
+# the slowest stride to the fastest.  Two tables store a batch slice
+# transposed.  A same-valued copy in C order changes spin-j bits: on one
+# BLAS thread at the default grid, a C-ordered entry_coupling moved the
+# bits of sample and apply at every 2j from 15 to 50, and a C-ordered
+# theta_synthesis those of sample at every even 2j from 16 to 48.
+KERNEL_MEMORY_ORDER = {
+    "m1_coupling": (0, 1),
+    "entry_index": (0, 1, 2),
+    "entry_coupling": (0, 2, 1),
+    "phi_synthesis": (0, 1, 2),
+    "theta_synthesis": (0, 2, 1),
+    "phi_analysis": (0, 1, 2),
+    "theta_analysis": (0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("tj", [1, 12, 50])
+def test_kernel_tables_keep_their_memory_order(tj):
+    from spintomo.general_inversion import _kernel, build_quadrature
+
+    kernel = _kernel(tj, build_quadrature(tj / 2))
+    tables = {f.name for f in dataclasses.fields(kernel)} - {"scratch"}
+    assert tables == set(KERNEL_MEMORY_ORDER)
+    for name, order in KERNEL_MEMORY_ORDER.items():
+        table = getattr(kernel, name)
+        # Every axis is longer than 1, so the strides fix the order.
+        assert min(table.shape) > 1
+        assert table.transpose(order).flags.c_contiguous, (name, table.strides)

@@ -200,22 +200,29 @@ def test_wigner_3j_against_sympy_sweep():
 
 
 def test_kernel_coupling_families_match_exact_symbols():
-    # Both 3j families of the kernel, from the recursion, against the
-    # exact-rational symbols: (j j j3; m1 -m2 m2-m1) and its diagonal
-    # (j j j3; m -m 0), for every m1, m2 and j3 = 0..2j.
+    # The kernel's 3j table, from the recursion, against the exact-rational
+    # symbols: (-1)^i (j j j3; m -m' M) over (M, j3, i) for each entry
+    # rho_{i+M, i} inside the matrix, m = j - i - M and m' = j - i, and
+    # exactly 0 for the entries past it, at every j3 = 0..2j.
     from spintomo.general_inversion import _coupling_families, _w3j_twice
 
     for tj in range(25):
-        families = _coupling_families(tj)
-        assert families.shape == (tj + 1,) * 3
-        tms = [tj - 2 * i for i in range(tj + 1)]
+        dim = tj + 1
+        table = _coupling_families(tj)
+        assert table.shape == (dim,) * 3
+        inside = np.add.outer(np.arange(dim), np.arange(dim)) <= tj
         exact = np.array(
             [
-                [[_w3j_twice(tj, tj, 2 * j3, a, -b, b - a) for b in tms] for a in tms]
-                for j3 in range(tj + 1)
+                [
+                    (-1) ** i * _w3j_twice(tj, tj, 2 * j3, tj - 2 * (i + big_m), 2 * i - tj, 2 * big_m)
+                    for j3 in range(dim)
+                ]
+                for big_m, i in np.argwhere(inside).tolist()
             ]
         )
-        assert np.abs(families - exact).max() <= 1e-14, tj
+        assert np.abs(table.transpose(0, 2, 1)[inside] - exact).max() <= 1e-14, tj
+        past = table.transpose(0, 2, 1)[~inside]
+        assert past.tobytes() == bytes(past.nbytes), tj
 
 
 def test_small_d_half_matrix():

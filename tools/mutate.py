@@ -8,10 +8,13 @@ to its boundary twin: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
 ``!=``, ``is`` and ``is not``.  For each such mutant the script rewrites
 the module, runs ``python -m pytest -x -q`` on the selection after ``--``
 from the repository root, and restores the module in a ``finally``, also
-when the run is interrupted or terminated.  A mutant is killed when pytest
-fails, or runs more than five times as long as on the unmutated code plus
-10 s, and survives when it passes.  The selection must pass on the
-unmutated code first.
+when the run is interrupted or terminated.  Each pytest runs with
+``OPENBLAS_NUM_THREADS=1`` unless the caller has set it: OpenBLAS threads
+busy-wait, and beside another numpy process on a 2-CPU machine they made
+``tests/test_general_inversion.py`` take 195 s instead of 9 s.  A mutant
+is killed when pytest fails, or runs more than five times as long as on
+the unmutated code plus 10 s, and survives when it passes.  The
+selection must pass on the unmutated code first.
 
 A survivor named in ``tools/equivalent_mutants.txt`` is reported as
 equivalent; any other survivor makes the script exit with status 1.  That
@@ -132,6 +135,7 @@ def _equivalent() -> set:
 
 def _run_tests(selection, timeout: float) -> str:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
     try:
         result = subprocess.run(
