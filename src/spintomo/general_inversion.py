@@ -393,7 +393,9 @@ class QuadratureGrid:
 
     The grid keeps read-only float64 copies of the arrays it is given, so
     the grid object itself keys the cached kernels: reuse one grid object
-    rather than building an equal one anew.
+    rather than building an equal one anew.  An array that is not 1-D, is
+    empty or has a non-finite entry, and weights of another length than
+    their nodes, raise ``ValueError`` naming the field.
     """
 
     theta_nodes: np.ndarray
@@ -404,8 +406,17 @@ class QuadratureGrid:
     def __post_init__(self):
         for field in fields(self):
             values = np.array(getattr(self, field.name), dtype=float)
+            if values.ndim != 1 or not values.size:
+                raise ValueError(f"{field.name} must be a non-empty 1-D array, got {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{field.name} has a non-finite entry")
             values.flags.writeable = False
             object.__setattr__(self, field.name, values)
+        for axis in ("theta", "phi"):
+            n_nodes = len(getattr(self, axis + "_nodes"))
+            n_weights = len(getattr(self, axis + "_weights"))
+            if n_nodes != n_weights:
+                raise ValueError(f"{axis}_weights has {n_weights} entries for {n_nodes} nodes")
 
     @property
     def n_theta(self) -> int:
@@ -543,7 +554,7 @@ class _Kernel:
     """The linear map between rho and its samples on one grid, as a chain
     of four factors.  With M = 0..2j the diagonal of the entry h_{i+M, i}
     of the Hermitian part h of rho, in descending indices,
-        s[M, j3] = sum over i of entry_coupling[M, j3, i] h_{i+M, i},
+        s[M, j3] = sum over i of entry_coupling[M, i, j3] h_{i+M, i},
         V[j3, t, p] = sum over M of f_M d^(j3)_{0, M}(theta_t)
                       Re(s[M, j3] exp(-i M phi_p)),
         w[k, t, p] = sum over j3 of (2 j3 + 1) m1_coupling[j3, k] V[j3, t, p],
@@ -551,27 +562,29 @@ class _Kernel:
     the chain forwards.  ``apply`` inverts it: it runs the same couplings
     backwards, transposed, with analysis tables of the theta and phi factors
     that carry the quadrature weights and the norm (2 j3 + 1)^2.
+
+    Every table is C-contiguous over the axes it is listed with, the order it
+    is built in, and a product that sums in another order reads a transposed
+    view at its matmul call.  matmul's sums can round differently on a
+    same-valued table in another memory order, so this one rule keeps the
+    bits of a copy of any table.
     """
 
-    # Each table's memory order is part of its bits' contract: matmul's
-    # sums over a same-valued copy in another order can round differently.
-    # (2j+1, 2j+1) over (j3, m1): entry_coupling[0], in C order
+    # (2j+1, 2j+1) over (j3, m1): entry_coupling[0], transposed
     m1_coupling: np.ndarray
     # (2j+1, 2j+1, 4) over (M, i, part): the position in the float view of
     # the flat rho of the real and imaginary parts of rho_{i+M, i} and of
     # rho_{i, i+M}; one past the matrix where i + M > 2j, whose coupling is
     # zero
     entry_index: np.ndarray
-    # (2j+1, 2j+1, 2j+1) over (M, j3, i), stored in (M, i, j3) order:
-    # (-1)^i (j j j3; m -m' M) of the entry rho_{i+M, i}, m = j - i - M and
-    # m' = j - i; zero past the matrix
+    # (2j+1, 2j+1, 2j+1) over (M, i, j3): (-1)^i (j j j3; m -m' M) of the
+    # entry rho_{i+M, i}, m = j - i - M and m' = j - i; zero past the matrix
     entry_coupling: np.ndarray
     # (2j+1, 4, n_phi) over (M, part, p): (f_M / 2) times cos(M phi_p),
     # sin(M phi_p), cos(M phi_p) and -sin(M phi_p), with f_0 = 1 and f_M = 2
     # for the conjugate pair of diagonals
     phi_synthesis: np.ndarray
-    # (2j+1, n_theta, 2j+1) over (j3, t, M), stored in (j3, M, t) order:
-    # (2 j3 + 1) d^(j3)_{0, M}(theta_t)
+    # (2j+1, 2j+1, n_theta) over (j3, M, t): (2 j3 + 1) d^(j3)_{0, M}(theta_t)
     theta_synthesis: np.ndarray
     # (2j+1, n_phi, 4) over (M, p, part): the phi weight c_p times
     # cos(M phi_p), sin(M phi_p), cos(M phi_p) and -sin(M phi_p)
@@ -596,7 +609,7 @@ class _Kernel:
         # Read in (M, j3, p) order: real and imaginary parts of s, then
         # those of its conjugate.
         np.matmul(phased.transpose(1, 0, 2), self.phi_analysis, out=sums)
-        np.matmul(self.entry_coupling.transpose(0, 2, 1), sums, out=entries)
+        np.matmul(self.entry_coupling, sums, out=entries)
         # The entries past the matrix land in the one spare slot at its end;
         # the diagonal is written twice, the second time with the same real
         # part and a zero imaginary part.
@@ -613,16 +626,16 @@ class _Kernel:
         # "wrap" reads rho_00 for the entries past the matrix, and, like
         # "clip", writes straight into the scratch array.
         np.take(rho.reshape(-1).view(float), self.entry_index, out=entries, mode="wrap")
-        np.matmul(self.entry_coupling, entries, out=sums)
+        np.matmul(self.entry_coupling.transpose(0, 2, 1), entries, out=sums)
         # Written in (j3, M, p) order for the theta product.
         np.matmul(sums, self.phi_synthesis, out=phased.transpose(1, 0, 2))
-        np.matmul(self.theta_synthesis, phased, out=volume.reshape(samples.shape))
+        np.matmul(self.theta_synthesis.transpose(0, 2, 1), phased, out=volume.reshape(samples.shape))
         np.matmul(self.m1_coupling.T, volume, out=samples.reshape(dim, -1))
         return samples
 
 
 def _coupling_families(tj: int) -> np.ndarray:
-    """The kernel's 3j table over (M, j3, i), stored in (M, i, j3) order:
+    """The kernel's 3j table over (M, i, j3), C-contiguous:
     (-1)^i (j j j3; m -m' M) for the entry rho_{i+M, i} inside the matrix,
     m = j - i - M and m' = j - i in descending index i, and 0 past it.  Its
     M = 0 slice holds the (j j j3; m -m 0) family.
@@ -656,7 +669,7 @@ def _coupling_families(tj: int) -> np.ndarray:
     # (-1)^M, the stretched symbol's sign, times the kernel's (-1)^i
     table = np.zeros((dim, dim, dim))
     table[diagonal, i] = (f * (np.where((diagonal + i) % 2, -1.0, 1.0) / norm)).T
-    return table.transpose(0, 2, 1)
+    return table
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -681,12 +694,11 @@ def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     cos, sin = np.cos(phase), np.sin(phase)
     parts = np.stack([cos, sin, cos, -sin], axis=1)
     return _Kernel(
-        m1_coupling=entry_coupling[0].copy(),
+        m1_coupling=entry_coupling[0].T.copy(),
         entry_index=entry_index,
         entry_coupling=entry_coupling,
         phi_synthesis=np.where(index == 0, 0.5, 1.0)[:, None, None] * parts,
-        # Stored in (j3, M, t) order, the order of the rows.
-        theta_synthesis=((2.0 * index[:, None, None] + 1.0) * rows).transpose(0, 2, 1),
+        theta_synthesis=(2.0 * index[:, None, None] + 1.0) * rows,
         phi_analysis=(grid.phi_weights * parts).transpose(0, 2, 1).copy(),
         theta_analysis=(2.0 * index[:, None, None] + 1.0) ** 2 * rows * grid.theta_weights,
         scratch=_Scratch(

@@ -43,6 +43,7 @@ from spintomo import (
     p_from_w,
     p_oracle,
     random_bloch_vectors,
+    random_density_j,
     random_density_matrices,
     require_density,
     rotation_matrix,
@@ -659,32 +660,37 @@ def test_fast_constructor_matches_public_constructor(cls):
     assert fast == public
 
 
-# Each table of the spin-j kernel, by the order of its axes in memory, from
-# the slowest stride to the fastest.  Two tables store a batch slice
-# transposed.  A same-valued copy in C order changes spin-j bits: on one
-# BLAS thread at the default grid, a C-ordered entry_coupling moved the
-# bits of sample and apply at every 2j from 15 to 50, and a C-ordered
-# theta_synthesis those of sample at every even 2j from 16 to 48.
-KERNEL_MEMORY_ORDER = {
-    "m1_coupling": (0, 1),
-    "entry_index": (0, 1, 2),
-    "entry_coupling": (0, 2, 1),
-    "phi_synthesis": (0, 1, 2),
-    "theta_synthesis": (0, 2, 1),
-    "phi_analysis": (0, 1, 2),
-    "theta_analysis": (0, 1, 2),
-}
+def _kernel_tables(kernel):
+    names = [f.name for f in dataclasses.fields(kernel) if f.name != "scratch"]
+    return {name: getattr(kernel, name) for name in names}
 
 
+# Every table of the spin-j kernel is C-contiguous, and each product that
+# sums in another order reads a transposed view at its matmul call.  The
+# memory order of a table decides spin-j bits: on one BLAS thread at the
+# default grid, a same-valued entry_coupling in the other order moved the
+# bits of sample and apply at every 2j from 15 to 50, and a theta_synthesis
+# in the other order those of sample at every even 2j from 16 to 48.
 @pytest.mark.parametrize("tj", [1, 12, 50])
 def test_kernel_tables_keep_their_memory_order(tj):
     from spintomo.general_inversion import _kernel, build_quadrature
 
-    kernel = _kernel(tj, build_quadrature(tj / 2))
-    tables = {f.name for f in dataclasses.fields(kernel)} - {"scratch"}
-    assert tables == set(KERNEL_MEMORY_ORDER)
-    for name, order in KERNEL_MEMORY_ORDER.items():
-        table = getattr(kernel, name)
+    for name, table in _kernel_tables(_kernel(tj, build_quadrature(tj / 2))).items():
         # Every axis is longer than 1, so the strides fix the order.
         assert min(table.shape) > 1
-        assert table.transpose(order).flags.c_contiguous, (name, table.strides)
+        assert table.flags.c_contiguous, (name, table.strides)
+
+
+# A copy of every table, in C order, gives the bits of the cached kernel.
+@pytest.mark.parametrize("tj", [1, 12, 15, 16, 50])
+def test_kernel_tables_are_copy_safe(tj):
+    from spintomo.general_inversion import _kernel, build_quadrature
+
+    kernel = _kernel(tj, build_quadrature(tj / 2))
+    twin = dataclasses.replace(
+        kernel, **{name: table.copy() for name, table in _kernel_tables(kernel).items()}
+    )
+    rho = random_density_j(tj + 1, 1, seed=tj)[0]
+    samples = kernel.sample(rho).copy()
+    assert twin.sample(rho).tobytes() == samples.tobytes()
+    assert twin.apply(samples).tobytes() == kernel.apply(samples).tobytes()

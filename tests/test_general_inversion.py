@@ -201,7 +201,7 @@ def test_wigner_3j_against_sympy_sweep():
 
 def test_kernel_coupling_families_match_exact_symbols():
     # The kernel's 3j table, from the recursion, against the exact-rational
-    # symbols: (-1)^i (j j j3; m -m' M) over (M, j3, i) for each entry
+    # symbols: (-1)^i (j j j3; m -m' M) over (M, i, j3) for each entry
     # rho_{i+M, i} inside the matrix, m = j - i - M and m' = j - i, and
     # exactly 0 for the entries past it, at every j3 = 0..2j.
     from spintomo.general_inversion import _coupling_families, _w3j_twice
@@ -220,8 +220,8 @@ def test_kernel_coupling_families_match_exact_symbols():
                 for big_m, i in np.argwhere(inside).tolist()
             ]
         )
-        assert np.abs(table.transpose(0, 2, 1)[inside] - exact).max() <= 1e-14, tj
-        past = table.transpose(0, 2, 1)[~inside]
+        assert np.abs(table[inside] - exact).max() <= 1e-14, tj
+        past = table[~inside]
         assert past.tobytes() == bytes(past.nbytes), tj
 
 
@@ -785,6 +785,51 @@ def test_grid_keeps_read_only_copies_of_caller_arrays():
     for name in _GRID_FIELDS:
         assert getattr(listed, name).dtype == np.float64
         assert getattr(listed, name).tobytes() == getattr(default, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        pytest.param(
+            {"theta_nodes": lambda a: np.stack([a, a])},
+            r"theta_nodes must be a non-empty 1-D array, got \(2, 16\)",
+            id="2-D",
+        ),
+        pytest.param(
+            {"phi_nodes": lambda a: a[:0], "phi_weights": lambda a: a[:0]},
+            r"phi_nodes must be a non-empty 1-D array, got \(0,\)",
+            id="empty",
+        ),
+        pytest.param(
+            {"theta_weights": lambda a: a[:-1]},
+            "theta_weights has 15 entries for 16 nodes",
+            id="short",
+        ),
+        pytest.param(
+            {"phi_nodes": lambda a: np.append(a[:-1], np.nan)},
+            "phi_nodes has a non-finite entry",
+            id="nan",
+        ),
+        pytest.param(
+            {"theta_weights": lambda a: np.append(a[:-1], np.inf)},
+            "theta_weights has a non-finite entry",
+            id="inf",
+        ),
+    ],
+)
+def test_grid_refuses_malformed_arrays_by_field(changes, message):
+    from spintomo.general_inversion import _kernel
+
+    j = 1
+    default = build_quadrature(j)
+    given = {name: getattr(default, name) for name in _GRID_FIELDS}
+    for name, change in changes.items():
+        given[name] = change(given[name])
+    family = w_callable_from_density(random_density_j(3, 1, seed=79)[0])
+    before = _kernel.cache_info().misses
+    with pytest.raises(ValueError, match=message):
+        reconstruct_density_j(family, j, grid=QuadratureGrid(**given))
+    assert _kernel.cache_info().misses == before
 
 
 def test_second_reconstruction_on_one_grid_hits_the_caches():
