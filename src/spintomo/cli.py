@@ -32,28 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
+# Every verb needs these modules.  Each verb imports the others it runs where
+# it runs them, so that a process loads only its own verb's modules.
 from .errors import AdmissibilityError, NonPhysicalStateError
-from .general_inversion import (
-    _DEFAULT_OVERSAMPLE,
-    _product_grid,
-    _twice_spin,
-    build_quadrature,
-    m_values,
-    reconstruct_density_j,
-    validate_density_j,
-    w_callable_from_density,
-)
-from .quasiprob import (
-    QuasiProbTable,
-    _admissibility_maxima,
-    check_admissibility,
-    density_from_p,
-    p_from_density,
-)
-from .radon_link import _sweep_deviations, p_from_w
-from .sampling import random_density_matrices
 from .spin_core import (
-    TOL, _bloch_excess, _positive, _report, density_from_bloch, require_density, validate_density,
+    _DEFAULT_OVERSAMPLE,
+    TOL,
+    _bloch_excess,
+    _positive,
+    _report,
+    density_from_bloch,
+    require_density,
+    validate_density,
 )
 from .tomography import (
     AxisTriple,
@@ -216,7 +206,7 @@ def _state_obj(kind: str, spec: str, rho) -> dict:
     return {"kind": kind, "spec": spec, "rho": _matrix_obj(rho)}
 
 
-def _table_obj(table: QuasiProbTable) -> list:
+def _table_obj(table) -> list:
     return [
         {"c": c, "b": b, "a": a, "re": float(value.real), "im": float(value.imag)}
         for (c, b, a), value in table.items()
@@ -231,7 +221,9 @@ def _vertex_label(item, key: str, what: str) -> int:
     return label
 
 
-def _table_from_obj(entries) -> QuasiProbTable:
+def _table_from_obj(entries):
+    from .quasiprob import QuasiProbTable
+
     if not isinstance(entries, list):
         raise CliError("'p_table' must be a list of 8 entries")
     mapping = {}
@@ -322,6 +314,8 @@ def _load_json(path: str):
 
 
 def cmd_p_table(args):
+    from .quasiprob import _admissibility_maxima, check_admissibility, p_from_density
+
     kind, rho = parse_state(args.state, args.tol)
     table = p_from_density(rho, args.tol)
     report = check_admissibility(table, args.tol)
@@ -358,6 +352,8 @@ def cmd_w(args):
         thetas, phis = [direction.theta], [direction.phi]
     else:
         _bounded("--grid", args.grid, MAX_GRID)
+        from .general_inversion import _product_grid
+
         grid = _product_grid(args.grid, args.grid)
         # Already canonical, so these are the directions' own angles.
         thetas = grid.theta_nodes.tolist()
@@ -387,6 +383,8 @@ def _spin_from_doc(data) -> tuple:
     """The spin of an integral reconstruction document, and twice it."""
     if "j" not in data:
         raise CliError("input document needs a 'j' field for integral reconstruction")
+    from .general_inversion import _twice_spin
+
     j = data["j"]
     try:
         tj = _twice_spin(j)
@@ -422,6 +420,8 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     non-finite ``w``, then off the grid, then a duplicate.  Missing cells
     are reported after that.
     """
+    from .general_inversion import m_values
+
     records = data["samples"]
     if not isinstance(records, list):
         raise CliError("'samples' must be a list of {m, theta, phi, w} records")
@@ -493,14 +493,6 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     return out
 
 
-# Modes that invert a spin-1/2 representation in closed form: the input
-# field, its parser, and the inversion.
-_DIRECT_MODES = {
-    "from-p": ("p_table", _table_from_obj, density_from_p),
-    "from-w-axes": ("w_axes", _triple_from_obj, density_from_w_axes),
-}
-
-
 def cmd_reconstruct(args):
     integral = args.mode == "from-w-integral"
     if args.oversample is not None and not integral:
@@ -513,7 +505,14 @@ def cmd_reconstruct(args):
     doc = _envelope("reconstruct", args.tol)
     doc["mode"] = args.mode
     if not integral:
-        field, parse, invert = _DIRECT_MODES[args.mode]
+        # Modes that invert a spin-1/2 representation in closed form: the
+        # input field, its parser, and the inversion.
+        if args.mode == "from-p":
+            from .quasiprob import density_from_p as invert
+
+            field, parse = "p_table", _table_from_obj
+        else:
+            field, parse, invert = "w_axes", _triple_from_obj, density_from_w_axes
         if field not in data:
             raise CliError(f"input document needs a '{field}' field")
         source = parse(data[field])
@@ -527,6 +526,13 @@ def cmd_reconstruct(args):
         doc["rho"] = _matrix_obj(rho)
         doc["validation"] = _validation_obj(validate_density(rho, args.tol))
         return doc, 0
+    from .general_inversion import (
+        build_quadrature,
+        reconstruct_density_j,
+        validate_density_j,
+        w_callable_from_density,
+    )
+
     oversample = _DEFAULT_OVERSAMPLE if args.oversample is None else args.oversample
     _bounded("--oversample", oversample, MAX_OVERSAMPLE)
     j, tj = _spin_from_doc(data)
@@ -577,6 +583,8 @@ def cmd_verify(args):
     table = None
     triple = None
     if "p_table" in data:
+        from .quasiprob import _admissibility_maxima, check_admissibility
+
         table = _table_from_obj(data["p_table"])
         report = check_admissibility(table, args.tol)
         maxima = _admissibility_maxima(report)
@@ -596,6 +604,8 @@ def cmd_verify(args):
         deviation = _positive(excess)
         checks.append(_check_obj("triple-physicality", deviation, args.tol))
     if table is not None and triple is not None:
+        from .radon_link import p_from_w
+
         direct = p_from_w(triple, args.tol, validate=False)
         delta = max(abs(d - t) for (_, d), (_, t) in zip(direct.items(), table.items()))
         checks.append(_check_obj("radon-consistency", delta, args.tol))
@@ -606,6 +616,9 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    from .radon_link import _sweep_deviations
+    from .sampling import random_density_matrices
+
     _bounded("--trials", args.trials, MAX_TRIALS)
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")

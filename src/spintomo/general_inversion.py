@@ -81,11 +81,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .errors import NonPhysicalStateError
-from .spin_core import TOL, ValidationReport
+from .spin_core import _DEFAULT_OVERSAMPLE, TOL, ValidationReport
 from .tomography import _TWO_PI, EulerAngles, _finite_angle
-
-# The grid refinement used when none is given, by the library and the CLI.
-_DEFAULT_OVERSAMPLE = 2
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -394,8 +391,9 @@ class QuadratureGrid:
     The grid keeps read-only float64 copies of the arrays it is given, so
     the grid object itself keys the cached kernels: reuse one grid object
     rather than building an equal one anew.  An array that is not 1-D, is
-    empty or has a non-finite entry, and weights of another length than
-    their nodes, raise ``ValueError`` naming the field.
+    empty or has a non-finite entry, weights of another length than their
+    nodes, and weights whose sum lies more than 1e-12 from 1, raise
+    ``ValueError`` naming the field.
     """
 
     theta_nodes: np.ndarray
@@ -417,6 +415,12 @@ class QuadratureGrid:
             n_weights = len(getattr(self, axis + "_weights"))
             if n_nodes != n_weights:
                 raise ValueError(f"{axis}_weights has {n_weights} entries for {n_nodes} nodes")
+            # A sum that overflows, to an infinity or, both ways, to NaN, is
+            # refused by the comparison below, without numpy's warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(getattr(self, axis + "_weights").sum())
+            if not abs(total - 1.0) <= 1e-12:
+                raise ValueError(f"{axis}_weights sum to {total!r}, not 1")
 
     @property
     def n_theta(self) -> int:
@@ -730,7 +734,10 @@ def reconstruct_density_j(
             then its phi nodes.
         j: spin of the multiplet; the result is a (2j+1) x (2j+1) matrix
             with rows and columns in descending projection order.
-        grid: quadrature grid; ``build_quadrature(j)`` when omitted.
+        grid: quadrature grid; ``build_quadrature(j)`` when omitted.  A
+            grid with fewer than 2j + 1 theta nodes or 4j + 1 phi nodes
+            cannot integrate the spin's harmonics and is refused with
+            ``ValueError``; these counts are necessary, not sufficient.
         tol: bound on how far the sampled family may violate positivity or
             normalization before reconstruction is refused; non-finite
             samples are always refused.
@@ -747,6 +754,11 @@ def reconstruct_density_j(
     tj = _twice_spin(j)
     if grid is None:
         grid = _quadrature(tj, _DEFAULT_OVERSAMPLE)
+    elif grid.n_theta <= tj or grid.n_phi <= 2 * tj:
+        raise ValueError(
+            f"a grid of {grid.n_theta} theta and {grid.n_phi} phi nodes is too coarse "
+            f"for spin {tj / 2.0}, which needs at least {tj + 1} and {2 * tj + 1}"
+        )
     # The kernel is looked up once, and only after every refusal that does
     # not need it, so that a refused request builds nothing.
     if isinstance(w, DensityTomogram):

@@ -20,6 +20,11 @@ from .errors import NonPhysicalStateError
 TOL = 1e-10
 AXES = ("x", "y", "z")
 
+# The refinement of the spin-j quadrature grid when none is given, by the
+# library and the CLI.  It is kept here, with TOL, so that the CLI's parser
+# reads both without loading the spin-j module.
+_DEFAULT_OVERSAMPLE = 2
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

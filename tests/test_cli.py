@@ -689,6 +689,60 @@ def test_entry_point_ends_the_process_as_main_returns(capsys, tmp_path):
     assert ended.stderr == refused_line + nonphysical_line
 
 
+# A process runs one verb through ``main`` and prints its exit code and the
+# spintomo modules it loaded.
+_MODULES_OF_A_VERB = """
+import contextlib, io, json, sys
+from spintomo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("spintomo"))]))
+"""
+_EVERY_VERB = ["spintomo", "spintomo.cli", "spintomo.errors", "spintomo.spin_core", "spintomo.tomography"]
+
+
+@pytest.mark.parametrize(
+    "args, extra",
+    [
+        (("p-table", "--state", "up_z"), ["quasiprob"]),
+        (("w", "--state", "up_x", "--theta", "1", "--phi", "0.5"), []),
+        (("w", "--state", "up_x", "--grid", "8"), ["general_inversion"]),
+        (("reconstruct", "--mode", "from-p", "--input", "p.json"), ["quasiprob"]),
+        (("reconstruct", "--mode", "from-w-axes", "--input", "w.json"), []),
+        (("reconstruct", "--mode", "from-w-integral", "--input", "j.json"), ["general_inversion"]),
+        (("verify", "--input", "p.json"), ["quasiprob"]),
+        (("verify", "--input", "pw.json"), ["quasiprob", "radon_link"]),
+        (("sweep", "--trials", "5"), ["quasiprob", "radon_link", "sampling"]),
+    ],
+    ids=["p-table", "w-direction", "w-grid", "from-p", "from-w-axes", "from-w-integral",
+         "verify-p", "verify-both", "sweep"],
+)
+def test_each_verb_loads_only_its_own_modules(capsys, tmp_path, args, extra):
+    _, table, _ = run_cli(capsys, "p-table", "--state", "up_x")
+    p_table = json.loads(table)["p_table"]
+    w_axes = {"wx_plus": 1.0, "wy_plus": 0.5, "wz_plus": 0.5}
+    inputs = {
+        "p.json": {"p_table": p_table},
+        "w.json": {"w_axes": w_axes},
+        "pw.json": {"p_table": p_table, "w_axes": w_axes},
+        "j.json": {"j": 0.5, "state": "up_x"},
+    }
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    command = [sys.executable, "-c", _MODULES_OF_A_VERB, *args]
+    run = subprocess.run(command, capture_output=True, text=True, cwd=tmp_path)
+    assert run.stderr == ""
+    code, modules = json.loads(run.stdout)
+    assert code == 0
+    assert modules == sorted(_EVERY_VERB + [f"spintomo.{name}" for name in extra])
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    code = "import spintomo, sys; print(sorted(m for m in sys.modules if m.startswith('spintomo')))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "['spintomo']\n", "")
+
+
 def _integral_input(tmp_path, obj):
     payload = tmp_path / "integral.json"
     payload.write_text(json.dumps(obj))
@@ -859,7 +913,7 @@ def test_size_bounds_exit_2_before_allocating(capsys, tmp_path, monkeypatch):
 
     assert (cli.MAX_GRID, cli.MAX_OVERSAMPLE, cli.MAX_SPIN) == (256, 4, 25)
     monkeypatch.setattr(general_inversion, "_gauss_legendre", _refuse_allocation)
-    monkeypatch.setattr(cli, "build_quadrature", _refuse_allocation)
+    monkeypatch.setattr(general_inversion, "build_quadrature", _refuse_allocation)
     cases = [
         (("w", "--state", "up_z", "--grid", "257"), "--grid must be at most 256"),
         (
@@ -889,10 +943,10 @@ def test_size_bounds_accept_their_limits(capsys, validator, tmp_path):
 
 
 def test_sweep_trials_bound_exit_2_before_sampling(capsys, monkeypatch):
-    from spintomo import cli
+    from spintomo import cli, sampling
 
     assert cli.MAX_TRIALS == 100_000
-    monkeypatch.setattr(cli, "random_density_matrices", _refuse_allocation)
+    monkeypatch.setattr(sampling, "random_density_matrices", _refuse_allocation)
     code, out, err = run_cli(capsys, "sweep", "--trials", "100001")
     assert (code, out) == (2, "")
     assert err == "error: --trials must be at most 100000, got 100001\n"

@@ -832,6 +832,82 @@ def test_grid_refuses_malformed_arrays_by_field(changes, message):
     assert _kernel.cache_info().misses == before
 
 
+def _overflowing_both_ways(a):
+    return np.concatenate([[1e308, 1e308, -1e308, -1e308], np.zeros(len(a) - 4)])
+
+
+@pytest.mark.parametrize(
+    "field, change, total",
+    [
+        ("phi_weights", lambda a: 2.0 * a, "2.0"),
+        ("theta_weights", lambda a: 0.5 * a, "0.5"),
+        ("phi_weights", lambda a: (1.0 + 2e-12) * a, "1.000000000002"),
+        ("theta_weights", lambda a: -a, "-1.0"),
+        ("phi_weights", lambda a: np.append(a[:-1], 1e308), "1e+308"),
+        ("phi_weights", _overflowing_both_ways, "nan"),
+    ],
+    ids=["phi-doubled", "theta-halved", "phi-2e-12-over", "theta-negated", "huge", "nan-sum"],
+)
+def test_grid_refuses_weights_that_do_not_sum_to_one(field, change, total):
+    # The message names the field and its sum; a sum that overflows is
+    # refused with no numpy warning, which the test settings make an error.
+    from spintomo.general_inversion import _kernel
+
+    j = 1
+    default = build_quadrature(j)
+    given = {name: getattr(default, name) for name in _GRID_FIELDS}
+    given[field] = change(given[field])
+    family = w_callable_from_density(random_density_j(3, 1, seed=83)[0])
+    before = _kernel.cache_info().misses
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} sum to {total}, not 1')}$"):
+        reconstruct_density_j(family, j, grid=QuadratureGrid(**given))
+    assert _kernel.cache_info().misses == before
+
+
+def test_grid_accepts_weights_within_1e_12_of_one():
+    default = build_quadrature(1)
+    given = {name: getattr(default, name) for name in _GRID_FIELDS}
+    for field in ("theta_weights", "phi_weights"):
+        given[field] = given[field] * (1.0 + 5e-13)
+    QuadratureGrid(**given)
+
+
+@pytest.mark.parametrize(
+    "j, n_theta, n_phi",
+    [(1, 3, 3), (1, 2, 5), (1, 3, 4), (0.5, 1, 3), (0.5, 2, 2), (2.5, 5, 11), (2.5, 6, 10)],
+)
+def test_reconstruct_refuses_grids_too_coarse_for_the_spin(j, n_theta, n_phi):
+    # At j = 1 a 3 x 3 grid returned a matrix 0.67 from the state, with no
+    # error.  A spin-j family needs 2j + 1 theta nodes and, for harmonics up
+    # to 4j, 4j + 1 phi nodes; the family, a callable or a sample array, is
+    # refused before any kernel is built.
+    from spintomo.general_inversion import _kernel, _product_grid
+
+    tj = int(2 * j)
+    grid = _product_grid(n_theta, n_phi)
+    family = w_callable_from_density(random_density_j(tj + 1, 1, seed=89 + tj)[0])
+    message = (
+        f"a grid of {n_theta} theta and {n_phi} phi nodes is too coarse for spin "
+        f"{float(j)}, which needs at least {tj + 1} and {2 * tj + 1}"
+    )
+    before = _kernel.cache_info().misses
+    uniform = np.full((tj + 1, n_theta, n_phi), 1.0 / (tj + 1))
+    for w in (family, lambda m1, theta, phi: family(m1, theta, phi), uniform):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct_density_j(w, j, grid=grid)
+    assert _kernel.cache_info().misses == before
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 2.5, 6])
+def test_reconstruct_accepts_the_least_grid_for_the_spin(j):
+    from spintomo.general_inversion import _product_grid
+
+    tj = int(2 * j)
+    rho = random_density_j(tj + 1, 1, seed=97 + tj)[0]
+    grid = _product_grid(tj + 1, 2 * tj + 1)
+    assert np.abs(reconstruct_density_j(w_callable_from_density(rho), j, grid=grid) - rho).max() < 1e-13
+
+
 def test_second_reconstruction_on_one_grid_hits_the_caches():
     from spintomo.general_inversion import _kernel
 
