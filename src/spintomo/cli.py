@@ -527,6 +527,7 @@ def cmd_reconstruct(args):
         doc["validation"] = _validation_obj(validate_density(rho, args.tol))
         return doc, 0
     from .general_inversion import (
+        DensityTomogram,
         build_quadrature,
         reconstruct_density_j,
         validate_density_j,
@@ -548,8 +549,8 @@ def cmd_reconstruct(args):
     elif "state" in data:
         if tj != 1:
             raise CliError("'state' specifications are only defined for j = 1/2")
-        _, source = parse_state(str(data["state"]), args.tol)
-        w = w_callable_from_density(source, args.tol)
+        # Judged once, by the spin-1/2 rule, as every spin-1/2 verb judges it.
+        w = DensityTomogram(parse_state(str(data["state"]), args.tol)[1])
     else:
         raise CliError(
             "input document needs 'samples', 'rho', or 'state' for integral "

@@ -216,7 +216,11 @@ def wigner_small_d(j, mp, m, theta: float) -> float:
 
 
 def wigner_D(j, mp, m, u: EulerAngles) -> complex:
-    """Full rotation matrix element exp(i mp psi) d^j_{mp, m}(theta) exp(i m phi)."""
+    """Full rotation matrix element exp(i mp psi) d^j_{mp, m}(theta) exp(i m phi).
+
+    Any ``u`` but :class:`EulerAngles` raises ``TypeError`` naming its type."""
+    if not isinstance(u, EulerAngles):
+        raise TypeError(f"wigner_D takes EulerAngles, got {type(u).__name__}")
     d = wigner_small_d(j, mp, m, u.theta)
     phase = (_twice(mp) / 2.0) * u.psi + (_twice(m) / 2.0) * u.phi
     return complex(d * np.exp(1j * phase))
@@ -272,7 +276,10 @@ def _small_d_matrix(tj: int, theta: float) -> np.ndarray:
 def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     """(2j+1)-dimensional unitary of the Euler rotation, rows and columns in
     descending projection order.  Coincides with the 2x2 tomography rotation
-    at j = 1/2."""
+    at j = 1/2.  Any ``u`` but :class:`EulerAngles` raises ``TypeError``
+    naming its type."""
+    if not isinstance(u, EulerAngles):
+        raise TypeError(f"rotation_matrix_j takes EulerAngles, got {type(u).__name__}")
     tj = _twice_spin(j)
     d = _small_d_matrix(tj, float(u.theta))
     ms = _m_array(tj)
@@ -323,6 +330,8 @@ def w_callable_from_density(rho, tol: float = TOL) -> DensityTomogram:
     The returned :class:`DensityTomogram` is callable and evaluates the
     probability of outcome ``m1`` along the direction (theta, phi);
     ``reconstruct_density_j`` samples it on the whole grid in one pass.
+    ``rho`` is validated here, at ``tol``, once: the family carries that
+    judgement, and ``reconstruct_density_j`` does not judge its samples.
     """
     m = require_density_j(rho, tol)
     return DensityTomogram(m)
@@ -335,6 +344,11 @@ class DensityTomogram:
     non-finite angle with ``ValueError``; ``samples(grid)`` returns every node
     of a quadrature grid as the sample array that ``reconstruct_density_j``
     accepts.
+
+    It is built only from a matrix already judged a density matrix: by
+    :func:`w_callable_from_density`, or by the CLI from the state that
+    ``parse_state`` accepted.  ``reconstruct_density_j`` samples and inverts
+    it without judging the samples again.
     """
 
     __slots__ = ("rho", "tj")
@@ -358,8 +372,11 @@ class DensityTomogram:
         The cached inversion kernel of the spin and grid computes them by
         running its own factors in reverse (see ``_Kernel.sample``).  Like
         a single-node call, this reads the Hermitian part of rho.  The
-        result is a copy of the kernel's scratch array.
+        result is a copy of the kernel's scratch array.  Any ``grid`` but a
+        :class:`QuadratureGrid` raises ``TypeError`` naming its type.
         """
+        if not isinstance(grid, QuadratureGrid):
+            raise TypeError(f"DensityTomogram.samples takes a QuadratureGrid, got {type(grid).__name__}")
         return _kernel(self.tj, grid).sample(self.rho).copy()
 
 
@@ -504,9 +521,11 @@ def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c0 + c1 * x
 
 
-def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
+def _grid_samples(w, tj: int, grid: QuadratureGrid, tol: float) -> np.ndarray:
     """The samples on ``grid`` of a callable ``w`` other than a
-    :class:`DensityTomogram`, or of a sample array."""
+    :class:`DensityTomogram`, or of a sample array, refused with
+    :class:`NonPhysicalStateError` unless they are a probability family on
+    the grid, normalized, within ``tol``."""
     dim = tj + 1
     shape = (dim, grid.n_theta, grid.n_phi)
     if callable(w):
@@ -516,17 +535,14 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid) -> np.ndarray:
             for it, theta in enumerate(grid.theta_nodes):
                 for ip, phi in enumerate(grid.phi_nodes):
                     values[i, it, ip] = w(m1, theta, phi)
-        return values
-    values = np.asarray(w)
-    if values.shape != shape or values.dtype.kind not in "iuf":
-        raise ValueError(
-            f"sample array must be real with shape {shape} (m1, theta, phi), "
-            f"got a {values.dtype} array of shape {values.shape}"
-        )
-    return values.astype(float, copy=False)
-
-
-def _check_samples(values: np.ndarray, tol: float) -> None:
+    else:
+        values = np.asarray(w)
+        if values.shape != shape or values.dtype.kind not in "iuf":
+            raise ValueError(
+                f"sample array must be real with shape {shape} (m1, theta, phi), "
+                f"got a {values.dtype} array of shape {values.shape}"
+            )
+        values = values.astype(float, copy=False)
     # min and max are both finite exactly when every sample is: NaN
     # propagates through both, and an infinity is one of them.
     low = float(np.minimum.reduce(values, None))
@@ -551,6 +567,7 @@ def _check_samples(values: np.ndarray, tol: float) -> None:
             f"grid (min={low:.3e}, max={high:.3e}, normalization deviation="
             f"{norm_dev:.3e}, tol={tol:.1e})"
         )
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -738,9 +755,13 @@ def reconstruct_density_j(
             grid with fewer than 2j + 1 theta nodes or 4j + 1 phi nodes
             cannot integrate the spin's harmonics and is refused with
             ``ValueError``; these counts are necessary, not sufficient.
-        tol: bound on how far the sampled family may violate positivity or
-            normalization before reconstruction is refused; non-finite
-            samples are always refused.
+            Anything but a :class:`QuadratureGrid` or None raises
+            ``TypeError`` naming its type.
+        tol: bound on how far the samples of a callable or an array may
+            violate positivity or normalization before reconstruction is
+            refused; non-finite samples are always refused.  A family from
+            :func:`w_callable_from_density` is not judged again: it carries
+            the validation of its matrix at the ``tol`` it was made with.
 
     Returns:
         The reconstructed matrix, unvalidated: quadrature noise or
@@ -754,6 +775,8 @@ def reconstruct_density_j(
     tj = _twice_spin(j)
     if grid is None:
         grid = _quadrature(tj, _DEFAULT_OVERSAMPLE)
+    elif not isinstance(grid, QuadratureGrid):
+        raise TypeError(f"reconstruct_density_j takes a QuadratureGrid, got {type(grid).__name__}")
     elif grid.n_theta <= tj or grid.n_phi <= 2 * tj:
         raise ValueError(
             f"a grid of {grid.n_theta} theta and {grid.n_phi} phi nodes is too coarse "
@@ -769,9 +792,7 @@ def reconstruct_density_j(
             )
         kernel = _kernel(tj, grid)
         values = kernel.sample(w.rho)
-        _check_samples(values, tol)
     else:
-        values = _grid_samples(w, tj, grid)
-        _check_samples(values, tol)
+        values = _grid_samples(w, tj, grid, tol)
         kernel = _kernel(tj, grid)
     return kernel.apply(values)

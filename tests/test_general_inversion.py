@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spintomo import (
+    Direction,
     EulerAngles,
     NonPhysicalStateError,
     QuadratureGrid,
@@ -533,6 +534,77 @@ def test_sample_checks_accept_their_edges():
         reconstruct_density_j(values, 0.5, grid=grid, tol=t)
         with pytest.raises(NonPhysicalStateError, match="normalized probability family"):
             reconstruct_density_j(values, 0.5, grid=grid, tol=t / 2)
+
+
+def test_family_carries_the_tol_it_was_made_with():
+    # Validated at tol = 1e-3, this state's samples dip to -4.67e-4.  The
+    # family is not judged again at the reconstruction's default tol; the
+    # same samples brought in as an array are.
+    rho = np.diag([1 + 5e-4, 0, -5e-4]).astype(complex)
+    family = w_callable_from_density(rho, tol=1e-3)
+    assert np.abs(reconstruct_density_j(family, 1) - rho).max() < 1e-13
+    with pytest.raises(NonPhysicalStateError, match=r"min=-4\.666e-04"):
+        reconstruct_density_j(family.samples(build_quadrature(1)), 1)
+
+
+def test_only_samples_from_outside_are_judged(monkeypatch):
+    # The sample judgement is the one reader of -tol; it runs once for an
+    # array and once for a callable, and never for a family.
+    from spintomo import general_inversion
+
+    reads = []
+
+    class Tol(float):
+        def __neg__(self):
+            reads.append(self)
+            return -float(self)
+
+    calls = []
+    judge = general_inversion._grid_samples
+    monkeypatch.setattr(
+        general_inversion, "_grid_samples", lambda *args: calls.append(args) or judge(*args)
+    )
+    family = w_callable_from_density(random_density_j(3, 1, seed=5)[0])
+    grid = build_quadrature(1)
+    expected = family.samples(grid)
+    forms = [(expected, 1), (lambda m1, theta, phi: family(m1, theta, phi), 1), (family, 0)]
+    for w, judged in forms:
+        calls.clear()
+        reads.clear()
+        rho = reconstruct_density_j(w, 1, grid=grid, tol=Tol(1e-10))
+        assert (len(calls), len(reads)) == (judged, judged)
+        assert np.abs(rho - reconstruct_density_j(expected, 1, grid=grid)).max() < 1e-14
+
+
+_WRONG_TYPES = ["x", (1.0, 0.5), [1.0, 0.5], Direction(theta=1.0, phi=0.5)]
+
+
+@pytest.mark.parametrize("bad", _WRONG_TYPES, ids=lambda bad: type(bad).__name__)
+@pytest.mark.parametrize(
+    "name", ["reconstruct_density_j", "DensityTomogram.samples", "rotation_matrix_j", "wigner_D"]
+)
+def test_spin_j_calls_refuse_a_wrong_type_by_name(name, bad):
+    # A wrong grid or rotation raised AttributeError (or, for a list given
+    # to samples, "unhashable type") from deep inside.  It is refused with
+    # its type, before any cache or kernel is touched.
+    from spintomo.general_inversion import _kernel, _small_d_matrix
+
+    family = w_callable_from_density(np.eye(3) / 3)
+    calls = {
+        "reconstruct_density_j": (
+            lambda u: reconstruct_density_j(np.full((3, 1, 1), 1 / 3), 1, grid=u),
+            "a QuadratureGrid",
+        ),
+        "DensityTomogram.samples": (family.samples, "a QuadratureGrid"),
+        "rotation_matrix_j": (lambda u: rotation_matrix_j(1, u), "EulerAngles"),
+        "wigner_D": (lambda u: wigner_D(1, 0, 0, u), "EulerAngles"),
+    }
+    call, wanted = calls[name]
+    before = (_kernel.cache_info(), _small_d_matrix.cache_info())
+    message = f"{name} takes {wanted}, got {type(bad).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(bad)
+    assert (_kernel.cache_info(), _small_d_matrix.cache_info()) == before
 
 
 def test_reconstruct_rejects_negative_probabilities():
