@@ -399,6 +399,14 @@ def _spin_from_doc(data) -> tuple:
 
 
 _SAMPLE_FIELDS = ("m", "theta", "phi", "w")
+# The refusal of a record for each fault code of ``_w_from_samples``, in
+# check order.
+_SAMPLE_FAULTS = (
+    "sample projection {m} is not in the spin-{j} multiplet",
+    "sample at (m={m!r}, theta={theta!r}, phi={phi!r}) has non-finite w={w!r}",
+    "sample at (theta={theta!r}, phi={phi!r}) does not sit on the reconstruction grid",
+    "duplicate sample at (m={m!r}, theta={theta!r}, phi={phi!r})",
+)
 # How far a sample's angles may lie from their grid node.
 _MATCH_TOL = 1e-9
 
@@ -415,10 +423,11 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
     """The sample array (m, theta, phi) of a ``samples`` list, which must
     cover every node of the grid exactly once.
 
-    A bad list is refused for its first bad record in document order, and
-    for the first check that record fails: malformed, then ``m``, then a
-    non-finite ``w``, then off the grid, then a duplicate.  Missing cells
-    are reported after that.
+    Each record is judged on its own, and a bad list is refused for its
+    first record, in document order, that fails a check, by the first check
+    that record fails: malformed, then ``m``, then a non-finite ``w``, then
+    off the grid, then on a cell that an earlier record holds.  Missing
+    cells are reported after that.
     """
     from .general_inversion import m_values
 
@@ -437,7 +446,6 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
         # A boolean, a string, null, a list or an object ends the read.
         first = next(i for i, v in enumerate(parsed) if type(v) not in (float, int))
         del parsed[first - first % 4 :]
-    malformed = len(parsed) // 4
     try:
         rows = np.array(parsed, dtype=float).reshape(-1, 4)
     except OverflowError:
@@ -446,47 +454,35 @@ def _w_from_samples(data, grid, j) -> np.ndarray:
 
     ms = np.array(m_values(j)[::-1])
     im, m_off = _nearest(ms, m1)
-    m_ok = m_off == 0
-    w_ok = np.isfinite(w)
     it, theta_off = _nearest(grid.theta_nodes, theta)
     ip, phi_off = _nearest(grid.phi_nodes, phi)
     # Written so that a NaN angle fails the match too.
     on_grid = (theta_off <= _MATCH_TOL) & (phi_off <= _MATCH_TOL)
-    bad = ~(m_ok & w_ok & on_grid)
-    first_bad = int(bad.argmax()) if bad.any() else len(rows)
-
     shape = (len(ms), grid.n_theta, grid.n_phi)
-    cells = np.ravel_multi_index(
-        (len(ms) - 1 - im[:first_bad], it[:first_bad], ip[:first_bad]), shape
-    )
-    counts = np.bincount(cells, minlength=math.prod(shape))
-    if counts.max() > 1:
-        order = np.argsort(cells, kind="stable")
-        repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
-        m1, theta, phi, _ = rows[repeats.min()].tolist()
-        raise CliError(f"duplicate sample at (m={m1!r}, theta={theta!r}, phi={phi!r})")
-    if first_bad < len(rows):
-        m1, theta, phi, w = rows[first_bad].tolist()
-        if not m_ok[first_bad]:
-            raise CliError(f"sample projection {m1} is not in the spin-{j} multiplet")
-        if not w_ok[first_bad]:
-            raise CliError(
-                f"sample at (m={m1!r}, theta={theta!r}, phi={phi!r}) has non-finite w={w!r}"
-            )
-        raise CliError(
-            f"sample at (theta={theta!r}, phi={phi!r}) does not sit on the "
-            "reconstruction grid"
-        )
-    if malformed < len(records):
+    cells = np.ravel_multi_index((len(ms) - 1 - im, it, ip), shape)
+    # A record repeats when an earlier record holds its cell.  Every record
+    # before the first faulty one passed every check, so there this is the
+    # record loop's repeat of an earlier accepted record.
+    index = np.arange(len(rows))
+    first = np.full(math.prod(shape), len(rows))
+    np.minimum.at(first, cells, index)
+    repeat = first[cells] < index
+    # Each record's first failed check, in check order; 0 for none.
+    fault = np.select([m_off != 0, ~np.isfinite(w), ~on_grid, repeat], [1, 2, 3, 4])
+    if fault.any():
+        k = np.flatnonzero(fault)[0]
+        fields = dict(zip(_SAMPLE_FIELDS, rows[k].tolist()))
+        raise CliError(_SAMPLE_FAULTS[fault[k] - 1].format(j=j, **fields))
+    if len(rows) < len(records):
         # The field that ended the read raises.
-        record = records[malformed]
         for field in _SAMPLE_FIELDS:
-            _number(record, field, f"'samples' entry [{malformed}]")
-    missing = np.count_nonzero(counts == 0)
+            _number(records[len(rows)], field, f"'samples' entry [{len(rows)}]")
+    # With no fault every record holds a cell of its own.
+    missing = first.size - len(rows)
     if missing:
         raise CliError(
             "samples do not cover the full reconstruction grid "
-            f"({missing} of {counts.size} cells missing)"
+            f"({missing} of {first.size} cells missing)"
         )
     out = np.empty(shape)
     out.reshape(-1)[cells] = w

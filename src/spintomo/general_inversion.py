@@ -560,7 +560,6 @@ def _grid_samples(w, tj: int, grid: QuadratureGrid, tol: float) -> np.ndarray:
         float(np.maximum.reduce(total, None)) - 1.0,
         1.0 - float(np.minimum.reduce(total, None)),
     )
-    # The accepting condition, so that a NaN tol refuses.
     if not (low >= -tol and high <= 1.0 + tol and norm_dev <= tol):
         raise NonPhysicalStateError(
             "tomogram samples are not a normalized probability family on the "
@@ -762,6 +761,9 @@ def reconstruct_density_j(
             refused; non-finite samples are always refused.  A family from
             :func:`w_callable_from_density` is not judged again: it carries
             the validation of its matrix at the ``tol`` it was made with.
+            For every form ``tol`` must be a finite, non-negative real (not a
+            bool), or ``TypeError`` or ``ValueError`` names it before any
+            work is done.
 
     Returns:
         The reconstructed matrix, unvalidated: quadrature noise or
@@ -773,6 +775,13 @@ def reconstruct_density_j(
     the single integer power (-1)^(m2' - m1); see the module docstring.
     """
     tj = _twice_spin(j)
+    # As in _twice, a bool is no real here; a float passes on its type, as
+    # the numbers.Real check costs about 0.45 us, 2% of a warm dim-7 call.
+    # The comparison refuses a NaN.
+    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+        raise TypeError(f"tol must be a real number, got {type(tol).__name__}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if grid is None:
         grid = _quadrature(tj, _DEFAULT_OVERSAMPLE)
     elif not isinstance(grid, QuadratureGrid):

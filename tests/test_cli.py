@@ -507,6 +507,14 @@ def test_sample_ingestion_matches_record_loop(j):
         records = [dict(r) for r in clean]
         records[k][field] = float(value)
         documents.append(records)
+    # A later record on the nearest cell of an earlier off-grid record, or
+    # of an earlier record whose m is off the multiplet; a repeat of the
+    # last record; and a list of one malformed record.
+    for field, step in [("theta", 5e-9), ("m", 0.25)]:
+        records = [dict(r) for r in clean] + [dict(clean[k])]
+        records[k][field] += step
+        documents.append(records)
+    documents += [clean + [clean[-1]], [dict(clean[0], w=None)]]
     for _ in range(150):
         records = [dict(r) for r in clean]
         for _ in range(rng.integers(1, 4)):

@@ -511,11 +511,12 @@ def test_reconstruct_rejects_unnormalized_family():
     with pytest.raises(NonPhysicalStateError):
         reconstruct_density_j(broken, 0.5)
 
-    # A NaN tol accepts nothing, as in validate_density_j.
+    # A NaN tol accepts nothing, as in validate_density_j; it is refused by
+    # name, not blamed on the samples, whether or not they are normalized.
     grid = build_quadrature(0.5)
-    message = "not a normalized probability family"
+    message = "^tol must be finite and non-negative, got nan$"
     for values in (2 * family.samples(grid), family.samples(grid)):
-        with pytest.raises(NonPhysicalStateError, match=message):
+        with pytest.raises(ValueError, match=message):
             reconstruct_density_j(values, 0.5, grid=grid, tol=float("nan"))
     assert not validate_density_j(rho, tol=float("nan")).passed
 
@@ -605,6 +606,47 @@ def test_spin_j_calls_refuse_a_wrong_type_by_name(name, bad):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call(bad)
     assert (_kernel.cache_info(), _small_d_matrix.cache_info()) == before
+
+
+@pytest.mark.parametrize(
+    "tol, error",
+    [
+        (math.nan, ValueError),
+        (-1.0, ValueError),
+        (-1, ValueError),
+        (math.inf, ValueError),
+        (np.float64(-math.inf), ValueError),
+        ("x", TypeError),
+        (True, TypeError),
+        (None, TypeError),
+        (np.array(1e-10), TypeError),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+@pytest.mark.parametrize("form", ["family", "array", "callable"])
+def test_reconstruct_refuses_a_bad_tol_by_name(form, tol, error):
+    # A NaN or negative tol refused good samples and blamed them, a str tol
+    # raised numpy's "bad operand type", and a family ignored its tol.  Each
+    # is refused by name before any grid, sample or kernel work.
+    from spintomo.general_inversion import _kernel, _quadrature
+
+    family = w_callable_from_density(np.eye(3) / 3)
+    calls = []
+
+    def callable_w(m1, theta, phi):
+        calls.append(m1)
+        return 1 / 3
+
+    w = {"family": family, "array": np.full((3, 5, 9), 1 / 3), "callable": callable_w}[form]
+    before = (_kernel.cache_info(), _quadrature.cache_info())
+    with pytest.raises(error, match="^tol must be"):
+        reconstruct_density_j(w, 1, tol=tol)
+    assert (_kernel.cache_info(), _quadrature.cache_info()) == before
+    assert calls == []
+    # Zero, as an int or a float, stays a tol.
+    for zero in (0, 0.0):
+        rho = reconstruct_density_j(family, 1, tol=zero)
+        np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-13)
 
 
 def test_reconstruct_rejects_negative_probabilities():
