@@ -45,14 +45,6 @@ from .spin_core import (
     require_density,
     validate_density,
 )
-from .tomography import (
-    AxisTriple,
-    Direction,
-    _density_entries,
-    _w_grid,
-    density_from_w_axes,
-    w_axes,
-)
 
 SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
@@ -117,6 +109,8 @@ def parse_state(text: str, tol: float):
             m = np.array([[values[0], values[1]], [values[2], values[3]]])
             return "rho", require_density(m, tol)
         if key == "w-axes":
+            from .tomography import AxisTriple, density_from_w_axes
+
             values = _parse_numbers(payload, 3, float, "floats")
             return "w-axes", density_from_w_axes(AxisTriple(*values), tol)
     raise CliError(
@@ -244,6 +238,8 @@ _TRIPLE_FIELDS = ("wx_plus", "wy_plus", "wz_plus")
 
 
 def _triple_from_obj(obj) -> AxisTriple:
+    from .tomography import AxisTriple
+
     return AxisTriple(*_finite_numbers(obj, _TRIPLE_FIELDS, "'w_axes'"))
 
 
@@ -332,6 +328,8 @@ def cmd_p_table(args):
 
 
 def cmd_w(args):
+    from .tomography import Direction, _w_grid, w_axes
+
     kind, rho = parse_state(args.state, args.tol)
     for flag in ("theta", "phi"):
         value = getattr(args, flag)
@@ -508,7 +506,9 @@ def cmd_reconstruct(args):
 
             field, parse = "p_table", _table_from_obj
         else:
-            field, parse, invert = "w_axes", _triple_from_obj, density_from_w_axes
+            from .tomography import density_from_w_axes as invert
+
+            field, parse = "w_axes", _triple_from_obj
         if field not in data:
             raise CliError(f"input document needs a '{field}' field")
         source = parse(data[field])
@@ -597,6 +597,8 @@ def cmd_verify(args):
         if excess == math.inf:
             # b . b overflowed: from-w-axes's least eigenvalue, the one number
             # of its report that a finite triple can make non-finite (or NaN).
+            from .tomography import _density_entries
+
             excess = -_report(_density_entries(triple), args.tol).min_eigenvalue
         deviation = _positive(excess)
         checks.append(_check_obj("triple-physicality", deviation, args.tol))

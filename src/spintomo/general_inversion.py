@@ -11,12 +11,20 @@ reconstruction itself.
 
 How the numbers are computed:
 
-* d^j(theta) comes from one eigendecomposition of J_y per spin, cached:
-  with J_y = V Lambda V^dagger and the exact eigenvalues Lambda =
-  diag(-j, ..., j), d^j(theta) = Re[V exp(i theta Lambda) V^dagger] in
-  this module's convention (below), for every angle of a grid in one
-  array expression (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307
-  (2015)).  The tests hold it unitary to 1e-13 up to j = 50.
+* The kernel's rows d^(j3)_{0, M}(theta) are, up to the sign (-1)^M, the
+  normalized associated Legendre functions
+  sqrt((j3 - M)! / (j3 + M)!) P_j3^M(cos theta).  They come from the
+  three-term recurrence in j3 at fixed M, for every M and theta node at
+  once, which Holmes & Featherstone (J. Geodesy 76, 279 (2002)) show
+  stable to degrees in the thousands.  The tests hold them to 5e-14 of
+  Wigner's explicit sum for 2j <= 50; they err most next to the poles of
+  the finest grids, where the rounding of cos theta is amplified.
+* Single elements d^j_{mp, m}(theta) come from one eigendecomposition of
+  J_y per spin, cached: with J_y = V Lambda V^dagger and the exact
+  eigenvalues Lambda = diag(-j, ..., j), d^j(theta) = Re[V exp(i theta
+  Lambda) V^dagger] in this module's convention, below (Feng, Wang, Yang
+  & Jin, Phys. Rev. E 92, 043307 (2015)).  The tests hold it unitary to
+  1e-13 up to j = 50.
 * The kernel needs one 3j table, (j j j3; m -m' M) for each entry
   rho_{i+M, i} on or below the diagonal, m = j - i - M and m' = j - i,
   over all j3 = 0..2j; its M = 0 slice is the (j j j3; m -m 0) family.
@@ -81,20 +89,26 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .errors import NonPhysicalStateError
-from .spin_core import _DEFAULT_OVERSAMPLE, TOL, ValidationReport
-from .tomography import _TWO_PI, EulerAngles, _finite_angle
+from .spin_core import _DEFAULT_OVERSAMPLE, _TWO_PI, TOL, ValidationReport, _finite_angle
 
 _FLOAT_MAX = sys.float_info.max
 
 
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
-    # Python counts a bool as an int; numpy's bool is no numbers.Real.
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise TypeError(f"expected a real multiple of 1/2, got {x!r}")
-    # A numpy float doubles as a Python float, without numpy's overflow
-    # warning; the result is compared, as math.isfinite overflows on a huge int.
-    doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
+    kind = type(x)
+    # A float or an int passes on its type: the numbers.Real check costs
+    # about 0.45 us a call.
+    if kind is float or kind is int:
+        doubled = 2 * x
+    else:
+        # Python counts a bool as an int; numpy's bool is no numbers.Real.
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise TypeError(f"expected a real multiple of 1/2, got {x!r}")
+        # A numpy float doubles as a Python float, without numpy's overflow
+        # warning.
+        doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
+    # The result is compared, as math.isfinite overflows on a huge int.
     size = abs(doubled)
     if doubled != doubled or size == math.inf:
         raise ValueError(f"{x!r} doubled is not finite")
@@ -219,6 +233,9 @@ def wigner_D(j, mp, m, u: EulerAngles) -> complex:
     """Full rotation matrix element exp(i mp psi) d^j_{mp, m}(theta) exp(i m phi).
 
     Any ``u`` but :class:`EulerAngles` raises ``TypeError`` naming its type."""
+    # Imported here, so that a spin-j reconstruction loads no spin-1/2 module.
+    from .tomography import EulerAngles
+
     if not isinstance(u, EulerAngles):
         raise TypeError(f"wigner_D takes EulerAngles, got {type(u).__name__}")
     d = wigner_small_d(j, mp, m, u.theta)
@@ -233,9 +250,8 @@ _ANGLE_CACHE_SIZE = 256
 # Distinct (spin, grid) pairs whose kernels, which both sample and invert,
 # stay cached.
 _GRID_CACHE_SIZE = 16
-# Distinct spins whose J_y eigenvectors stay cached; a kernel for spin j
-# reads those of the integer spins 0..2j only, and ``_small_d_matrix``
-# those of spin j itself.
+# Distinct spins whose J_y eigenvectors stay cached, for the single
+# elements of ``_small_d_matrix``; the kernels read none.
 _SPIN_CACHE_SIZE = 64
 
 
@@ -252,9 +268,9 @@ def _jy_eigenvectors(tj: int) -> np.ndarray:
     return vectors
 
 
-def _d_rows(tj: int, thetas: np.ndarray, rows) -> np.ndarray:
-    """The ``rows`` (indices in descending mp) of d^j(theta) at every angle,
-    shape (n_angles, n_rows, 2j+1).
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
+def _small_d_matrix(tj: int, theta: float) -> np.ndarray:
+    """d^j(theta), rows and columns in descending projection order.
 
     The common d^j(theta) = exp(-i theta J_y) = V exp(-i theta Lambda)
     V^dagger is real and orthogonal, so this module's transpose of it is
@@ -262,13 +278,8 @@ def _d_rows(tj: int, thetas: np.ndarray, rows) -> np.ndarray:
     -j..j, so only the eigenvectors carry rounding.
     """
     vectors = _jy_eigenvectors(tj)
-    phases = np.exp(1j * np.multiply.outer(thetas, np.arange(tj + 1) - tj / 2.0))
-    return ((vectors[rows] * phases[:, None, :]) @ vectors.conj().T).real
-
-
-@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
-def _small_d_matrix(tj: int, theta: float) -> np.ndarray:
-    out = _d_rows(tj, np.array([theta]), slice(None))[0]
+    phases = np.exp(1j * (theta * (np.arange(tj + 1) - tj / 2.0)))
+    out = ((vectors * phases) @ vectors.conj().T).real
     out.flags.writeable = False
     return out
 
@@ -278,6 +289,8 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     descending projection order.  Coincides with the 2x2 tomography rotation
     at j = 1/2.  Any ``u`` but :class:`EulerAngles` raises ``TypeError``
     naming its type."""
+    from .tomography import EulerAngles
+
     if not isinstance(u, EulerAngles):
         raise TypeError(f"rotation_matrix_j takes EulerAngles, got {type(u).__name__}")
     tj = _twice_spin(j)
@@ -286,13 +299,26 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     return np.exp(1j * ms * u.psi)[:, None] * d * np.exp(1j * ms * u.phi)[None, :]
 
 
+def _check_tol(tol) -> None:
+    """Refuse a ``tol`` that is not a finite, non-negative real, by name."""
+    # As in _twice, a bool is no real here; a float passes on its type, as
+    # the numbers.Real check costs about 0.45 us, 2% of a warm dim-7 call.
+    # The comparison refuses a NaN.
+    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+        raise TypeError(f"tol must be a real number, got {type(tol).__name__}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
     """Validation report for a square density matrix of any dimension.
 
     A matrix with a non-finite entry, or entries whose sums overflow, gets
     a report with a non-finite deviation or a NaN minimum eigenvalue, which
-    does not pass.
+    does not pass.  ``tol`` must be a finite, non-negative real (not a
+    bool), or ``TypeError`` or ``ValueError`` names it.
     """
+    _check_tol(tol)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -315,6 +341,7 @@ def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
 
 
 def require_density_j(matrix, tol: float = TOL) -> np.ndarray:
+    _check_tol(tol)
     m = np.asarray(matrix, dtype=complex)
     report = validate_density_j(m, tol)
     if not report.passed:
@@ -332,6 +359,7 @@ def w_callable_from_density(rho, tol: float = TOL) -> DensityTomogram:
     ``reconstruct_density_j`` samples it on the whole grid in one pass.
     ``rho`` is validated here, at ``tol``, once: the family carries that
     judgement, and ``reconstruct_density_j`` does not judge its samples.
+    A ``tol`` that is not a finite, non-negative real is refused by name.
     """
     m = require_density_j(rho, tol)
     return DensityTomogram(m)
@@ -487,10 +515,13 @@ def _product_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
     )
 
 
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``n`` Gauss-Legendre nodes on [-1, 1] and their weights, by the
     steps of ``leggauss``: the eigenvalues of the symmetric companion matrix
-    of e_n, one Newton step, weights 1 / (e_n' e_{n-1}) scaled to sum 2."""
+    of e_n, one Newton step, weights 1 / (e_n' e_{n-1}) scaled to sum 2.
+    Cached, as read-only arrays: at the default oversample every spin up
+    to 3 takes the 16-node rule."""
     k = np.arange(n)
     scl = 1.0 / np.sqrt(2 * k + 1)
     off_diagonal = k[1:] * scl[:-1] * scl[1:]
@@ -507,6 +538,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -692,16 +724,38 @@ def _coupling_families(tj: int) -> np.ndarray:
     return table
 
 
+def _theta_rows(tj: int, thetas: np.ndarray) -> np.ndarray:
+    """rows[j3, M, t] = d^(j3)_{0, M}(thetas[t]) for j3, M = 0..2j, zero for
+    M > j3, C-contiguous.
+
+    At fixed M these are (-1)^M sqrt((j3 - M)! / (j3 + M)!) P_j3^M(cos theta),
+    normalized associated Legendre functions, by their recurrence in j3
+    (Holmes & Featherstone, J. Geodesy 76, 279 (2002)):
+        rows[M, M] = prod over k = 1..M of -sqrt((2k - 1) / (2k)) sin theta,
+        rows[M + 1, M] = sqrt(2M + 1) cos theta rows[M, M],
+        rows[n, M] = ((2n - 1) cos theta rows[n - 1, M]
+                      - sqrt((n - 1)^2 - M^2) rows[n - 2, M]) / sqrt(n^2 - M^2).
+    """
+    dim = tj + 1
+    sin, cos = np.sin(thetas), np.cos(thetas)
+    rows = np.zeros((dim, dim, len(thetas)))
+    rows[0, 0] = 1.0
+    for n in range(1, dim):
+        corner = rows[n - 1, n - 1]
+        rows[n, n] = -math.sqrt((2 * n - 1) / (2 * n)) * sin * corner
+        rows[n, n - 1] = math.sqrt(2 * n - 1) * cos * corner
+        m = np.arange(n - 1.0)[:, None]
+        rows[n, : n - 1] = (
+            (2 * n - 1) * cos * rows[n - 1, : n - 1] - np.sqrt((n - 1) ** 2 - m**2) * rows[n - 2, : n - 1]
+        ) / np.sqrt(n**2 - m**2)
+    return rows
+
+
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _kernel(tj: int, grid: QuadratureGrid) -> _Kernel:
     dim = tj + 1
     index = np.arange(dim)
-    nodes = grid.theta_nodes
-    # rows[j3, M, t] = d^(j3)_{0, M}(theta_t) for M = 0..2j, zero past j3
-    rows = np.zeros((dim, dim, len(nodes)))
-    for j3 in range(dim):
-        # Row mp = 0 of d^(j3), its columns m = j3..-j3 read from m = 0 up.
-        rows[j3, : j3 + 1] = _d_rows(2 * j3, nodes, [j3])[:, 0, j3::-1].T
+    rows = _theta_rows(tj, grid.theta_nodes)
     entry_coupling = _coupling_families(tj)
     # (M, i) -> i + M, the row of the entry rho_{i+M, i} on diagonal M
     shifted = index[:, None] + index
@@ -775,13 +829,7 @@ def reconstruct_density_j(
     the single integer power (-1)^(m2' - m1); see the module docstring.
     """
     tj = _twice_spin(j)
-    # As in _twice, a bool is no real here; a float passes on its type, as
-    # the numbers.Real check costs about 0.45 us, 2% of a warm dim-7 call.
-    # The comparison refuses a NaN.
-    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
-        raise TypeError(f"tol must be a real number, got {type(tol).__name__}")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    _check_tol(tol)
     if grid is None:
         grid = _quadrature(tj, _DEFAULT_OVERSAMPLE)
     elif not isinstance(grid, QuadratureGrid):

@@ -24,6 +24,9 @@ AXES = ("x", "y", "z")
 # library and the CLI.  It is kept here, with TOL, so that the CLI's parser
 # reads both without loading the spin-j module.
 _DEFAULT_OVERSAMPLE = 2
+# Kept here, with _finite_angle, so that the spin-j module reads them
+# without loading the spin-1/2 tomography module.
+_TWO_PI = 2.0 * math.pi
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -43,6 +46,14 @@ _EIGENKETS = {
     ("y", 1): np.array([_INV_SQRT2, 1.0j * _INV_SQRT2], dtype=complex),
     ("y", -1): np.array([_INV_SQRT2, -1.0j * _INV_SQRT2], dtype=complex),
 }
+
+
+def _finite_angle(name: str, value) -> float:
+    """``value`` as a float, refused with a ``ValueError`` unless finite."""
+    angle = float(value)
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle!r}")
+    return angle
 
 
 def _check_axis(axis: str) -> str:

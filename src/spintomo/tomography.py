@@ -20,18 +20,18 @@ import numpy as np
 
 from .errors import AdmissibilityError
 from .spin_core import (
+    _TWO_PI,
     AXES,
     TOL,
     _bloch_parts,
     _bloch_vector,
     _check,
     _entries,
+    _finite_angle,
     _frozen,
     _require,
     require_density,
 )
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _azimuth(angle: float) -> float:
@@ -59,14 +59,6 @@ def _canonical_angles(phi: float, theta: float, psi: float):
         phi = phi + math.pi
         psi = psi + math.pi
     return _azimuth(phi), theta, _azimuth(psi)
-
-
-def _finite_angle(name: str, value) -> float:
-    """``value`` as a float, refused with a ``ValueError`` unless finite."""
-    angle = float(value)
-    if not math.isfinite(angle):
-        raise ValueError(f"{name} must be finite, got {angle!r}")
-    return angle
 
 
 @dataclass(frozen=True)

@@ -706,21 +706,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("spintomo"))]))
 """
-_EVERY_VERB = ["spintomo", "spintomo.cli", "spintomo.errors", "spintomo.spin_core", "spintomo.tomography"]
+_EVERY_VERB = ["spintomo", "spintomo.cli", "spintomo.errors", "spintomo.spin_core"]
 
 
 @pytest.mark.parametrize(
     "args, extra",
     [
         (("p-table", "--state", "up_z"), ["quasiprob"]),
-        (("w", "--state", "up_x", "--theta", "1", "--phi", "0.5"), []),
-        (("w", "--state", "up_x", "--grid", "8"), ["general_inversion"]),
+        (("w", "--state", "up_x", "--theta", "1", "--phi", "0.5"), ["tomography"]),
+        (("w", "--state", "up_x", "--grid", "8"), ["general_inversion", "tomography"]),
         (("reconstruct", "--mode", "from-p", "--input", "p.json"), ["quasiprob"]),
-        (("reconstruct", "--mode", "from-w-axes", "--input", "w.json"), []),
+        (("reconstruct", "--mode", "from-w-axes", "--input", "w.json"), ["tomography"]),
         (("reconstruct", "--mode", "from-w-integral", "--input", "j.json"), ["general_inversion"]),
         (("verify", "--input", "p.json"), ["quasiprob"]),
-        (("verify", "--input", "pw.json"), ["quasiprob", "radon_link"]),
-        (("sweep", "--trials", "5"), ["quasiprob", "radon_link", "sampling"]),
+        (("verify", "--input", "pw.json"), ["quasiprob", "radon_link", "tomography"]),
+        (("sweep", "--trials", "5"), ["quasiprob", "radon_link", "sampling", "tomography"]),
     ],
     ids=["p-table", "w-direction", "w-grid", "from-p", "from-w-axes", "from-w-integral",
          "verify-p", "verify-both", "sweep"],
@@ -749,6 +749,23 @@ def test_importing_the_package_loads_none_of_its_modules():
     code = "import spintomo, sys; print(sorted(m for m in sys.modules if m.startswith('spintomo')))"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "['spintomo']\n", "")
+
+
+_SPIN_J_LIBRARY_PATH = """
+import sys
+import numpy as np
+import spintomo
+rho = spintomo.reconstruct_density_j(spintomo.w_callable_from_density(np.eye(3) / 3), 1)
+assert spintomo.validate_density_j(rho).passed
+print(sorted(m for m in sys.modules if m.startswith("spintomo")))
+"""
+
+
+def test_a_spin_j_reconstruction_loads_no_spin_half_module():
+    run = subprocess.run([sys.executable, "-c", _SPIN_J_LIBRARY_PATH], capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    loaded = ["spintomo", "spintomo.errors", "spintomo.general_inversion", "spintomo.spin_core"]
+    assert run.stdout == f"{loaded}\n"
 
 
 def _integral_input(tmp_path, obj):

@@ -82,6 +82,52 @@ def test_twice_accepts_its_edges():
     assert _twice(Fraction(1, 2) + Fraction(1e-9) / 2) == 1
 
 
+@pytest.mark.parametrize(
+    "value, outcome",
+    [
+        (1.5, 3),
+        (-2.0, -4),
+        (7, 14),
+        (-3, -6),
+        (2**52 + 1, 2**53 + 2),
+        (2**1000, 2**1001),
+        (np.float64(1.5), 3),
+        (np.float32(-0.5), -1),
+        (np.float16(2.5), 5),
+        (np.int64(3), 6),
+        (np.int8(-2), -4),
+        (np.uint8(4), 8),
+        (0.25, (ValueError, "0.25 is not a multiple of 1/2")),
+        (np.float64(0.3), (ValueError, "np.float64(0.3) is not a multiple of 1/2")),
+        (np.float64("nan"), (ValueError, "np.float64(nan) doubled is not finite")),
+        (np.float64(1e308), (ValueError, "np.float64(1e+308) doubled is not finite")),
+        (10**308, (ValueError, "1.000e+308 doubled lies beyond the float range")),
+        (-(10**400), (ValueError, "-1.000e+400 doubled lies beyond the float range")),
+        (True, (TypeError, "expected a real multiple of 1/2, got True")),
+        (False, (TypeError, "expected a real multiple of 1/2, got False")),
+        (np.bool_(True), (TypeError, "expected a real multiple of 1/2, got np.True_")),
+        (np.bool_(False), (TypeError, "expected a real multiple of 1/2, got np.False_")),
+        ("1", (TypeError, "expected a real multiple of 1/2, got '1'")),
+        ("0.5", (TypeError, "expected a real multiple of 1/2, got '0.5'")),
+    ],
+    ids=repr,
+)
+def test_twice_gives_each_type_its_result(value, outcome):
+    # A float or an int skips the numbers.Real check; every other type takes
+    # it, and each value keeps its result and its message.
+    from spintomo.general_inversion import _twice
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(outcome, int):
+            result = _twice(value)
+            assert (type(result), result) == (int, outcome)
+        else:
+            error, message = outcome
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                _twice(value)
+
+
 # Closed-form values; the last two were evaluated exactly with an
 # independent computer-algebra 3j implementation.
 FROZEN_3J = [
@@ -284,6 +330,52 @@ def test_small_d_transposition_against_sympy():
         ms = m_values(tj / 2)
         mine = np.array([[wigner_small_d(tj / 2, mp, m, 1.234) for m in ms] for mp in ms])
         assert np.abs(mine - theirs).max() < 1e-13
+
+
+def _wigner_sum_row(mp, n, m, c, s):
+    """d^(n)_{0, m}(theta), the common d^n_{m, 0}(theta), by Wigner's explicit
+    sum over k of (-1)^(m + k) sqrt((n + m)! (n - m)!) n! c^(2n - m - 2k)
+    s^(m + 2k) / ((n - k)! k! (m + k)! (n - m - k)!), with c = cos(theta/2)
+    and s = sin(theta/2) at mp's precision.  Its factorials are grouped as
+    n!^2 C(n, k) C(n, m + k), and the sum is taken by Horner's rule in
+    (s / c)^2."""
+    ratio = (s / c) ** 2
+    total = mp.mpf(0)
+    for k in range(n - m, -1, -1):
+        total = total * ratio + (-1) ** (m + k) * math.comb(n, k) * math.comb(n, m + k)
+    scale = mp.sqrt(math.factorial(n + m) * math.factorial(n - m)) / math.factorial(n)
+    return float(scale * c ** (2 * n - m) * s**m * total)
+
+
+@pytest.mark.parametrize(
+    "tj, oversample, picked, ranks",
+    [
+        (1, 1, slice(None), range(2)),
+        (3, 2, slice(None), range(4)),
+        (12, 1, [0, 7, -1], range(13)),
+        # The worst rows seen, next to the poles of the finest grid, where the
+        # rounding of cos(theta) is amplified by up to j3 (j3 + 1) / 2.
+        (44, 4, [1, -2], [44]),
+        (50, 4, [0, 1, 104, -2, -1], [0, 1, 2, 25, 49, 50]),
+    ],
+)
+def test_theta_rows_match_wigners_sum(tj, oversample, picked, ranks):
+    # The kernel's rows come from the Legendre recurrence; the reference is
+    # Wigner's explicit sum, at 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    from spintomo.general_inversion import _theta_rows
+
+    thetas = build_quadrature(tj / 2, oversample).theta_nodes[picked]
+    rows = _theta_rows(tj, thetas)
+    assert rows.flags.c_contiguous and rows.shape == (tj + 1, tj + 1, len(thetas))
+    with mpmath.workdps(60):
+        for t, theta in enumerate(thetas):
+            half = mpmath.mpf(theta) / 2
+            c, s = mpmath.cos(half), mpmath.sin(half)
+            for j3 in ranks:
+                exact = [_wigner_sum_row(mpmath.mp, j3, m, c, s) for m in range(j3 + 1)]
+                assert np.abs(rows[j3, : j3 + 1, t] - exact).max() <= 5e-14, (j3, theta)
+                assert not rows[j3, j3 + 1 :, t].any()
 
 
 def test_small_d_rejects_out_of_range_projections():
@@ -511,14 +603,15 @@ def test_reconstruct_rejects_unnormalized_family():
     with pytest.raises(NonPhysicalStateError):
         reconstruct_density_j(broken, 0.5)
 
-    # A NaN tol accepts nothing, as in validate_density_j; it is refused by
-    # name, not blamed on the samples, whether or not they are normalized.
+    # A NaN tol is refused by name, not blamed on the samples, whether or
+    # not they are normalized; so it is by validate_density_j.
     grid = build_quadrature(0.5)
     message = "^tol must be finite and non-negative, got nan$"
     for values in (2 * family.samples(grid), family.samples(grid)):
         with pytest.raises(ValueError, match=message):
             reconstruct_density_j(values, 0.5, grid=grid, tol=float("nan"))
-    assert not validate_density_j(rho, tol=float("nan")).passed
+    with pytest.raises(ValueError, match=message):
+        validate_density_j(rho, tol=float("nan"))
 
 
 def test_sample_checks_accept_their_edges():
@@ -647,6 +740,28 @@ def test_reconstruct_refuses_a_bad_tol_by_name(form, tol, error):
     for zero in (0, 0.0):
         rho = reconstruct_density_j(family, 1, tol=zero)
         np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "tol, error",
+    [(math.nan, ValueError), (-1.0, ValueError), (math.inf, ValueError), ("x", TypeError), (True, TypeError)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+@pytest.mark.parametrize("name", ["validate_density_j", "require_density_j", "w_callable_from_density"])
+def test_density_j_calls_refuse_a_bad_tol_by_name(name, tol, error):
+    # Each bad tol is refused by name, before the matrix is read: the matrix
+    # here is not even square.
+    call = {
+        "validate_density_j": validate_density_j,
+        "require_density_j": require_density_j,
+        "w_callable_from_density": w_callable_from_density,
+    }[name]
+    message = "tol must be a real number, got bool" if tol is True else "tol must be"
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call(np.ones((2, 3)), tol)
+    # The same call takes a good tol, zero included.
+    for good in (0, 0.0, 1e-10):
+        call(np.eye(3) / 3, good)
 
 
 def test_reconstruct_rejects_negative_probabilities():
@@ -1185,6 +1300,17 @@ def test_gauss_legendre_is_leggauss_bit_for_bit():
         reference_nodes, reference_weights = np.polynomial.legendre.leggauss(n)
         assert nodes.tobytes() == reference_nodes.tobytes(), n
         assert weights.tobytes() == reference_weights.tobytes(), n
+
+
+def test_gauss_legendre_rules_are_built_once_read_only():
+    # At the default oversample every spin up to 3 takes the 16-node rule;
+    # it is built once.
+    from spintomo.general_inversion import _gauss_legendre
+
+    nodes, weights = _gauss_legendre(16)
+    again = _gauss_legendre(16)
+    assert again[0] is nodes and again[1] is weights
+    assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 # Run with ``python -c`` and the paths of two output files and an input file.
