@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 
 # Each module and the public names it homes.
 _HOMES = {
+    "common": ("TOL", "ValidationReport"),
     "errors": ("AdmissibilityError", "NonPhysicalStateError"),
     "general_inversion": (
         "QuadratureGrid", "build_quadrature", "m_values", "reconstruct_density_j",
-        "require_density_j", "rotation_matrix_j", "validate_density_j",
-        "w_callable_from_density", "wigner_3j", "wigner_D", "wigner_small_d",
+        "require_density_j", "validate_density_j", "w_callable_from_density",
     ),
     "quasiprob": (
         "VERTEX_ORDER", "AdmissibilityReport", "MarginalCheck", "QuasiProbTable",
@@ -31,16 +31,16 @@ _HOMES = {
     "radon_link": ("ConsistencyReport", "p_from_w", "verify_radon_consistency"),
     "sampling": ("random_bloch_vectors", "random_density_j", "random_density_matrices"),
     "spin_core": (
-        "AXES", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "TOL", "ValidationReport",
-        "bloch_from_density", "density_from_bloch", "density_from_mean_values", "eigenket",
-        "overlap", "overlap_triple", "pauli_matrix", "purity", "require_density",
-        "validate_density",
+        "AXES", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "bloch_from_density", "density_from_bloch",
+        "density_from_mean_values", "eigenket", "overlap", "overlap_triple", "pauli_matrix",
+        "purity", "require_density", "validate_density",
     ),
     "tomography": (
         "AXIS_DIRECTIONS", "AxisTriple", "Direction", "EulerAngles", "Tomogram",
         "density_from_w_axes", "mean_from_w", "rotate_density", "rotation_matrix", "w_axes",
         "w_from_bloch", "w_value",
     ),
+    "wigner": ("rotation_matrix_j", "wigner_3j", "wigner_D", "wigner_small_d"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

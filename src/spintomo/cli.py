@@ -34,17 +34,8 @@ import numpy as np
 
 # Every verb needs these modules.  Each verb imports the others it runs where
 # it runs them, so that a process loads only its own verb's modules.
+from .common import _DEFAULT_OVERSAMPLE, TOL
 from .errors import AdmissibilityError, NonPhysicalStateError
-from .spin_core import (
-    _DEFAULT_OVERSAMPLE,
-    TOL,
-    _bloch_excess,
-    _positive,
-    _report,
-    density_from_bloch,
-    require_density,
-    validate_density,
-)
 
 SCHEMA_VERSION = "1"
 # Request size bounds, checked before anything is allocated.  ``w --grid
@@ -102,9 +93,13 @@ def parse_state(text: str, tol: float):
     key, sep, payload = text.partition("=")
     if sep:
         if key == "bloch":
+            from .spin_core import density_from_bloch
+
             values = _parse_numbers(payload, 3, float, "floats")
             return "bloch", density_from_bloch(np.array(values), tol)
         if key == "rho":
+            from .spin_core import require_density
+
             values = _parse_numbers(payload, 4, complex, "complex numbers")
             m = np.array([[values[0], values[1]], [values[2], values[3]]])
             return "rho", require_density(m, tol)
@@ -328,6 +323,7 @@ def cmd_p_table(args):
 
 
 def cmd_w(args):
+    from .spin_core import require_density
     from .tomography import Direction, _w_grid, w_axes
 
     kind, rho = parse_state(args.state, args.tol)
@@ -499,6 +495,8 @@ def cmd_reconstruct(args):
     doc = _envelope("reconstruct", args.tol)
     doc["mode"] = args.mode
     if not integral:
+        from .spin_core import validate_density
+
         # Modes that invert a spin-1/2 representation in closed form: the
         # input field, its parser, and the inversion.
         if args.mode == "from-p":
@@ -590,6 +588,9 @@ def cmd_verify(args):
         for name, deviation in maxima.items():
             checks.append(_check_obj(f"table-{name}", deviation, args.tol))
     if "w_axes" in data:
+        from .common import _positive
+        from .spin_core import _bloch_excess, _report
+
         triple = _triple_from_obj(data["w_axes"])
         doc["w_axes"] = _w_axes_obj(triple)
         b = (triple.wx_plus - 0.5, triple.wy_plus - 0.5, triple.wz_plus - 0.5)

@@ -4,10 +4,10 @@ For arbitrary spin j the state is recovered from the probabilities
 w(m1, theta, phi) of outcome m1 along the rotated quantization axis by a
 triple sum over an auxiliary index j3 = 0..2j, its projections m3, and the
 outcomes m1, with Wigner 3j couplings and an angular integral of w against
-rotation-matrix elements D^(j3)_{0, m3}.  This module provides the 3j
-symbols, the rotation matrix elements, a quadrature rule that makes the
-angular integrals exact for band-limited integrands, and the
-reconstruction itself.
+rotation-matrix elements D^(j3)_{0, m3}.  This module provides a
+quadrature rule that makes the angular integrals exact for band-limited
+integrands, and the reconstruction itself.  Single 3j symbols and rotation
+matrix elements are in ``wigner``, which a reconstruction does not load.
 
 How the numbers are computed:
 
@@ -43,9 +43,6 @@ How the numbers are computed:
   backwards, with the quadrature weights, for the entries on and below
   the diagonal only: for real samples the rest are their conjugates, as
   D^(j3)_{0, -m3} = (-1)^m3 conj(D^(j3)_{0, m3}).
-* :func:`wigner_3j` evaluates single symbols with exact rational
-  arithmetic and one final square root.  The kernel does not use it; the
-  tests compare the recursion against it.
 
 Conventions, fixed once and verified by round trips at machine precision:
 
@@ -78,7 +75,6 @@ import sys
 import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 # A warm small-spin reconstruction spends most of its time in numpy's
@@ -88,8 +84,8 @@ import numpy as np
 # eigenvalues and sets the invalid flag, where eigvalsh raises.
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
+from .common import _DEFAULT_OVERSAMPLE, _TWO_PI, TOL, ValidationReport, _check_tol, _finite_angle
 from .errors import NonPhysicalStateError
-from .spin_core import _DEFAULT_OVERSAMPLE, _TWO_PI, TOL, ValidationReport, _finite_angle
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -137,110 +133,11 @@ def m_values(j):
     return tuple((tj - 2 * i) / 2.0 for i in range(tj + 1))
 
 
-def _half_factorial(t: int) -> int:
-    # factorial of t/2 for an even doubled value
-    return factorial(t // 2)
-
-
-def _w3j_twice(tj1, tj2, tj3, tm1, tm2, tm3) -> float:
-    # Imported here: only this exact reference needs it, and importing it
-    # (with decimal) costs every process that imports the package.
-    from fractions import Fraction
-
-    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
-        if abs(tm) > tj or (tj + tm) % 2 != 0:
-            return 0.0
-    if tm1 + tm2 + tm3 != 0:
-        return 0.0
-    if tj3 > tj1 + tj2 or tj3 < abs(tj1 - tj2):
-        return 0.0
-    f = _half_factorial
-    tkmin = max(0, tj2 - tj3 - tm1, tj1 - tj3 + tm2)
-    tkmax = min(tj1 + tj2 - tj3, tj1 - tm1, tj2 + tm2)
-    total = Fraction(0)
-    for tk in range(tkmin, tkmax + 1, 2):
-        denom = (
-            f(tk)
-            * f(tj1 + tj2 - tj3 - tk)
-            * f(tj1 - tm1 - tk)
-            * f(tj2 + tm2 - tk)
-            * f(tj3 - tj2 + tm1 + tk)
-            * f(tj3 - tj1 - tm2 + tk)
-        )
-        total += Fraction((-1) ** (tk // 2), denom)
-    if total == 0:
-        return 0.0
-    prefactor = Fraction(
-        f(tj1 + tj2 - tj3) * f(tj1 - tj2 + tj3) * f(-tj1 + tj2 + tj3),
-        f(tj1 + tj2 + tj3 + 2),
-    )
-    prefactor *= (
-        f(tj1 + tm1)
-        * f(tj1 - tm1)
-        * f(tj2 + tm2)
-        * f(tj2 - tm2)
-        * f(tj3 + tm3)
-        * f(tj3 - tm3)
-    )
-    # The sum is exact, so square it, keep everything rational, and take a
-    # single square root at the end.
-    magnitude = math.sqrt(float(prefactor * total * total))
-    sign = (-1) ** (((tj1 - tj2 - tm3) // 2) % 2)
-    return sign * magnitude if total > 0 else -sign * magnitude
-
-
-def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
-    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3).
-
-    Arguments are ints or floats; values that are not multiples of 1/2
-    raise ``ValueError``.  Selection-rule violations return 0.0.
-    Evaluated with exact rational arithmetic and one final square root.
-    """
-    return _w3j_twice(
-        _twice_spin(j1),
-        _twice_spin(j2),
-        _twice_spin(j3),
-        _twice(m1),
-        _twice(m2),
-        _twice(m3),
-    )
-
-
 def _check_projection(tj, tm, name):
     if abs(tm) > tj or (tj + tm) % 2 != 0:
         raise ValueError(
             f"projection {name}={tm / 2.0} is not in the multiplet of spin {tj / 2.0}"
         )
-
-
-def wigner_small_d(j, mp, m, theta: float) -> float:
-    """Rotation matrix element d^j_{mp, m}(theta) in this module's convention.
-
-    Out-of-multiplet projections and a non-finite ``theta`` raise
-    ``ValueError``.  For j = 1/2 the matrix over (mp, m) in descending order is
-    [[cos(theta/2), sin(theta/2)], [-sin(theta/2), cos(theta/2)]].
-    """
-    tj = _twice_spin(j)
-    tmp = _twice(mp)
-    tm = _twice(m)
-    _check_projection(tj, tmp, "mp")
-    _check_projection(tj, tm, "m")
-    d = _small_d_matrix(tj, _finite_angle("theta", theta))
-    return float(d[(tj - tmp) // 2, (tj - tm) // 2])
-
-
-def wigner_D(j, mp, m, u: EulerAngles) -> complex:
-    """Full rotation matrix element exp(i mp psi) d^j_{mp, m}(theta) exp(i m phi).
-
-    Any ``u`` but :class:`EulerAngles` raises ``TypeError`` naming its type."""
-    # Imported here, so that a spin-j reconstruction loads no spin-1/2 module.
-    from .tomography import EulerAngles
-
-    if not isinstance(u, EulerAngles):
-        raise TypeError(f"wigner_D takes EulerAngles, got {type(u).__name__}")
-    d = wigner_small_d(j, mp, m, u.theta)
-    phase = (_twice(mp) / 2.0) * u.psi + (_twice(m) / 2.0) * u.phi
-    return complex(d * np.exp(1j * phase))
 
 
 # Callers may pass any number of distinct angles, so the per-angle cache is
@@ -282,32 +179,6 @@ def _small_d_matrix(tj: int, theta: float) -> np.ndarray:
     out = ((vectors * phases) @ vectors.conj().T).real
     out.flags.writeable = False
     return out
-
-
-def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
-    """(2j+1)-dimensional unitary of the Euler rotation, rows and columns in
-    descending projection order.  Coincides with the 2x2 tomography rotation
-    at j = 1/2.  Any ``u`` but :class:`EulerAngles` raises ``TypeError``
-    naming its type."""
-    from .tomography import EulerAngles
-
-    if not isinstance(u, EulerAngles):
-        raise TypeError(f"rotation_matrix_j takes EulerAngles, got {type(u).__name__}")
-    tj = _twice_spin(j)
-    d = _small_d_matrix(tj, float(u.theta))
-    ms = _m_array(tj)
-    return np.exp(1j * ms * u.psi)[:, None] * d * np.exp(1j * ms * u.phi)[None, :]
-
-
-def _check_tol(tol) -> None:
-    """Refuse a ``tol`` that is not a finite, non-negative real, by name."""
-    # As in _twice, a bool is no real here; a float passes on its type, as
-    # the numbers.Real check costs about 0.45 us, 2% of a warm dim-7 call.
-    # The comparison refuses a NaN.
-    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
-        raise TypeError(f"tol must be a real number, got {type(tol).__name__}")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:

@@ -17,18 +17,13 @@ from typing import Iterator, Mapping, Tuple
 
 import numpy as np
 
+from .common import TOL, ValidationReport, _density_deviation, _frozen, _max, _positive
 from .errors import AdmissibilityError
 from .spin_core import (
-    TOL,
-    ValidationReport,
     _check,
     _check_axis,
     _check_sign,
     _abs,
-    _density_deviation,
-    _frozen,
-    _max,
-    _positive,
     _report,
     _require,
     eigenket,

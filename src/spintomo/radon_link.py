@@ -21,12 +21,13 @@ from operator import sub
 
 import numpy as np
 
+from .common import TOL, _frozen, _max
 from .errors import NonPhysicalStateError
 from .quasiprob import (
     _MINUS, _PLUS, QuasiProbTable, _admissibility_maxima, _matrix_entries, _oracle_values,
     _table_values, check_admissibility, density_from_p, p_from_density,
 )
-from .spin_core import TOL, _bloch_excess, _frozen, _max, _numpy_abs, _report, _require
+from .spin_core import _bloch_excess, _numpy_abs, _report, _require
 from .tomography import AxisTriple, _density_entries, _w_axes_values, density_from_w_axes, w_axes
 
 

@@ -10,23 +10,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
+# TOL and ValidationReport are public names of this module too.
+from .common import _ARRAY, TOL, ValidationReport, _check_tol, _frozen, _max
 from .errors import NonPhysicalStateError
 
-TOL = 1e-10
 AXES = ("x", "y", "z")
-
-# The refinement of the spin-j quadrature grid when none is given, by the
-# library and the CLI.  It is kept here, with TOL, so that the CLI's parser
-# reads both without loading the spin-j module.
-_DEFAULT_OVERSAMPLE = 2
-# Kept here, with _finite_angle, so that the spin-j module reads them
-# without loading the spin-1/2 tomography module.
-_TWO_PI = 2.0 * math.pi
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -46,14 +37,6 @@ _EIGENKETS = {
     ("y", 1): np.array([_INV_SQRT2, 1.0j * _INV_SQRT2], dtype=complex),
     ("y", -1): np.array([_INV_SQRT2, -1.0j * _INV_SQRT2], dtype=complex),
 }
-
-
-def _finite_angle(name: str, value) -> float:
-    """``value`` as a float, refused with a ``ValueError`` unless finite."""
-    angle = float(value)
-    if not math.isfinite(angle):
-        raise ValueError(f"{name} must be finite, got {angle!r}")
-    return angle
 
 
 def _check_axis(axis: str) -> str:
@@ -99,50 +82,12 @@ def overlap_triple(cx: int, by: int, az: int, az2: int) -> complex:
     )
 
 
-def _frozen(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass ``cls`` and its fields in order,
-    without running ``__init__``: for values the code computed itself."""
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
-    return instance
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Deviations of a candidate matrix from the density-matrix axioms.
-
-    ``min_eigenvalue`` is computed on the Hermitian part of the candidate,
-    so positivity is judged after symmetrizing away any tiny skew part.
-    ``passed`` compares one number with ``tol``: the largest of the
-    hermiticity and trace deviations and of max(0, -min_eigenvalue), NaN if
-    any is NaN.  A report of arrays (see ``_report``) passes elementwise.
-    """
-
-    hermiticity_deviation: float
-    trace_deviation: float
-    min_eigenvalue: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return _density_deviation(self) <= self.tol
-
-    def summary(self) -> str:
-        status = "ok" if self.passed else "FAILED"
-        return (
-            f"{status}: hermiticity_deviation={self.hermiticity_deviation:.3e} "
-            f"trace_deviation={self.trace_deviation:.3e} "
-            f"min_eigenvalue={self.min_eigenvalue:.3e} (tol={self.tol:.1e})"
-        )
-
-
 # The three steps of the spin-1/2 maps whose bits depend on the form of the
-# input: |z|, a max and a positive part.  The maps are written once, in
-# + - * and these helpers, and take Python scalars, as the library passes
-# them, or numpy arrays of many inputs, as the CLI's ``sweep`` does.  Each
-# entry of an array gets the bits that its scalar gets.  ``_ARRAY`` spares
-# each call of the scalar maps an attribute lookup.
-_ARRAY = np.ndarray
+# input: |z|, a max (``common._max``) and a positive part
+# (``common._positive``).  The maps are written once, in + - * and these
+# helpers, and take Python scalars, as the library passes them, or numpy
+# arrays of many inputs, as the CLI's ``sweep`` does.  Each entry of an
+# array gets the bits that its scalar gets.
 
 
 def _abs(z):
@@ -162,27 +107,6 @@ def _numpy_abs(z):
     if type(z) is _ARRAY:
         return np.abs(z)
     return abs(z) if z.real == 0.0 or z.imag == 0.0 else float(np.abs(np.array(z)))
-
-
-def _max(*values):
-    """The largest of ``values``, magnitudes that are all scalars or all arrays
-    (elementwise), and NaN if any is NaN, which Python's ``max`` may drop.  A
-    sum of magnitudes is NaN exactly when one of them is."""
-    if type(values[0]) is _ARRAY:
-        return reduce(np.maximum, values)
-    total = sum(values)
-    return max(values) if total == total else total
-
-
-def _positive(x):
-    """max(0.0, x), +0.0 for x = -0.0, and NaN for a NaN x."""
-    return np.where(x <= 0.0, 0.0, x) if type(x) is _ARRAY else 0.0 if x <= 0.0 else x
-
-
-def _density_deviation(report: ValidationReport):
-    """The one number that ``report.passed`` compares with its tol."""
-    return _max(report.hermiticity_deviation, report.trace_deviation,
-                _positive(-report.min_eigenvalue))
 
 
 def _deviations(a, b, c, d):
@@ -239,7 +163,10 @@ def validate_density(matrix, tol: float = TOL) -> ValidationReport:
     Returns a :class:`ValidationReport` with the max-entry deviation from
     hermiticity, the deviation of the trace from 1, and the smallest
     eigenvalue of the Hermitian part (closed form for 2x2, no eigensolver).
+    ``tol`` must be a finite, non-negative real (not a bool), or
+    ``TypeError`` or ``ValueError`` names it.
     """
+    _check_tol(tol)
     return _report(_entries(matrix)[1], tol)
 
 
@@ -259,12 +186,14 @@ def _require(matrix, tol: float):
     A matrix with the bytes and ``tol`` (a float) of the last one passed in
     this thread is not checked again, so one state handed to a chain of maps
     is validated once.  Its entries are the ones ``tolist`` gives, since the
-    bytes are the same.
+    bytes are the same.  A ``tol`` that is not a finite, non-negative real is
+    refused by name when the matrix is checked; a stored key's has passed.
     """
     m = _matrix(matrix)
     key = (m.tobytes(), tol) if type(tol) is float else None
     last_key, entries = _PASSED.last
     if key is None or key != last_key:
+        _check_tol(tol)
         (a, b), (c, d) = m.tolist()
         entries = (a, b, c, d)
         _check(entries, tol)
@@ -276,7 +205,8 @@ def _require(matrix, tol: float):
 def require_density(matrix, tol: float = TOL) -> np.ndarray:
     """Return ``matrix`` as a complex array after validating it, else raise.
 
-    Raises :class:`NonPhysicalStateError` carrying the failing report.
+    Raises :class:`NonPhysicalStateError` carrying the failing report, and
+    refuses a bad ``tol`` as :func:`validate_density` does.
     """
     return _require(matrix, tol)[0]
 

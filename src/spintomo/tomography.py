@@ -18,17 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import _TWO_PI, TOL, _finite_angle, _frozen
 from .errors import AdmissibilityError
 from .spin_core import (
-    _TWO_PI,
     AXES,
-    TOL,
     _bloch_parts,
     _bloch_vector,
     _check,
     _entries,
-    _finite_angle,
-    _frozen,
     _require,
     require_density,
 )

@@ -62,7 +62,8 @@ from spintomo.quasiprob import (
     _table_values,
 )
 from spintomo.radon_link import ConsistencyReport, _sweep_deviations
-from spintomo.spin_core import AXES, TOL, ValidationReport, _positive, _report
+from spintomo.common import _positive
+from spintomo.spin_core import AXES, TOL, ValidationReport, _report
 from spintomo.tomography import _w_grid
 
 from conftest import NAMED_STATES

@@ -706,24 +706,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("spintomo"))]))
 """
-_EVERY_VERB = ["spintomo", "spintomo.cli", "spintomo.errors", "spintomo.spin_core"]
+_EVERY_VERB = ["spintomo", "spintomo.cli", "spintomo.common", "spintomo.errors"]
 
 
 @pytest.mark.parametrize(
     "args, extra",
     [
-        (("p-table", "--state", "up_z"), ["quasiprob"]),
-        (("w", "--state", "up_x", "--theta", "1", "--phi", "0.5"), ["tomography"]),
-        (("w", "--state", "up_x", "--grid", "8"), ["general_inversion", "tomography"]),
-        (("reconstruct", "--mode", "from-p", "--input", "p.json"), ["quasiprob"]),
-        (("reconstruct", "--mode", "from-w-axes", "--input", "w.json"), ["tomography"]),
+        (("p-table", "--state", "up_z"), ["quasiprob", "spin_core"]),
+        (("w", "--state", "up_x", "--theta", "1", "--phi", "0.5"), ["spin_core", "tomography"]),
+        (("w", "--state", "up_x", "--grid", "8"), ["general_inversion", "spin_core", "tomography"]),
+        (("reconstruct", "--mode", "from-p", "--input", "p.json"), ["quasiprob", "spin_core"]),
+        (("reconstruct", "--mode", "from-w-axes", "--input", "w.json"), ["spin_core", "tomography"]),
         (("reconstruct", "--mode", "from-w-integral", "--input", "j.json"), ["general_inversion"]),
-        (("verify", "--input", "p.json"), ["quasiprob"]),
-        (("verify", "--input", "pw.json"), ["quasiprob", "radon_link", "tomography"]),
-        (("sweep", "--trials", "5"), ["quasiprob", "radon_link", "sampling", "tomography"]),
+        (("reconstruct", "--mode", "from-w-integral", "--input", "jr.json"), ["general_inversion"]),
+        (("verify", "--input", "p.json"), ["quasiprob", "spin_core"]),
+        (("verify", "--input", "pw.json"), ["quasiprob", "radon_link", "spin_core", "tomography"]),
+        (("sweep", "--trials", "5"), ["quasiprob", "radon_link", "sampling", "spin_core", "tomography"]),
     ],
     ids=["p-table", "w-direction", "w-grid", "from-p", "from-w-axes", "from-w-integral",
-         "verify-p", "verify-both", "sweep"],
+         "from-w-integral-rho", "verify-p", "verify-both", "sweep"],
 )
 def test_each_verb_loads_only_its_own_modules(capsys, tmp_path, args, extra):
     _, table, _ = run_cli(capsys, "p-table", "--state", "up_x")
@@ -734,6 +735,7 @@ def test_each_verb_loads_only_its_own_modules(capsys, tmp_path, args, extra):
         "w.json": {"w_axes": w_axes},
         "pw.json": {"p_table": p_table, "w_axes": w_axes},
         "j.json": {"j": 0.5, "state": "up_x"},
+        "jr.json": {"j": 1, "rho": [[{"re": (r == c) / 3, "im": 0.0} for c in range(3)] for r in range(3)]},
     }
     for name, obj in inputs.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -764,7 +766,7 @@ print(sorted(m for m in sys.modules if m.startswith("spintomo")))
 def test_a_spin_j_reconstruction_loads_no_spin_half_module():
     run = subprocess.run([sys.executable, "-c", _SPIN_J_LIBRARY_PATH], capture_output=True, text=True)
     assert (run.returncode, run.stderr) == (0, "")
-    loaded = ["spintomo", "spintomo.errors", "spintomo.general_inversion", "spintomo.spin_core"]
+    loaded = ["spintomo", "spintomo.common", "spintomo.errors", "spintomo.general_inversion"]
     assert run.stdout == f"{loaded}\n"
 
 

@@ -251,7 +251,8 @@ def test_kernel_coupling_families_match_exact_symbols():
     # symbols: (-1)^i (j j j3; m -m' M) over (M, i, j3) for each entry
     # rho_{i+M, i} inside the matrix, m = j - i - M and m' = j - i, and
     # exactly 0 for the entries past it, at every j3 = 0..2j.
-    from spintomo.general_inversion import _coupling_families, _w3j_twice
+    from spintomo.general_inversion import _coupling_families
+    from spintomo.wigner import _w3j_twice
 
     for tj in range(25):
         dim = tj + 1

@@ -17,6 +17,7 @@ from spintomo import (
     TOL,
     AxisTriple,
     Direction,
+    EulerAngles,
     NonPhysicalStateError,
     bloch_from_density,
     check_admissibility,
@@ -34,6 +35,7 @@ from spintomo import (
     purity,
     random_density_matrices,
     require_density,
+    rotate_density,
     validate_density,
     verify_radon_consistency,
     w_axes,
@@ -267,7 +269,12 @@ def test_pure_state_is_accepted_at_tol_zero(name):
 @pytest.mark.parametrize("b", [[0.1, -0.2, 0.3], [10.0, 0.0, 0.0]], ids=["physical", "unphysical"])
 def test_nan_tol_refuses(name, b):
     # Every comparison with a NaN tol is false, so a test written as the
-    # accepting comparison refuses whatever the input.
+    # accepting comparison refuses whatever the input.  The matrix input
+    # refuses the tol itself, by name.
+    if name == "require_density":
+        with pytest.raises(ValueError, match="^tol must be finite and non-negative, got nan$"):
+            _BLOCH_INPUTS[name](np.array(b), math.nan)
+        return
     with pytest.raises(NonPhysicalStateError):
         _BLOCH_INPUTS[name](np.array(b), math.nan)
 
@@ -374,6 +381,41 @@ def test_same_bytes_are_checked_again_at_a_tighter_tol():
         require_density(m, 1e-10)
         with pytest.raises(NonPhysicalStateError):
             require_density(m, tol)
+
+
+_MATRIX_MAPS = {
+    "validate_density": validate_density,
+    "require_density": require_density,
+    "bloch_from_density": bloch_from_density,
+    "purity": purity,
+    "p_from_density": p_from_density,
+    "p_oracle": p_oracle,
+    "w_value": lambda rho, tol: w_value(rho, EulerAngles(phi=0.2, theta=0.3, psi=0.0), tol),
+    "w_axes": w_axes,
+    "rotate_density": lambda rho, tol: rotate_density(rho, EulerAngles(phi=0.2, theta=0.3, psi=0.0), tol),
+    "verify_radon_consistency": verify_radon_consistency,
+}
+
+
+@pytest.mark.parametrize(
+    "tol, error",
+    [(math.nan, ValueError), (-1.0, ValueError), (math.inf, ValueError), ("x", TypeError), (True, TypeError)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+@pytest.mark.parametrize("name", sorted(_MATRIX_MAPS))
+def test_matrix_maps_refuse_a_bad_tol_by_name(name, tol, error):
+    # The matrix is a state, and the one the memo last passed, so only the
+    # tol can be refused; it is named, not blamed on the matrix.
+    call = _MATRIX_MAPS[name]
+    rho = np.eye(2) / 2
+    require_density(rho, TOL)
+    message = "tol must be a real number, got bool" if tol is True else "tol must be"
+    with pytest.raises(error, match=f"^{re.escape(message)}") as excinfo:
+        call(rho, tol)
+    assert not isinstance(excinfo.value, NonPhysicalStateError)
+    # The same call takes a good tol, zero of either sign and as an int included.
+    for good in (0, 0.0, -0.0, 1e-10):
+        call(rho, good)
 
 
 def test_every_form_of_one_matrix_gives_its_entries():
