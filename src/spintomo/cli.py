@@ -34,7 +34,7 @@ import numpy as np
 
 # Every verb needs these modules.  Each verb imports the others it runs where
 # it runs them, so that a process loads only its own verb's modules.
-from .common import _DEFAULT_OVERSAMPLE, TOL
+from .common import _DEFAULT_OVERSAMPLE, TOL, _positive
 from .errors import AdmissibilityError, NonPhysicalStateError
 
 SCHEMA_VERSION = "1"
@@ -588,7 +588,6 @@ def cmd_verify(args):
         for name, deviation in maxima.items():
             checks.append(_check_obj(f"table-{name}", deviation, args.tol))
     if "w_axes" in data:
-        from .common import _positive
         from .spin_core import _bloch_excess, _report
 
         triple = _triple_from_obj(data["w_axes"])

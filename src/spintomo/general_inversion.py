@@ -70,7 +70,6 @@ Conventions, fixed once and verified by round trips at machine precision:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import threading
 from dataclasses import dataclass, fields
@@ -84,7 +83,8 @@ import numpy as np
 # eigenvalues and sets the invalid flag, where eigvalsh raises.
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
-from .common import _DEFAULT_OVERSAMPLE, _TWO_PI, TOL, ValidationReport, _check_tol, _finite_angle
+from .common import (_DEFAULT_OVERSAMPLE, _TWO_PI, TOL, ValidationReport, _check_tol, _check_type,
+                     _finite_angle, _is_real)
 from .errors import NonPhysicalStateError
 
 _FLOAT_MAX = sys.float_info.max
@@ -92,18 +92,11 @@ _FLOAT_MAX = sys.float_info.max
 
 def _twice(x) -> int:
     """Twice the value of a half-integer argument, as an exact int."""
-    kind = type(x)
-    # A float or an int passes on its type: the numbers.Real check costs
-    # about 0.45 us a call.
-    if kind is float or kind is int:
-        doubled = 2 * x
-    else:
-        # Python counts a bool as an int; numpy's bool is no numbers.Real.
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise TypeError(f"expected a real multiple of 1/2, got {x!r}")
-        # A numpy float doubles as a Python float, without numpy's overflow
-        # warning.
-        doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
+    if not _is_real(x):
+        raise TypeError(f"expected a real multiple of 1/2, got {x!r}")
+    # A numpy float doubles as a Python float, without numpy's overflow
+    # warning.
+    doubled = 2 * (float(x) if isinstance(x, np.floating) else x)
     # The result is compared, as math.isfinite overflows on a huge int.
     size = abs(doubled)
     if doubled != doubled or size == math.inf:
@@ -212,7 +205,6 @@ def validate_density_j(matrix, tol: float = TOL) -> ValidationReport:
 
 
 def require_density_j(matrix, tol: float = TOL) -> np.ndarray:
-    _check_tol(tol)
     m = np.asarray(matrix, dtype=complex)
     report = validate_density_j(m, tol)
     if not report.passed:
@@ -274,8 +266,7 @@ class DensityTomogram:
         result is a copy of the kernel's scratch array.  Any ``grid`` but a
         :class:`QuadratureGrid` raises ``TypeError`` naming its type.
         """
-        if not isinstance(grid, QuadratureGrid):
-            raise TypeError(f"DensityTomogram.samples takes a QuadratureGrid, got {type(grid).__name__}")
+        _check_type(grid, QuadratureGrid, "DensityTomogram.samples takes a QuadratureGrid")
         return _kernel(self.tj, grid).sample(self.rho).copy()
 
 
@@ -703,13 +694,13 @@ def reconstruct_density_j(
     _check_tol(tol)
     if grid is None:
         grid = _quadrature(tj, _DEFAULT_OVERSAMPLE)
-    elif not isinstance(grid, QuadratureGrid):
-        raise TypeError(f"reconstruct_density_j takes a QuadratureGrid, got {type(grid).__name__}")
-    elif grid.n_theta <= tj or grid.n_phi <= 2 * tj:
-        raise ValueError(
-            f"a grid of {grid.n_theta} theta and {grid.n_phi} phi nodes is too coarse "
-            f"for spin {tj / 2.0}, which needs at least {tj + 1} and {2 * tj + 1}"
-        )
+    else:
+        _check_type(grid, QuadratureGrid, "reconstruct_density_j takes a QuadratureGrid")
+        if grid.n_theta <= tj or grid.n_phi <= 2 * tj:
+            raise ValueError(
+                f"a grid of {grid.n_theta} theta and {grid.n_phi} phi nodes is too coarse "
+                f"for spin {tj / 2.0}, which needs at least {tj + 1} and {2 * tj + 1}"
+            )
     # The kernel is looked up once, and only after every refusal that does
     # not need it, so that a refused request builds nothing.
     if isinstance(w, DensityTomogram):

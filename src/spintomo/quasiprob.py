@@ -17,7 +17,8 @@ from typing import Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .common import TOL, ValidationReport, _density_deviation, _frozen, _max, _positive
+from .common import (TOL, ValidationReport, _check_tol, _check_type, _density_deviation, _frozen,
+                     _max, _positive)
 from .errors import AdmissibilityError
 from .spin_core import (
     _check,
@@ -188,11 +189,6 @@ def _matrix_entries(p_ppp, p_mpp):
     return rho_pp, rho_pm, rho_pm.conjugate(), 1.0 - rho_pp
 
 
-def _check_table(name: str, table) -> None:
-    if not isinstance(table, QuasiProbTable):
-        raise TypeError(f"{name} takes a QuasiProbTable, got {type(table).__name__}")
-
-
 def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
     """Recover the density matrix from a table, or raise if none exists.
 
@@ -201,7 +197,8 @@ def density_from_p(table: QuasiProbTable, tol: float = TOL) -> np.ndarray:
     raised when the table does not come from a physical state.  Anything but
     a :class:`QuasiProbTable` raises ``TypeError`` naming its type.
     """
-    _check_table("density_from_p", table)
+    _check_type(table, QuasiProbTable, "density_from_p takes a QuasiProbTable")
+    _check_tol(tol)
     entries = _matrix_entries(table[1, 1, 1], table[-1, 1, 1])
     _check(entries, tol, AdmissibilityError, "table does not describe a physical state")
     return np.array(entries).reshape(2, 2)
@@ -214,7 +211,7 @@ def marginal(table: QuasiProbTable, axis: str, sign: int) -> complex:
     when measuring the spin projection along ``axis``.  Anything but a
     :class:`QuasiProbTable` raises ``TypeError`` naming its type.
     """
-    _check_table("marginal", table)
+    _check_type(table, QuasiProbTable, "marginal takes a QuasiProbTable")
     positions = _MARGINAL_VERTICES[_check_axis(axis), _check_sign(sign)]
     return complex(sum(map(table._entries.__getitem__, positions)))
 
@@ -260,7 +257,8 @@ def check_admissibility(table: QuasiProbTable, tol: float = TOL) -> Admissibilit
 
     Anything but a :class:`QuasiProbTable` raises ``TypeError`` naming its type.
     """
-    _check_table("check_admissibility", table)
+    _check_type(table, QuasiProbTable, "check_admissibility takes a QuasiProbTable")
+    _check_tol(tol)
     e0, e1, e2, e3, e4, e5, e6, e7 = table._entries
     # The sums of ``total`` and ``marginal``: left to right from sum()'s
     # start, the int 0, which reads an all -0.0 sum as +0.0.  The z+ marginal

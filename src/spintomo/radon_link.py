@@ -21,7 +21,7 @@ from operator import sub
 
 import numpy as np
 
-from .common import TOL, _frozen, _max
+from .common import TOL, _check_tol, _check_type, _frozen, _max
 from .errors import NonPhysicalStateError
 from .quasiprob import (
     _MINUS, _PLUS, QuasiProbTable, _admissibility_maxima, _matrix_entries, _oracle_values,
@@ -36,13 +36,13 @@ def p_from_w(triple: AxisTriple, tol: float = TOL, validate: bool = True) -> Qua
 
     With ``validate`` (the default) the triple must be finite and physical:
     b = w - 1/2, half the mean values, must have |b| - 1/2 <= tol, which is
-    ``validate_density``'s positivity test and which a NaN ``tol`` fails.
+    ``validate_density``'s positivity test.
     ``validate=False`` evaluates the affine map as-is, which is useful for
     checking its structural identities on arbitrary triples.  Anything but
     an :class:`AxisTriple` raises ``TypeError`` naming its type.
     """
-    if not isinstance(triple, AxisTriple):
-        raise TypeError(f"p_from_w takes an AxisTriple, got {type(triple).__name__}")
+    _check_type(triple, AxisTriple, "p_from_w takes an AxisTriple")
+    _check_tol(tol)
     # Python floats, so that the entries are Python complex numbers and the
     # Bloch-ball test squares without numpy's overflow warning.
     wx, wy, wz = float(triple.wx_plus), float(triple.wy_plus), float(triple.wz_plus)

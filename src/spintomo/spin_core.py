@@ -215,12 +215,14 @@ def _bloch_excess(x: float, y: float, z: float) -> float:
     """|b| - 1/2 for Python floats: inf once b . b overflows, with no numpy
     warning.  The state is physical when this is <= tol, ``validate_density``'s
     positivity test, as the least eigenvalue is 1/2 - |b| (exactly so for
-    |b| >= 1/4).  Callers write that accepting comparison, which a NaN tol fails."""
+    |b| >= 1/4)."""
     return math.sqrt(x * x + y * y + z * z) - 0.5
 
 
 def _bloch_vector(b, tol: float) -> np.ndarray:
-    """``b`` as a float array, checked to be a finite vector with |b| <= 1/2."""
+    """``b`` as a float array, checked to be a finite vector with |b| <= 1/2,
+    after ``tol`` is checked."""
+    _check_tol(tol)
     v = np.asarray(b, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a length-3 Bloch vector, got shape {v.shape}")
@@ -263,8 +265,9 @@ def density_from_mean_values(mx: float, my: float, mz: float, tol: float = TOL) 
     """Density matrix with Pauli mean values Tr(rho sigma_k) = (mx, my, mz).
 
     The Bloch vector b is half the mean values and must have |b| - 1/2 <= tol,
-    ``validate_density``'s positivity test, which a NaN ``tol`` fails.
+    ``validate_density``'s positivity test.
     """
+    _check_tol(tol)
     mx, my, mz = float(mx), float(my), float(mz)
     b = [0.5 * mx, 0.5 * my, 0.5 * mz]
     # A NaN mean value is left to density_from_bloch, which names it not finite.

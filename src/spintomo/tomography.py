@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import _TWO_PI, TOL, _finite_angle, _frozen
+from .common import _TWO_PI, TOL, _check_tol, _check_type, _finite_angle, _frozen
 from .errors import AdmissibilityError
 from .spin_core import (
     AXES,
@@ -234,8 +234,7 @@ def w_value(rho, u, tol: float = TOL) -> Tomogram:
 def w_from_bloch(b, direction: Direction, tol: float = TOL) -> Tomogram:
     """Tomogram w_+- = 1/2 +- b . n of a Bloch vector, bit for bit as ``w_value`` gives it
     for ``density_from_bloch(b)``.  A non-Direction raises ``TypeError`` naming its type."""
-    if not isinstance(direction, Direction):
-        raise TypeError(f"w_from_bloch takes a Direction, got {type(direction).__name__}")
+    _check_type(direction, Direction, "w_from_bloch takes a Direction")
     entries = tuple(map(complex, *_bloch_parts(*_bloch_vector(b, tol).tolist())))
     w_plus, w_minus = _w_pair(entries, *_factors(direction.theta, direction.phi))
     return Tomogram(w_plus=w_plus, w_minus=w_minus, direction=direction)
@@ -246,8 +245,7 @@ def mean_from_w(tomogram: Tomogram) -> float:
 
     Anything but a :class:`Tomogram` raises ``TypeError`` naming its type.
     """
-    if not isinstance(tomogram, Tomogram):
-        raise TypeError(f"mean_from_w takes a Tomogram, got {type(tomogram).__name__}")
+    _check_type(tomogram, Tomogram, "mean_from_w takes a Tomogram")
     return 2.0 * tomogram.w_plus - 1.0
 
 
@@ -284,8 +282,8 @@ def density_from_w_axes(triple: AxisTriple, tol: float = TOL) -> np.ndarray:
     :class:`AdmissibilityError` is raised for incompatible triples.
     Anything but an :class:`AxisTriple` raises ``TypeError`` naming its type.
     """
-    if not isinstance(triple, AxisTriple):
-        raise TypeError(f"density_from_w_axes takes an AxisTriple, got {type(triple).__name__}")
+    _check_type(triple, AxisTriple, "density_from_w_axes takes an AxisTriple")
+    _check_tol(tol)
     rho_pp, rho_pm, rho_mp, rho_mm = _density_entries(triple)
     m, entries = _entries(np.array([[rho_pp, rho_pm], [rho_mp, rho_mm]], dtype=complex))
     _check(entries, tol, AdmissibilityError, "axis probabilities do not describe a physical state")

@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .common import _finite_angle
+from .common import _check_type, _finite_angle
 from .general_inversion import _check_projection, _m_array, _small_d_matrix, _twice, _twice_spin
 
 
@@ -116,8 +116,7 @@ def wigner_D(j, mp, m, u: EulerAngles) -> complex:
     # spin-1/2 module.
     from .tomography import EulerAngles
 
-    if not isinstance(u, EulerAngles):
-        raise TypeError(f"wigner_D takes EulerAngles, got {type(u).__name__}")
+    _check_type(u, EulerAngles, "wigner_D takes EulerAngles")
     d = wigner_small_d(j, mp, m, u.theta)
     phase = (_twice(mp) / 2.0) * u.psi + (_twice(m) / 2.0) * u.phi
     return complex(d * np.exp(1j * phase))
@@ -130,8 +129,7 @@ def rotation_matrix_j(j, u: EulerAngles) -> np.ndarray:
     naming its type."""
     from .tomography import EulerAngles
 
-    if not isinstance(u, EulerAngles):
-        raise TypeError(f"rotation_matrix_j takes EulerAngles, got {type(u).__name__}")
+    _check_type(u, EulerAngles, "rotation_matrix_j takes EulerAngles")
     tj = _twice_spin(j)
     d = _small_d_matrix(tj, float(u.theta))
     ms = _m_array(tj)

@@ -8,7 +8,9 @@ deviations that ``verify`` prints as ``table-*`` checks is at most tol.
 Both rules are checked on Python scalars and on the arrays that ``sweep``
 passes, over seeded random states and tables and over edges: pure states
 at tol 0, signed zero, negative, infinite and NaN tols, non-finite entries,
-and parts from subnormal to 1e300.
+and parts from subnormal to 1e300.  ``check_admissibility`` refuses a
+negative, infinite or NaN tol by name, so the table rule is checked at the
+others.
 """
 
 import math
@@ -111,6 +113,11 @@ def test_table_passed_is_its_printed_maxima_against_tol(seed):
     tables = _tables(seed)
     outcomes = set()
     for tol in TOLS:
+        if not 0.0 <= tol < math.inf:
+            for values in (tables[0], _columns(tables)):
+                with pytest.raises(ValueError, match="^tol must be finite and non-negative, got "):
+                    check_admissibility(QuasiProbTable._trusted(values), tol)
+            continue
         passed = []
         for values in tables:
             report = check_admissibility(QuasiProbTable._trusted(values), tol)

@@ -199,11 +199,14 @@ _UNPOLARIZED = dict(zip(VERTEX_ORDER, [0.125] * 8))
 def test_table_maps_name_what_they_got(value):
     # The maps that take a QuasiProbTable name anything else by its type,
     # a mapping of the eight vertices included.
-    maps = (
-        check_admissibility, density_from_p, lambda table: marginal(table, "x", 1),
-    )
-    for map_ in maps:
-        with pytest.raises(TypeError, match=f"takes a QuasiProbTable, got {type(value).__name__}$"):
+    maps = {
+        "check_admissibility": check_admissibility,
+        "density_from_p": density_from_p,
+        "marginal": lambda table: marginal(table, "x", 1),
+    }
+    for name, map_ in maps.items():
+        message = f"^{name} takes a QuasiProbTable, got {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
             map_(value)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spintomo
 from spintomo import (
     TOL,
     AxisTriple,
@@ -268,15 +270,18 @@ def test_pure_state_is_accepted_at_tol_zero(name):
 @pytest.mark.parametrize("name", sorted(_BLOCH_INPUTS))
 @pytest.mark.parametrize("b", [[0.1, -0.2, 0.3], [10.0, 0.0, 0.0]], ids=["physical", "unphysical"])
 def test_nan_tol_refuses(name, b):
-    # Every comparison with a NaN tol is false, so a test written as the
-    # accepting comparison refuses whatever the input.  The matrix input
-    # refuses the tol itself, by name.
-    if name == "require_density":
-        with pytest.raises(ValueError, match="^tol must be finite and non-negative, got nan$"):
+    # Each library input refuses the tol itself, by name, and does not blame
+    # the input.  The CLI's verify, whose main refuses a NaN --tol, compares
+    # with it: every comparison with a NaN is false, so a check written as
+    # the accepting comparison fails whatever the input.
+    if name == "verify":
+        with pytest.raises(NonPhysicalStateError):
             _BLOCH_INPUTS[name](np.array(b), math.nan)
         return
-    with pytest.raises(NonPhysicalStateError):
+    message = "^tol must be finite and non-negative, got nan$"
+    with pytest.raises(ValueError, match=message) as excinfo:
         _BLOCH_INPUTS[name](np.array(b), math.nan)
+    assert not isinstance(excinfo.value, NonPhysicalStateError)
 
 
 def test_purity_extremes(named_states):
@@ -383,6 +388,8 @@ def test_same_bytes_are_checked_again_at_a_tighter_tol():
             require_density(m, tol)
 
 
+# Each spin-1/2 function that takes a tol, as a call on the state I/2 or on
+# its vector, mean values, triple or table.
 _MATRIX_MAPS = {
     "validate_density": validate_density,
     "require_density": require_density,
@@ -394,6 +401,23 @@ _MATRIX_MAPS = {
     "w_axes": w_axes,
     "rotate_density": lambda rho, tol: rotate_density(rho, EulerAngles(phi=0.2, theta=0.3, psi=0.0), tol),
     "verify_radon_consistency": verify_radon_consistency,
+    "density_from_bloch": lambda rho, tol: density_from_bloch(bloch_from_density(rho), tol),
+    "density_from_mean_values": lambda rho, tol: density_from_mean_values(
+        *(2.0 * bloch_from_density(rho)), tol=tol
+    ),
+    "w_from_bloch": lambda rho, tol: w_from_bloch(
+        bloch_from_density(rho), Direction(theta=0.3, phi=0.2), tol
+    ),
+    "p_from_w": lambda rho, tol: p_from_w(w_axes(rho), tol),
+    "density_from_w_axes": lambda rho, tol: density_from_w_axes(w_axes(rho), tol),
+    "check_admissibility": lambda rho, tol: check_admissibility(p_from_density(rho), tol),
+    "density_from_p": lambda rho, tol: density_from_p(p_from_density(rho), tol),
+}
+
+# The spin-j functions that take a tol, each in a bad-tol table of
+# test_general_inversion.py.
+_SPIN_J_TOL_CALLS = {
+    "reconstruct_density_j", "require_density_j", "validate_density_j", "w_callable_from_density",
 }
 
 
@@ -404,8 +428,9 @@ _MATRIX_MAPS = {
 )
 @pytest.mark.parametrize("name", sorted(_MATRIX_MAPS))
 def test_matrix_maps_refuse_a_bad_tol_by_name(name, tol, error):
-    # The matrix is a state, and the one the memo last passed, so only the
-    # tol can be refused; it is named, not blamed on the matrix.
+    # The matrix is a state, and the one the memo last passed, and the
+    # vector, triple and table are its own, so only the tol can be refused;
+    # it is named, not blamed on the input.
     call = _MATRIX_MAPS[name]
     rho = np.eye(2) / 2
     require_density(rho, TOL)
@@ -416,6 +441,17 @@ def test_matrix_maps_refuse_a_bad_tol_by_name(name, tol, error):
     # The same call takes a good tol, zero of either sign and as an int included.
     for good in (0, 0.0, -0.0, 1e-10):
         call(rho, good)
+
+
+def test_every_public_function_with_a_tol_is_in_a_bad_tol_table():
+    # The report classes, which record the tol they were judged at, are not
+    # functions of the rule.
+    functions = {name: getattr(spintomo, name) for name in spintomo.__all__}
+    with_tol = {
+        name for name, f in functions.items()
+        if inspect.isfunction(f) and "tol" in inspect.signature(f).parameters
+    }
+    assert with_tol == set(_MATRIX_MAPS) | _SPIN_J_TOL_CALLS
 
 
 def test_every_form_of_one_matrix_gives_its_entries():

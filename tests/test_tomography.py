@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -190,9 +191,15 @@ def test_incompatible_axis_triple_rejected():
 def test_axis_triple_maps_name_what_they_got(value):
     # p_from_w and density_from_w_axes take an AxisTriple, as mean_from_w
     # takes a Tomogram, and name anything else by its type.
-    maps = (p_from_w, lambda triple: p_from_w(triple, validate=False), density_from_w_axes)
-    for map_ in maps:
-        with pytest.raises(TypeError, match=f"takes an AxisTriple, got {type(value).__name__}$"):
+    maps = (
+        ("p_from_w", p_from_w, "an AxisTriple"),
+        ("p_from_w", lambda triple: p_from_w(triple, validate=False), "an AxisTriple"),
+        ("density_from_w_axes", density_from_w_axes, "an AxisTriple"),
+        ("mean_from_w", mean_from_w, "a Tomogram"),
+    )
+    for name, map_, wanted in maps:
+        message = f"{name} takes {wanted}, got {type(value).__name__}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             map_(value)
 
 
@@ -208,7 +215,8 @@ def test_w_from_bloch_names_what_it_got(value):
     # w_from_bloch takes a Direction only, and names anything else by its
     # type before it reads the vector, a bad one included.
     for b in ([0.0, 0.0, 0.5], [0.7, 0.0, 0.0], "b"):
-        with pytest.raises(TypeError, match=f"takes a Direction, got {type(value).__name__}$"):
+        message = f"^w_from_bloch takes a Direction, got {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
             w_from_bloch(b, value)
 
 

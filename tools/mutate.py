@@ -1,6 +1,8 @@
 """Flip one comparison at a time and see whether a test selection notices.
 
     python tools/mutate.py src/spintomo/general_inversion.py -- tests
+    python tools/mutate.py src/spintomo/common.py -- tests/test_passed_rule.py \
+        tests/test_bit_identity.py::test_positive_matches_array_form
     python tools/mutate.py src/spintomo/cli.py -- tests/test_cli.py tests/test_golden_corpus.py
 
 Each comparison operator of each named module is flipped, one at a time,
@@ -22,8 +24,11 @@ file holds one mutant a line, as this script prints it, then two spaces,
 ``#`` and the reason it changes no result.
 
 The modules are rewritten while the script runs, so run it in a copy of
-the repository or a clean checkout.  It uses the standard library only, is
-run by hand, and is not part of the tests.
+the repository or a clean checkout.  It uses the standard library only and
+is not part of the tests.  CI runs it over ``common.py``, the module of the
+library's argument rules, with the selection above, the smallest found to
+kill each of its mutants, and fails on an unlisted survivor; the other
+modules are run by hand.
 """
 
 from __future__ import annotations
